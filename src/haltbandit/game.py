@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .reductions import PayoutModel, model_index, reduced_bandit
 RESIDUAL_TOL = 1e-12
 DEFAULT_HISTORY_CAP = 10**7
 _EPISODE_ROUND_CAP = 10**6
+_DRAW_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -208,6 +209,9 @@ class Policy:
 
     ``period`` declares the only round dependence allowed on Markov
     backends — the engine hands ``choose`` the round number modulo it.
+    Both ``evaluate_exact`` and ``run_policy_sampled`` call ``choose`` once
+    per distinct reachable (positions, round mod period) and reuse the
+    answer, so on chains a policy must honour that contract.
     """
 
     period: int = 1
@@ -259,26 +263,32 @@ class IndexPolicy(Policy):
 
     def __init__(self, model: PayoutModel | None = None):
         self.model = None if model is None else PayoutModel(model)
-        self._cache: dict[tuple[AnyBandit, int], Number] = {}
+        # (id(bandit), scheme) -> (bandit, {position: index}); the entry holds
+        # the bandit so its id cannot be reused while the table lives
+        self._tables: dict[tuple[int, PayoutModel], tuple[AnyBandit, dict[int, Number]]] = {}
 
-    def _index(self, model: PayoutModel, bandit: AnyBandit, position: int) -> Number:
-        key = (bandit, position)
-        if key not in self._cache:
-            self._cache[key] = model_index(model, bandit, position)
-        return self._cache[key]
-
-    def choose(self, game: GameInstance, history: GlobalHistory, round_: int) -> int:
+    def indices(self, game: GameInstance, history: GlobalHistory) -> list[Number]:
+        """Every bandit's current index under the policy's scheme (the
+        game's by default), each computed once per bandit and position."""
         model = self.model if self.model is not None else game.model
         if model is PayoutModel.PSP:
             raise PreconditionError(
                 "the penultimate scheme has no activation index; use the greedy policy"
             )
+        out = []
+        for bandit, position in zip(game.bandits, history.nodes):
+            table = self._tables.setdefault((id(bandit), model), (bandit, {}))[1]
+            if position not in table:
+                table[position] = model_index(model, bandit, position)
+            out.append(table[position])
+        return out
+
+    def choose(self, game: GameInstance, history: GlobalHistory, round_: int) -> int:
+        values = self.indices(game, history)
         best = 0
-        best_val = self._index(model, game.bandits[0], history.nodes[0])
-        for i in range(1, game.n):
-            v = self._index(model, game.bandits[i], history.nodes[i])
-            if v > best_val:
-                best, best_val = i, v
+        for i in range(1, len(values)):
+            if values[i] > values[best]:
+                best = i
         return best
 
     def describe(self) -> str:
@@ -297,15 +307,17 @@ class BlockCommitmentIndexPolicy(Policy):
 
     def __init__(self, model: PayoutModel | None = None):
         self.model = None if model is None else PayoutModel(model)
-        self._decs: dict[AnyBandit, object] = {}
+        # keyed like ``IndexPolicy``'s tables: (id(bandit), scheme) -> (bandit, decomposition)
+        self._decs: dict[tuple[int, PayoutModel], tuple[AnyBandit, object]] = {}
 
     def _decomposition(self, model: PayoutModel, bandit: AnyBandit):
-        if bandit not in self._decs:
+        key = (id(bandit), model)
+        if key not in self._decs:
             reduced = reduced_bandit(model, bandit)
             if not isinstance(reduced, TreeBandit):
                 raise PreconditionError("block commitment needs a tree backend")
-            self._decs[bandit] = index_decomposition(reduced)
-        return self._decs[bandit]
+            self._decs[key] = (bandit, index_decomposition(reduced))
+        return self._decs[key][1]
 
     def choose(self, game: GameInstance, history: GlobalHistory, round_: int) -> int:
         model = self.model if self.model is not None else game.model
@@ -456,36 +468,46 @@ class SimulationResult:
         }
 
 
-def _outcome_tables(game: GameInstance) -> list[list[list[tuple[float, int, bool]]]]:
-    """Per (bandit, position): cumulative-probability outcome rows
-    (cum, next position, halting), in the same order ``step`` emits them."""
-    tables: list[list[list[tuple[float, int, bool]]]] = []
-    for i in range(game.n):
-        dyn = game.dynamics(i)
-        per: list[list[tuple[float, int, bool]]] = []
-        if isinstance(dyn, TreeBandit):
-            for node in dyn.nodes:
-                acc = 0.0
-                rows = []
-                for e in node.edges:
-                    acc += float(e.p)
-                    rows.append((acc, e.to, e.halting))
-                per.append(rows)
+def _compile_state(
+    game: GameInstance, policy: Policy, period: int, key: tuple[tuple[int, ...], int]
+) -> tuple[float, list[tuple[float, tuple[tuple[int, ...], int] | None, float]]]:
+    """One product state's sampling row: the immediate payment and, per
+    outcome of the chosen activation in ``step``'s order, (cumulative
+    float probability, successor key or None at a halt, terminal payout)."""
+    nodes, phase = key
+    h = GlobalHistory(nodes)
+    i = policy.choose(game, h, round_of(game, h) if game.backend == "tree" else phase)
+    if not 0 <= i < game.n:
+        raise PreconditionError(f"policy chose bandit {i}, not in the game")
+    dyn = game.dynamics(i)
+    pos = nodes[i]
+    if isinstance(dyn, TreeBandit):
+        outcomes = [(float(e.p), e.to, e.halting) for e in dyn.nodes[pos].edges]
+    else:
+        st = dyn.states[pos]
+        outcomes = [(float(st.halt_prob), pos, True)] if st.halt_prob != 0 else []
+        survive = float(1 - st.halt_prob)
+        outcomes += [(survive * float(p), y, False) for y, p in enumerate(dyn.transitions[pos]) if p != 0]
+    if not outcomes:
+        raise PreconditionError(f"bandit {i} has no outcome at position {pos}; is the model valid?")
+    rows: list[tuple[float, tuple[tuple[int, ...], int] | None, float]] = []
+    acc = 0.0
+    for p, to, halting in outcomes:
+        acc += p
+        nxt = nodes[:i] + (to,) + nodes[i + 1 :]
+        if halting:
+            post = GlobalHistory(nxt, halter=i)
+            rows.append((acc, None, float(terminal_payout(game, h, i, post))))
         else:
-            for x, st in enumerate(dyn.states):
-                acc = 0.0
-                rows = []
-                if st.halt_prob != 0:
-                    acc += float(st.halt_prob)
-                    rows.append((acc, x, True))
-                survive = float(1 - st.halt_prob)
-                for y, p in enumerate(dyn.transitions[x]):
-                    if p != 0:
-                        acc += survive * float(p)
-                        rows.append((acc, y, False))
-                per.append(rows)
-        tables.append(per)
-    return tables
+            rows.append((acc, (nxt, (phase + 1) % period), 0.0))
+    return float(immediate_payment(game, h, i)), rows
+
+
+def _uniforms(rng: np.random.Generator) -> Iterator[float]:
+    """The generator's uniforms, drawn ``_DRAW_CHUNK`` at a time: the same
+    stream as one scalar draw after another."""
+    while True:
+        yield from rng.random(_DRAW_CHUNK).tolist()
 
 
 def run_policy_sampled(
@@ -494,40 +516,45 @@ def run_policy_sampled(
     """Monte Carlo estimate of a policy's value.
 
     Draws one uniform per activation from a Philox counter-based generator
-    keyed by the seed; identical (game, policy, seed, n_samples) calls
-    reproduce the stream, and therefore the estimate, bit for bit.
+    keyed by the seed, in chunks (see ``_uniforms``); identical (game,
+    policy, seed, n_samples) calls reproduce the stream, and therefore the
+    estimate, bit for bit.
+
+    Like ``evaluate_exact``, the sampler calls ``policy.choose`` once per
+    distinct reachable (positions, round mod period) and replays that
+    choice on every later visit: trees pass the round (a function of the
+    positions), chains pass the round modulo ``policy.period``, so a
+    policy on a chain must honour its declared period.
     """
     if n_samples < 1:
         raise PreconditionError("need at least one sample")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    tables = _outcome_tables(game)
-    start = game.initial_history().nodes
-    ccp = game.model is PayoutModel.CCP
-    totals = np.empty(n_samples, dtype=float)
-    for k in range(n_samples):
-        nodes = start
+    period = 1 if game.backend == "tree" else max(1, int(getattr(policy, "period", 1)))
+    compiled: dict[tuple[tuple[int, ...], int], tuple] = {}
+    start = (game.initial_history().nodes, 0)
+    draws = _uniforms(rng)
+    out: list[float] = []
+    for _ in range(n_samples):
+        key = start
         total = 0.0
-        for round_ in range(_EPISODE_ROUND_CAP):
-            h = GlobalHistory(nodes)
-            i = policy.choose(game, h, round_)
-            if ccp:
-                total += float(current_reward(game, i, nodes[i]))
-            rows = tables[i][nodes[i]]
-            u = rng.random()
-            to, halting = rows[-1][1], rows[-1][2]
-            for cum, t, flag in rows:
+        for _ in range(_EPISODE_ROUND_CAP):
+            state = compiled.get(key)
+            if state is None:
+                state = compiled[key] = _compile_state(game, policy, period, key)
+            pay, rows = state
+            total += pay
+            u = next(draws)
+            for cum, succ, term in rows:
                 if u < cum:
-                    to, halting = t, flag
                     break
-            nxt = nodes[:i] + (to,) + nodes[i + 1 :]
-            if halting:
-                post = GlobalHistory(nxt, halter=i)
-                total += float(terminal_payout(game, h, i, post))
+            if succ is None:
+                total += term
                 break
-            nodes = nxt
+            key = succ
         else:
             raise SolverError("an episode exceeded the round cap; is the model valid?")
-        totals[k] = total
+        out.append(total)
+    totals = np.array(out)
     mean = float(np.mean(totals))
     stderr = 0.0 if n_samples == 1 else float(np.std(totals, ddof=1) / math.sqrt(n_samples))
     return SimulationResult(mean=mean, stderr=stderr, n_samples=n_samples, seed=seed)

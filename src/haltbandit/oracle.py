@@ -50,7 +50,7 @@ from .models import (
     TreeNode,
     validate,
 )
-from .reductions import PayoutModel, model_index
+from .reductions import PayoutModel
 
 DEFAULT_POLICY_CAP = 10**4
 
@@ -273,9 +273,7 @@ def certify_index_optimality(
                 else:
                     v = v + p * sol.values[nxt]
             q.append(v)
-        indices = [
-            model_index(game.model, game.bandits[i], h.nodes[i]) for i in range(game.n)
-        ]
+        indices = policy.indices(game, h)
         if _unique_argmax(q, exact, tol) and _unique_argmax(indices, exact, tol):
             compared += 1
             if q.index(max(q)) != indices.index(max(indices)):

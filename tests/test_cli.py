@@ -121,6 +121,14 @@ def test_simulate_command_is_reproducible(capsys, pair_path):
     assert first == again
 
 
+@pytest.mark.parametrize("command", [("simulate", "--samples", "10"), ("evaluate",)])
+@pytest.mark.parametrize("policy", ["always:-1", "always:2"])
+def test_a_bandit_outside_the_model_exits_four(capsys, pair_path, command, policy):
+    code, out = run(capsys, command[0], "--model", pair_path, "--policy", policy, *command[1:])
+    assert code == 4
+    assert out == ""
+
+
 def test_optimal_command(capsys, pair_path):
     code, out = run(capsys, "optimal", "--model", pair_path, "--rational")
     doc = json.loads(out)

@@ -27,12 +27,16 @@ from haltbandit import (
     normalize,
     psp_value_with_policy_indices,
     random_game,
+    random_markov_bandit,
     round_of,
     run_policy_sampled,
     step,
+    to_float,
     trace_times,
     unroll_markov,
 )
+
+from haltbandit.game import _DRAW_CHUNK
 
 from helpers import (
     HALF,
@@ -190,6 +194,15 @@ def test_index_policy_has_no_penultimate_variant():
         evaluate_exact(game, IndexPolicy())
 
 
+@pytest.mark.parametrize("policy_class", [IndexPolicy, BlockCommitmentIndexPolicy])
+def test_one_index_policy_serves_several_schemes(policy_class):
+    cp = random_game(0)
+    sp = GameInstance(bandits=cp.bandits, model=PayoutModel.SP)
+    reused = policy_class()
+    assert evaluate_exact(cp, reused) == Fraction(111, 16)
+    assert evaluate_exact(sp, reused) == evaluate_exact(sp, policy_class()) == 5
+
+
 def test_block_commitment_matches_the_per_round_recomputation():
     for seed in range(8):
         game = random_game(seed)
@@ -265,6 +278,50 @@ def test_single_sample_of_a_deterministic_game():
     res = run_policy_sampled(game, always(1), seed=0, n_samples=1)
     assert res.mean == 5.0
     assert res.stderr == 0.0
+
+
+def _float_chain_game():
+    chains = (random_markov_bandit(3, n_states=3), random_markov_bandit(5, n_states=4))
+    return GameInstance(bandits=tuple(to_float(c) for c in chains), model=PayoutModel.CCP)
+
+
+# Means and stderrs recorded with the per-activation sampler this one replaced.
+@pytest.mark.parametrize(
+    "make_game, policy, seed, mean, stderr",
+    [
+        pytest.param(
+            _float_chain_game, CyclicPolicy((0, 0, 1)), 3,
+            8.3052, 0.033668936892368495, id="float-chain-ccp-period-3",
+        ),
+        pytest.param(
+            lambda: random_game(7, n_bandits=3, rational=False), IndexPolicy(), 7,
+            10.2786, 0.0836788912412675, id="float-tree-index",
+        ),
+        pytest.param(
+            lambda: random_game(12, model=PayoutModel.TP), GreedyRewardPolicy(), 12,
+            -5.831, 0.06525258140392588, id="exact-tree-tp-greedy",
+        ),
+    ],
+)
+def test_sampled_values_are_pinned(make_game, policy, seed, mean, stderr):
+    res = run_policy_sampled(make_game(), policy, seed=seed, n_samples=5000)
+    assert (res.mean, res.stderr) == (mean, stderr)
+
+
+def test_sampled_value_across_several_draw_chunks_is_pinned():
+    n_samples = 12_411
+    assert n_samples > 3 * _DRAW_CHUNK  # every episode draws at least once
+    game = GameInstance(bandits=(geometric_markov((1, 2), Fraction(9, 10)),), model=PayoutModel.CCP)
+    res = run_policy_sampled(game, CyclicPolicy((0,)), seed=5, n_samples=n_samples)
+    assert (res.mean, res.stderr) == (14.580049955684473, 0.12626549615432656)
+
+
+def test_sampling_an_unhalted_leaf_is_rejected():
+    stuck = TreeBandit(
+        nodes=(TreeNode(0, 0, False, (TreeEdge(1, ONE, False),)), TreeNode(1, 1, False))
+    )
+    with pytest.raises(PreconditionError):
+        run_policy_sampled(GameInstance(bandits=(stuck,)), always(0), seed=0, n_samples=3)
 
 
 def test_trace_reproduces_the_interleaving_bookkeeping():
