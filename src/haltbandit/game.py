@@ -15,18 +15,23 @@ way: the non-halting scheme's value is the bill for the bandits that never
 halted, quoted positive, and a controller wants it small — minimize it by
 maximizing the sign-flipped collective rewrite from ``reductions``.
 
-Exact evaluation works backward over reachable histories on tree backends
-and solves the absorbing-chain linear system on Markov backends, where the
-only extra state a supported policy may carry is the round number modulo a
-declared period.  Sampling uses a counter-based generator (Philox, 64-bit)
-keyed by the seed, so a (seed, game, policy) triple reproduces its stream
-bit for bit on any platform.
+A game played under a policy compiles into one play graph over product
+positions (plus, on Markov backends, the round modulo the policy's
+declared period: the only extra state a policy may carry there).  Each
+state holds the policy's choice, the immediate payment and, per outcome,
+the probability, the successor or the halt, and the terminal payout.
+Exact evaluation works backward over it on trees and solves its
+absorbing-chain linear system on chains; certification iterates it, and
+sampling walks its states, compiled as episodes reach them, with a
+counter-based generator (Philox, 64-bit) keyed by the seed, so a (seed,
+game, policy) triple reproduces its stream bit for bit on any platform.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -209,9 +214,10 @@ class Policy:
 
     ``period`` declares the only round dependence allowed on Markov
     backends — the engine hands ``choose`` the round number modulo it.
-    Both ``evaluate_exact`` and ``run_policy_sampled`` call ``choose`` once
-    per distinct reachable (positions, round mod period) and reuse the
-    answer, so on chains a policy must honour that contract.
+    Evaluation, sampling and certification all read the policy through the
+    play graph, which calls ``choose`` once per distinct reachable
+    (positions, round mod period) and reuses the answer, so on chains a
+    policy must honour that contract.
     """
 
     period: int = 1
@@ -359,93 +365,108 @@ class TablePolicy(Policy):
 
 
 # ---------------------------------------------------------------------------
+# The play graph
+
+# A product state: positions and round mod the policy's period (always 0 on trees).
+_Key = tuple[tuple[int, ...], int]
+# Choice, immediate payment, and per outcome in ``step``'s order
+# (probability, successor or None at a halt, terminal payout).
+_State = tuple[int, Number, list[tuple[Number, _Key | None, Number]]]
+
+
+def _compile_state(game: GameInstance, policy: Policy, key: _Key) -> _State:
+    """Play one product state: ask the policy once and settle every outcome.
+
+    Trees hand ``choose`` the round (a function of the positions); chains
+    hand it the round modulo ``policy.period``, the only round dependence
+    a policy may carry there.
+    """
+    nodes, phase = key
+    h = GlobalHistory(nodes)
+    if game.backend == "tree":
+        period, round_ = 1, round_of(game, h)
+    else:
+        period, round_ = max(1, int(getattr(policy, "period", 1))), phase
+    i = policy.choose(game, h, round_)
+    if not 0 <= i < game.n:
+        raise PreconditionError(f"policy chose bandit {i}, not in the game")
+    rows: list[tuple[Number, _Key | None, Number]] = []
+    for p, nxt in step(game, h, i):
+        if nxt.halter is not None:
+            rows.append((p, None, terminal_payout(game, h, i, nxt)))
+        else:
+            rows.append((p, (nxt.nodes, (phase + 1) % period), 0))
+    if not rows:
+        raise PreconditionError(f"bandit {i} has no outcome at position {nodes[i]}; is the model valid?")
+    return i, immediate_payment(game, h, i), rows
+
+
+def _play_graph(game: GameInstance, policy: Policy, cap: int) -> dict[_Key, _State]:
+    """Every product state the policy reaches, compiled, in breadth-first
+    order from the start (the first key).  More than ``cap`` states raise
+    ``ResourceCapError``."""
+    start = (game.initial_history().nodes, 0)
+    order = [start]
+    seen = {start}
+    graph: dict[_Key, _State] = {}
+    for key in order:  # grows while it is read
+        graph[key] = state = _compile_state(game, policy, key)
+        for _, succ, _ in state[2]:
+            if succ is not None and succ not in seen:
+                seen.add(succ)
+                order.append(succ)
+                if len(order) > cap:
+                    raise ResourceCapError(f"more than {cap} reachable product states")
+    return graph
+
+
+def _tree_value(graph: dict[_Key, _State]) -> Number:
+    """Backward induction over a tree game's graph, returning the start's
+    value.  Every successor sits one round after its state, so the reverse
+    search order is topological and ends at the start."""
+    values: dict[_Key, Number] = {}
+    for key in reversed(graph):
+        _, v, rows = graph[key]
+        for p, succ, term in rows:
+            v = v + p * (term if succ is None else values[succ])
+        values[key] = v
+    return v
+
+
+# ---------------------------------------------------------------------------
 # Exact evaluation
 
 
 def evaluate_exact(
     game: GameInstance, policy: Policy, *, history_cap: int = DEFAULT_HISTORY_CAP
 ) -> Number:
-    """Expected payout of a deterministic policy.
+    """Expected payout of a deterministic policy, read off its play graph.
 
-    Tree backends recurse over reachable histories with memoization.  Markov
-    backends index the unknowns by (product state, round mod period) and
-    solve the absorbing-chain linear system exactly; the solution is
-    rejected if its residual exceeds 1e-12 (it is zero in rational mode).
+    Tree backends take one backward pass over the graph.  Markov backends
+    solve the absorbing-chain linear system with one unknown per graph
+    state, exactly in rational mode; a float solution is rejected if its
+    residual exceeds 1e-12.  More than ``history_cap`` reachable states
+    raise ``ResourceCapError``.
     """
+    graph = _play_graph(game, policy, history_cap)
     if game.backend == "tree":
-        return _evaluate_tree(game, policy, history_cap)
-    return _evaluate_markov(game, policy, history_cap)
-
-
-def _evaluate_tree(game: GameInstance, policy: Policy, cap: int) -> Number:
-    memo: dict[GlobalHistory, Number] = {}
-    visited = 0
-
-    def value(h: GlobalHistory) -> Number:
-        nonlocal visited
-        if h in memo:
-            return memo[h]
-        visited += 1
-        if visited > cap:
-            raise ResourceCapError(f"more than {cap} reachable histories")
-        i = policy.choose(game, h, round_of(game, h))
-        v = immediate_payment(game, h, i)
-        for p, nxt in step(game, h, i):
-            if nxt.halter is not None:
-                v = v + p * terminal_payout(game, h, i, nxt)
-            else:
-                v = v + p * value(nxt)
-        memo[h] = v
-        return v
-
-    return value(game.initial_history())
-
-
-def _evaluate_markov(game: GameInstance, policy: Policy, cap: int) -> Number:
-    period = max(1, int(getattr(policy, "period", 1)))
-    start = (game.initial_history().nodes, 0)
-    order: list[tuple[tuple[int, ...], int]] = []
-    seen = {start}
-    queue = [start]
-    moves: dict[tuple[tuple[int, ...], int], tuple[int, Number, list, list]] = {}
-    while queue:
-        key = queue.pop(0)
-        if len(seen) > cap:
-            raise ResourceCapError(f"more than {cap} reachable product states")
-        order.append(key)
-        nodes, phase = key
-        h = GlobalHistory(nodes)
-        i = policy.choose(game, h, phase)
-        if not 0 <= i < game.n:
-            raise PreconditionError(f"policy chose bandit {i}, not in the game")
-        pay = immediate_payment(game, h, i)
-        cont: list[tuple[Number, tuple[tuple[int, ...], int]]] = []
-        for p, nxt in step(game, h, i):
-            if nxt.halter is not None:
-                pay = pay + p * terminal_payout(game, h, i, nxt)
-            else:
-                nkey = (nxt.nodes, (phase + 1) % period)
-                cont.append((p, nkey))
-                if nkey not in seen:
-                    seen.add(nkey)
-                    queue.append(nkey)
-        moves[key] = (i, pay, cont, [])
-    pos = {key: k for k, key in enumerate(order)}
-    m = len(order)
-    zero: Number = 0
-    rows = [[zero] * m for _ in range(m)]
+        return _tree_value(graph)
+    pos = {key: k for k, key in enumerate(graph)}
+    rows: list[list[Number]] = [[0] * len(pos) for _ in pos]
     rhs: list[Number] = []
-    for k, key in enumerate(order):
-        _, pay, cont, _ = moves[key]
+    for k, (_, pay, outcomes) in enumerate(graph.values()):
         rows[k][k] = 1
-        for p, nkey in cont:
-            rows[k][pos[nkey]] -= p
+        for p, succ, term in outcomes:
+            if succ is None:
+                pay = pay + p * term
+            else:
+                rows[k][pos[succ]] -= p
         rhs.append(pay)
     sol = solve_linear(rows, rhs)
     res = residual(rows, rhs, sol)
     if isinstance(res, float) and res > RESIDUAL_TOL:
         raise SolverError(f"linear system residual {res} above {RESIDUAL_TOL}")
-    return sol[pos[start]]
+    return sol[0]
 
 
 # ---------------------------------------------------------------------------
@@ -468,39 +489,12 @@ class SimulationResult:
         }
 
 
-def _compile_state(
-    game: GameInstance, policy: Policy, period: int, key: tuple[tuple[int, ...], int]
-) -> tuple[float, list[tuple[float, tuple[tuple[int, ...], int] | None, float]]]:
-    """One product state's sampling row: the immediate payment and, per
-    outcome of the chosen activation in ``step``'s order, (cumulative
-    float probability, successor key or None at a halt, terminal payout)."""
-    nodes, phase = key
-    h = GlobalHistory(nodes)
-    i = policy.choose(game, h, round_of(game, h) if game.backend == "tree" else phase)
-    if not 0 <= i < game.n:
-        raise PreconditionError(f"policy chose bandit {i}, not in the game")
-    dyn = game.dynamics(i)
-    pos = nodes[i]
-    if isinstance(dyn, TreeBandit):
-        outcomes = [(float(e.p), e.to, e.halting) for e in dyn.nodes[pos].edges]
-    else:
-        st = dyn.states[pos]
-        outcomes = [(float(st.halt_prob), pos, True)] if st.halt_prob != 0 else []
-        survive = float(1 - st.halt_prob)
-        outcomes += [(survive * float(p), y, False) for y, p in enumerate(dyn.transitions[pos]) if p != 0]
-    if not outcomes:
-        raise PreconditionError(f"bandit {i} has no outcome at position {pos}; is the model valid?")
-    rows: list[tuple[float, tuple[tuple[int, ...], int] | None, float]] = []
-    acc = 0.0
-    for p, to, halting in outcomes:
-        acc += p
-        nxt = nodes[:i] + (to,) + nodes[i + 1 :]
-        if halting:
-            post = GlobalHistory(nxt, halter=i)
-            rows.append((acc, None, float(terminal_payout(game, h, i, post))))
-        else:
-            rows.append((acc, (nxt, (phase + 1) % period), 0.0))
-    return float(immediate_payment(game, h, i)), rows
+def _float_view(state: _State) -> tuple[float, list[tuple[float, _Key | None, float]]]:
+    """A compiled state for sampling: float payment and, per outcome,
+    (cumulative float probability, successor, float terminal payout)."""
+    _, pay, rows = state
+    cums = accumulate(float(p) for p, _, _ in rows)
+    return float(pay), [(cum, succ, float(term)) for cum, (_, succ, term) in zip(cums, rows)]
 
 
 def _uniforms(rng: np.random.Generator) -> Iterator[float]:
@@ -520,17 +514,17 @@ def run_policy_sampled(
     policy, seed, n_samples) calls reproduce the stream, and therefore the
     estimate, bit for bit.
 
-    Like ``evaluate_exact``, the sampler calls ``policy.choose`` once per
-    distinct reachable (positions, round mod period) and replays that
-    choice on every later visit: trees pass the round (a function of the
-    positions), chains pass the round modulo ``policy.period``, so a
-    policy on a chain must honour its declared period.
+    Episodes walk the play graph that ``evaluate_exact`` reads, compiling
+    each state when an episode first reaches it and keeping a float view
+    of it (payment, cumulative outcome probabilities, terminal payouts).
+    So ``policy.choose`` is called once per distinct reachable (positions,
+    round mod period), and a policy on a chain must honour its declared
+    period.
     """
     if n_samples < 1:
         raise PreconditionError("need at least one sample")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    period = 1 if game.backend == "tree" else max(1, int(getattr(policy, "period", 1)))
-    compiled: dict[tuple[tuple[int, ...], int], tuple] = {}
+    compiled: dict[_Key, tuple] = {}
     start = (game.initial_history().nodes, 0)
     draws = _uniforms(rng)
     out: list[float] = []
@@ -540,7 +534,7 @@ def run_policy_sampled(
         for _ in range(_EPISODE_ROUND_CAP):
             state = compiled.get(key)
             if state is None:
-                state = compiled[key] = _compile_state(game, policy, period, key)
+                state = compiled[key] = _float_view(_compile_state(game, policy, key))
             pay, rows = state
             total += pay
             u = next(draws)

@@ -30,7 +30,11 @@ def solve_linear(rows: Sequence[Sequence[Number]], rhs: Sequence[Number]) -> lis
     if not _is_exact_matrix(rows, rhs):
         a = np.array([[float(v) for v in row] for row in rows], dtype=float)
         b = np.array([float(v) for v in rhs], dtype=float)
-        return [float(v) for v in np.linalg.solve(a, b)]
+        try:
+            x = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("singular linear system") from exc
+        return [float(v) for v in x]
     a = [[Fraction(v) for v in row] for row in rows]
     b = [Fraction(v) for v in rhs]
     for col in range(n):

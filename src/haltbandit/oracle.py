@@ -34,7 +34,8 @@ from .game import (
     IndexPolicy,
     Policy,
     TablePolicy,
-    evaluate_exact,
+    _play_graph,
+    _tree_value,
     immediate_payment,
     round_of,
     step,
@@ -64,9 +65,14 @@ class OptimalSolution:
 
 
 def dp_optimal(game: GameInstance, *, history_cap: int = DEFAULT_HISTORY_CAP) -> OptimalSolution:
-    """Backward induction over every reachable history; ties to the lowest id."""
+    """Backward induction over every reachable history; ties to the lowest id.
+
+    The best action has the largest payout, or under the non-halting scheme
+    the smallest cost.
+    """
     if game.backend != "tree":
         raise PreconditionError("the optimality oracle needs a finite tree backend")
+    minimize = game.model is PayoutModel.NH
     values: dict[GlobalHistory, Number] = {}
     actions: dict[GlobalHistory, int] = {}
     visited = 0
@@ -87,7 +93,7 @@ def dp_optimal(game: GameInstance, *, history_cap: int = DEFAULT_HISTORY_CAP) ->
                     v = v + p * terminal_payout(game, h, i, nxt)
                 else:
                     v = v + p * value(nxt)
-            if best is None or v > best:
+            if best is None or (v < best if minimize else v > best):
                 best, best_i = v, i
         values[h] = best  # type: ignore[assignment]
         actions[h] = best_i
@@ -249,21 +255,24 @@ def certify_index_optimality(
     optimum, and on every history the index policy reaches, checks that its
     choice agrees with the optimal action whenever both the best index and
     the best action are unique.  Exact inputs must match exactly; floats
-    within ``tol``.
+    within ``tol``.  ``gap`` is the optimum minus the index value: at least
+    0, or at most 0 under the non-halting scheme, whose optimum is the
+    smallest cost.
     """
     if game.model is PayoutModel.PSP:
         raise PreconditionError("the penultimate scheme has no index policy to certify")
     sol = dp_optimal(game, history_cap=history_cap)
     policy = IndexPolicy()
-    idx_value = evaluate_exact(game, policy, history_cap=history_cap)
+    graph = _play_graph(game, policy, history_cap)
+    idx_value = _tree_value(graph)
     gap = sol.value - idx_value
     exact = not isinstance(gap, float)
+    # the best action maximizes q; non-halting values are costs, so flip them
+    sign = -1 if game.model is PayoutModel.NH else 1
     compared = 0
     disagreements = 0
-    stack = [game.initial_history()]
-    while stack:
-        h = stack.pop()
-        choice = policy.choose(game, h, round_of(game, h))
+    for nodes, _ in graph:
+        h = GlobalHistory(nodes)
         q: list[Number] = []
         for i in range(game.n):
             v = immediate_payment(game, h, i)
@@ -272,15 +281,12 @@ def certify_index_optimality(
                     v = v + p * terminal_payout(game, h, i, nxt)
                 else:
                     v = v + p * sol.values[nxt]
-            q.append(v)
+            q.append(sign * v)
         indices = policy.indices(game, h)
         if _unique_argmax(q, exact, tol) and _unique_argmax(indices, exact, tol):
             compared += 1
             if q.index(max(q)) != indices.index(max(indices)):
                 disagreements += 1
-        for p, nxt in step(game, h, choice):
-            if nxt.halter is None:
-                stack.append(nxt)
     ok = (gap == 0 if exact else abs(gap) <= tol) and disagreements == 0
     return IndexOptimalityReport(
         index_value=idx_value,
@@ -425,7 +431,8 @@ def random_tree_bandit(
         from .models import to_float
 
         bandit = to_float(bandit)  # type: ignore[assignment]
-    report = validate(bandit)
+    # every node has up to two halting edges beside its live ones
+    report = validate(bandit, max_branching=max_branching + 2)
     assert report.passed, report.codes()
     return bandit
 

@@ -23,7 +23,7 @@ value plays no role in any payout.
 from __future__ import annotations
 
 from .errors import PreconditionError
-from .game import GameInstance, GlobalHistory, Policy, round_of, step
+from .game import DEFAULT_HISTORY_CAP, GameInstance, GlobalHistory, Policy, _play_graph, round_of, step
 from .indices import (
     BlockValue,
     IndexDecomposition,
@@ -43,17 +43,8 @@ def _tree_of(game: GameInstance, i: int) -> TreeBandit:
 
 
 def _assert_reachable(game: GameInstance, policy: Policy, target: GlobalHistory) -> None:
-    h = game.initial_history()
-    stack = [h]
-    while stack:
-        h = stack.pop()
-        if h == target:
-            return
-        j = policy.choose(game, h, round_of(game, h))
-        for _, nxt in step(game, h, j):
-            if nxt.halter is None:
-                stack.append(nxt)
-    raise PreconditionError("the policy never reaches that history")
+    if (target.nodes, 0) not in _play_graph(game, policy, DEFAULT_HISTORY_CAP):
+        raise PreconditionError("the policy never reaches that history")
 
 
 def _nu(

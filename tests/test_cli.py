@@ -8,9 +8,11 @@ import pytest
 from haltbandit import (
     MarkovBandit,
     MarkovState,
+    PayoutModel,
     geometric_markov,
     load_model,
     loads_model,
+    random_game,
     save_model,
 )
 from haltbandit.cli import main
@@ -173,6 +175,40 @@ def test_certify_sweep_runs_in_parallel_and_stays_ordered(capsys):
     assert doc["pass"] is True
     assert [r["seed"] for r in doc["results"]] == [0, 1, 2, 3]
     assert all(r["pass"] for r in doc["results"])
+
+
+def test_non_halting_optimum_is_the_smallest_cost(capsys, tmp_path):
+    path = tmp_path / "nh.json"
+    save_model(list(random_game(1, model=PayoutModel.NH, max_depth=3).bandits), path)
+    common = ("--model", str(path), "--rational", "--payout", "NH")
+    code, out = run(capsys, "optimal", *common)
+    assert code == 0
+    assert json.loads(out)["value"] == -3
+    code, out = run(capsys, "evaluate", *common, "--policy", "index")
+    assert code == 0
+    assert json.loads(out)["value"] == -3
+    code, out = run(capsys, "certify", *common)
+    assert code == 0
+    assert json.loads(out)["gap"] == 0
+    code, out = run(capsys, "certify", "--sweep", "10", "--payout", "NH")
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
+def test_certify_sweep_with_wide_branching_exits_cleanly(capsys):
+    code, out = run(capsys, "certify", "--sweep", "20", "--branching", "3", "--depth", "5")
+    assert code in (0, 1)
+    assert len(json.loads(out)["results"]) == 20
+
+
+def test_singular_float_chain_exits_one(capsys, tmp_path):
+    path = tmp_path / "stuck.json"
+    # halves keep the rows float through the document; integral floats read back as ints
+    stuck = MarkovBandit(states=(MarkovState(1, 0, 0),) * 2, transitions=((0.5, 0.5),) * 2)
+    save_model([stuck], path)
+    code, out = run(capsys, "evaluate", "--model", str(path), "--policy", "cyclic:0")
+    assert code == 1
+    assert out == ""
 
 
 def test_certify_sweep_refuses_a_model_argument(capsys, pair_path):

@@ -11,9 +11,12 @@ from haltbandit import (
     GlobalHistory,
     GreedyRewardPolicy,
     IndexPolicy,
+    MarkovBandit,
+    MarkovState,
     PayoutModel,
     PreconditionError,
     ProfitBandit,
+    SolverError,
     TablePolicy,
     TreeBandit,
     TreeEdge,
@@ -314,6 +317,69 @@ def test_sampled_value_across_several_draw_chunks_is_pinned():
     game = GameInstance(bandits=(geometric_markov((1, 2), Fraction(9, 10)),), model=PayoutModel.CCP)
     res = run_policy_sampled(game, CyclicPolicy((0,)), seed=5, n_samples=n_samples)
     assert (res.mean, res.stderr) == (14.580049955684473, 0.12626549615432656)
+
+
+# Recorded with the sampler that rounded a chain's survival mass and its
+# transition probability separately, float(1 - h) * float(p).
+@pytest.mark.parametrize(
+    "model, mean, stderr",
+    [
+        (PayoutModel.CP, 5.1462, 0.04349509715698241),
+        (PayoutModel.CCP, 8.3052, 0.033668936892368495),
+    ],
+)
+def test_sampled_exact_chain_values_are_pinned(model, mean, stderr):
+    chains = (random_markov_bandit(3, n_states=3), random_markov_bandit(5, n_states=4))
+    game = GameInstance(bandits=chains, model=model)
+    res = run_policy_sampled(game, CyclicPolicy((0, 0, 1)), seed=3, n_samples=5000)
+    assert (res.mean, res.stderr) == (mean, stderr)
+
+
+def _halted_and_live_sums(tree: TreeBandit):
+    """Sum over halted nodes and over live nodes of reach probability times
+    reward, in one forward pass (every node's parent has a smaller id)."""
+    reach = [Fraction(0)] * len(tree.nodes)
+    reach[tree.root] = Fraction(1)
+    halted = live = Fraction(0)
+    for nid, node in enumerate(tree.nodes):
+        if node.halted:
+            halted += reach[nid] * node.reward
+            continue
+        live += reach[nid] * node.reward
+        for e in node.edges:
+            reach[e.to] += reach[nid] * e.p
+    return halted, live
+
+
+def test_deep_unrolled_chain_is_evaluated_without_recursion():
+    tree = unroll_markov(geometric_markov([1, 3, 0], Fraction(99, 100)))
+    assert max(n.depth for n in tree.nodes) == 2292
+    halted, live = _halted_and_live_sums(tree)
+    for model, expected in [(PayoutModel.CP, halted), (PayoutModel.CCP, live)]:
+        game = GameInstance(bandits=(tree,), model=model)
+        assert evaluate_exact(game, CyclicPolicy((0,))) == expected
+
+
+def _stuck_bandit() -> TreeBandit:
+    """A tree whose only live edge leads to an unhalted leaf."""
+    return TreeBandit(
+        nodes=(
+            TreeNode(0, 0, False, (TreeEdge(1, HALF, True), TreeEdge(2, HALF, False))),
+            TreeNode(1, 4, True),
+            TreeNode(1, 1, False),
+        )
+    )
+
+
+def test_evaluating_an_unhalted_leaf_is_rejected():
+    with pytest.raises(PreconditionError):
+        evaluate_exact(GameInstance(bandits=(_stuck_bandit(),)), always(0))
+
+
+def test_a_float_chain_that_never_halts_is_a_solver_error():
+    stuck = MarkovBandit(states=(MarkovState(1.0, 0.0, 0.0),), transitions=((1.0,),))
+    with pytest.raises(SolverError):
+        evaluate_exact(GameInstance(bandits=(stuck,)), CyclicPolicy((0,)))
 
 
 def test_sampling_an_unhalted_leaf_is_rejected():

@@ -125,6 +125,17 @@ def test_index_certificate_random_sweep(seed):
     assert report.gap == 0
 
 
+# Recorded with the certifier's own stack walk over the index policy's histories.
+@pytest.mark.parametrize(
+    "seed, model, compared",
+    [(2, PayoutModel.CP, 23), (4, PayoutModel.TP, 14)],
+)
+def test_index_certificate_history_counts_are_pinned(seed, model, compared):
+    report = certify_index_optimality(random_game(seed, model=model, max_depth=4))
+    assert report.passed
+    assert (report.histories_compared, report.action_disagreements) == (compared, 0)
+
+
 def greedy_game() -> GameInstance:
     return GameInstance(
         bandits=(
