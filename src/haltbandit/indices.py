@@ -13,15 +13,34 @@ Stopping rules must act strictly after the anchor and are adapted to the
 bandit's own history.  Since every activation carries positive halting
 mass, the denominator of every rule is positive and the index is finite.
 
-Two solvers are provided and kept deliberately independent: a brute-force
-enumeration over every stopping rule (the oracle), and a parametric ratio
-iteration (Dinkelbach): for a candidate charge the inner optimal-stopping
-problem "collect the movement but pay the charge when the halt is yours"
-is solved by backward induction (trees) or by policy iteration over
-stationary stop sets (Markov chains); the charge is a root of the inner
-value exactly at the index, and each iteration replaces the charge with
-the maximizing rule's own ratio.  The earliest optimal rule breaks every
-tie toward stopping, which is the canonical choice used throughout.
+Every payout scheme on both backends is one problem of this shape.  Each
+activation of a node or state x has a gain c(x) and a halting
+probability h(x), and the index is
+
+    max over tau of E[sum of c(X_s)] / E[sum of h(X_s)]
+
+summed over the activations the rule makes, the anchor's included;
+stopping pays nothing.  For the plain index c(x) is the expected reward
+movement of one activation, so the numerator telescopes into the one
+above: on a tree c(x) = sum over edges e of p_e (r(child_e) - r(x)), a
+halting edge landing on its halted label; on a chain
+c(x) = h(x) (halt_reward(x) - r(x)) + (1 - h(x)) sum_y P(x, y) (r(y) - r(x)).
+Payout schemes that relabel rewards (``reductions``) take the gains of
+the relabeled bandit, and the cumulative scheme pays c(x) = r(x) itself:
+Sonin's generalised index with termination (Stat. Probab. Lett. 2008).
+
+Two solvers are kept deliberately independent: a brute-force enumeration
+over every stopping rule (the oracle, which reads rewards directly) and a
+parametric ratio iteration (Dinkelbach).  For a charge lambda the inner
+problem "collect c - lambda h per activation" is solved by one backward
+pass (trees) or by policy iteration over stationary stop sets (chains);
+each round returns the adjusted value N - lambda D at the anchor, the
+earliest optimal stop set, and that rule's summed gain N and summed
+halting probability D.  The value is zero exactly at the index, and the
+next charge is N / D.  The earliest optimal rule stops wherever
+continuing is worth at most 0 (at most ``zero_tol`` in float arithmetic,
+so that rounding noise does not flip a tie), the canonical choice used
+throughout.
 
 Iterating the earliest optimal rule from the root partitions every path
 into index blocks whose values never increase; the per-node "prevailing
@@ -35,7 +54,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Callable, Iterator, Mapping
+from typing import Mapping
 
 from .errors import InvalidRuleError, PreconditionError, ResourceCapError, SolverError
 from .jsonio import Number
@@ -45,7 +64,6 @@ from .models import MarkovBandit, TreeBandit
 DEFAULT_RULE_CAP = 10**6
 DEFAULT_ITER_CAP = 10**4
 ZERO_TOL = 1e-10
-VALUE_ITER_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -199,206 +217,164 @@ def parametric_stopping_value(
     Each path collects (reward at halt-or-stop − anchor reward) and pays
     ``charge`` whenever the halt arrives before the stop.  Returns the value
     together with the earliest optimal rule: stop at the first node where
-    continuing is no longer strictly better.
+    continuing is not worth more than stopping (not more than ``ZERO_TOL``
+    more in float arithmetic).
     """
-    base = bandit.nodes[anchor].reward
-
-    def best(nid: int) -> tuple[Number, frozenset[int]]:
-        node = bandit.nodes[nid]
-        stop_val = node.reward - base
-        cont: Number = 0
-        stops: list[frozenset[int]] = []
-        for e in node.edges:
-            child = bandit.nodes[e.to]
-            if e.halting:
-                cont += e.p * (child.reward - base - charge)
-            else:
-                v, s = best(e.to)
-                cont += e.p * v
-                stops.append(s)
-        if stop_val >= cont:
-            return stop_val, frozenset((nid,))
-        return cont, frozenset().union(*stops) if stops else frozenset()
-
-    value: Number = 0
-    stops: list[frozenset[int]] = []
-    for e in bandit.nodes[anchor].edges:
-        child = bandit.nodes[e.to]
-        if e.halting:
-            value += e.p * (child.reward - base - charge)
-        else:
-            v, s = best(e.to)
-            value += e.p * v
-            stops.append(s)
-    stop_set = frozenset().union(*stops) if stops else frozenset()
-    return value, StoppingRule(anchor, stop_set)
-
-
-def _tree_index_parametric(
-    bandit: TreeBandit, anchor: int, zero_tol: float, max_iters: int
-) -> IndexResult:
-    exact = bandit.is_exact()
-    rule = StoppingRule(anchor, frozenset())
-    charge = block_value(bandit, anchor, rule).ratio
-    trace: list[tuple[Number, Number]] = []
-    for it in range(1, max_iters + 1):
-        value, candidate = parametric_stopping_value(bandit, anchor, charge)
-        trace.append((charge, value))
-        if value == 0 or (not exact and abs(value) <= zero_tol):
-            return IndexResult(value=charge, rule=candidate, iterations=it, trace=tuple(trace))
-        charge = block_value(bandit, anchor, candidate).ratio
-    raise SolverError(f"ratio iteration did not settle within {max_iters} rounds")
+    value, stops, _, _ = _tree_pass(bandit, _gains(bandit), anchor, charge, _tie_tol(bandit, ZERO_TOL))
+    return value, StoppingRule(anchor, stops)
 
 
 # ---------------------------------------------------------------------------
-# Markov chains
-
-# The Markov solvers share one parameterization of the charge-adjusted
-# stopping problem: per-state stop payoff, per-activation running payment,
-# and per-state payoff collected when the halt arrives first.  The plain
-# index instantiates (stop = reward difference, running = 0, halt = halt
-# reward difference); the cumulative-payout index instantiates (stop = 0,
-# running = state reward, halt = 0).
+# The gain form shared by every scheme and both backends
 
 
-@dataclass(frozen=True)
-class _MarkovForm:
-    stop: tuple[Number, ...]
-    running: tuple[Number, ...]
-    halt: tuple[Number, ...]
+def _gains(bandit: TreeBandit | MarkovBandit) -> list[Number]:
+    """Expected reward movement c(x) of one activation at each node or state."""
+    if isinstance(bandit, TreeBandit):
+        nodes = bandit.nodes
+        return [sum((e.p * (nodes[e.to].reward - n.reward) for e in n.edges), 0) for n in nodes]
+    if isinstance(bandit, MarkovBandit):
+        out: list[Number] = []
+        for st, row in zip(bandit.states, bandit.transitions):
+            move = sum((p * (bandit.states[y].reward - st.reward) for y, p in enumerate(row) if p != 0), 0)
+            out.append(st.halt_prob * (st.halt_reward - st.reward) + (1 - st.halt_prob) * move)
+        return out
+    raise PreconditionError(f"no index solver for {type(bandit).__name__}")
 
 
-def _markov_form_plain(bandit: MarkovBandit, anchor: int) -> _MarkovForm:
-    base = bandit.states[anchor].reward
-    return _MarkovForm(
-        stop=tuple(s.reward - base for s in bandit.states),
-        running=tuple(0 for _ in bandit.states),
-        halt=tuple(s.halt_reward - base for s in bandit.states),
-    )
+def _tie_tol(bandit: TreeBandit | MarkovBandit, zero_tol: float) -> Number:
+    # exact arithmetic settles ties exactly; floats settle within zero_tol
+    return 0 if bandit.is_exact() else zero_tol
 
 
-def _markov_form_cumulative(bandit: MarkovBandit) -> _MarkovForm:
-    return _MarkovForm(
-        stop=tuple(0 for _ in bandit.states),
-        running=tuple(s.reward for s in bandit.states),
-        halt=tuple(0 for _ in bandit.states),
-    )
+def _tree_pass(
+    tree: TreeBandit, gains: list[Number], anchor: int, charge: Number | None, tol: Number
+) -> tuple[Number | None, frozenset[int], Number, Number]:
+    """One backward pass of the charge-adjusted problem below an anchor.
+
+    Each activation of x collects gains[x] − charge·h(x); a live node stops
+    when continuing there is worth at most ``tol``, and with no charge
+    nothing stops (the never-stop rule).  Returns N − charge·D at the
+    anchor, the stop set, and the rule's summed gain N and summed halting
+    probability D.
+    """
+    stops: list[int] = []
+
+    def visit(nid: int) -> tuple[Number, Number]:
+        num: Number = gains[nid]
+        den: Number = 0
+        for e in tree.nodes[nid].edges:
+            if e.halting:
+                den += e.p
+                continue
+            mark = len(stops)
+            n, d = visit(e.to)
+            if charge is not None and n - charge * d <= tol:
+                del stops[mark:]
+                stops.append(e.to)
+            else:
+                num += e.p * n
+                den += e.p * d
+        return num, den
+
+    num, den = visit(anchor)
+    value = None if charge is None else num - charge * den
+    return value, frozenset(stops), num, den
 
 
-def _markov_entered_values(
-    bandit: MarkovBandit, form: _MarkovForm, stop_set: frozenset[int], charge: Number | None
-) -> list[Number]:
-    """Value of each state when entered at time >= 1 under a stationary stop
-    set; with ``charge=None`` the pair (numerator, denominator) caller uses
-    the charge-free numerator form."""
-    n = len(bandit.states)
+def _chain_continue(chain: MarkovBandit, pay: list[Number], stop_set: frozenset[int]) -> list[Number]:
+    """Value of activating each state now and then following the stop set,
+    every activation of x paying pay[x] and stopping paying nothing."""
+    n = len(chain.states)
     live = [x for x in range(n) if x not in stop_set]
     pos = {x: i for i, x in enumerate(live)}
     rows = []
-    rhs = []
     for x in live:
-        st = bandit.states[x]
+        survive = 1 - chain.states[x].halt_prob
         row: list[Number] = [0] * len(live)
         row[pos[x]] = 1
-        pay = form.running[x] + st.halt_prob * form.halt[x]
-        if charge is not None:
-            pay -= st.halt_prob * charge
-        survive = 1 - st.halt_prob
-        for y, p in enumerate(bandit.transitions[x]):
-            if p == 0:
-                continue
-            if y in stop_set:
-                pay += survive * p * form.stop[y]
-            else:
+        for y, p in enumerate(chain.transitions[x]):
+            if p != 0 and y not in stop_set:
                 row[pos[y]] -= survive * p
         rows.append(row)
-        rhs.append(pay)
-    sol = solve_linear(rows, rhs) if live else []
-    values: list[Number] = [form.stop[x] for x in range(n)]
-    for x in live:
-        values[x] = sol[pos[x]]
-    return values
+    entered = dict(zip(live, solve_linear(rows, [pay[x] for x in live])))
+    # a live state's value is the solved one; a stop state's is one step of the same equation
+    return [
+        entered[x]
+        if x in entered
+        else pay[x] + (1 - st.halt_prob) * sum((p * entered[y] for y, p in enumerate(row) if p != 0 and y in entered), 0)
+        for x, (st, row) in enumerate(zip(chain.states, chain.transitions))
+    ]
 
 
-def _markov_continue_value(
-    bandit: MarkovBandit, form: _MarkovForm, values: list[Number], x: int, charge: Number
-) -> Number:
-    st = bandit.states[x]
-    out = form.running[x] + st.halt_prob * (form.halt[x] - charge)
-    survive = 1 - st.halt_prob
-    for y, p in enumerate(bandit.transitions[x]):
-        if p != 0:
-            out += survive * p * values[y]
-    return out
-
-
-def _markov_stopping_value(
-    bandit: MarkovBandit, form: _MarkovForm, anchor: int, charge: Number, max_iters: int
-) -> tuple[Number, frozenset[int]]:
-    """Charge-adjusted stopping value by policy iteration over stop sets.
-
-    Each candidate set is evaluated exactly by a linear solve; the
-    improvement step stops wherever continuing is not strictly better, so
-    ties resolve toward the earliest rule.  Evaluation is exact, hence the
-    fixed point satisfies its optimality equation with zero residual.
-    """
+def _chain_round(
+    chain: MarkovBandit, gains: list[Number], anchor: int, charge: Number | None, tol: Number, max_iters: int
+) -> tuple[Number | None, frozenset[int], Number, Number]:
+    """The chain counterpart of ``_tree_pass``: policy iteration over
+    stationary stop sets, one solve per improvement step, then one solve
+    each for the settled rule's N and D."""
+    halts = [st.halt_prob for st in chain.states]
     stop_set: frozenset[int] = frozenset()
-    for _ in range(max_iters):
-        values = _markov_entered_values(bandit, form, stop_set, charge)
-        improved = frozenset(
-            x
-            for x in range(len(bandit.states))
-            if form.stop[x] >= _markov_continue_value(bandit, form, values, x, charge)
-        )
-        if improved == stop_set:
-            break
-        stop_set = improved
-    else:
-        raise SolverError("stop-set iteration did not settle")
-    values = _markov_entered_values(bandit, form, stop_set, charge)
-    return _markov_continue_value(bandit, form, values, anchor, charge), stop_set
+    value = None
+    if charge is not None:
+        pay = [c - charge * h for c, h in zip(gains, halts)]
+        for _ in range(max_iters):
+            cont = _chain_continue(chain, pay, stop_set)
+            improved = frozenset(x for x, v in enumerate(cont) if v <= tol)
+            if improved == stop_set:
+                break
+            stop_set = improved
+        else:
+            raise SolverError("stop-set iteration did not settle")
+        value = cont[anchor]
+    num = _chain_continue(chain, gains, stop_set)[anchor]
+    den = _chain_continue(chain, halts, stop_set)[anchor]
+    return value, stop_set, num, den
 
 
-def _markov_ratio(
-    bandit: MarkovBandit, form: _MarkovForm, anchor: int, stop_set: frozenset[int]
-) -> BlockValue:
-    """Exact ratio achieved by a stationary stop set from the anchor."""
-    num_values = _markov_entered_values(bandit, form, stop_set, None)
-    den_form = _MarkovForm(
-        stop=tuple(0 for _ in bandit.states),
-        running=tuple(0 for _ in bandit.states),
-        halt=tuple(1 for _ in bandit.states),
-    )
-    den_values = _markov_entered_values(bandit, den_form, stop_set, None)
-    st = bandit.states[anchor]
-    survive = 1 - st.halt_prob
-    num = form.running[anchor] + st.halt_prob * form.halt[anchor]
-    den: Number = st.halt_prob
-    for y, p in enumerate(bandit.transitions[anchor]):
-        if p == 0:
-            continue
-        num += survive * p * (form.stop[y] if y in stop_set else num_values[y])
-        den += survive * p * (0 if y in stop_set else den_values[y])
-    return BlockValue(numerator=num, denominator=den)
-
-
-def _markov_index_parametric(
-    bandit: MarkovBandit,
-    form: _MarkovForm,
-    anchor: int,
+def _gain_index(
+    bandit: TreeBandit | MarkovBandit,
+    anchor: int | None,
+    gains: list[Number],
     zero_tol: float,
     max_iters: int,
 ) -> IndexResult:
-    exact = bandit.is_exact()
-    stop_set: frozenset[int] = frozenset()
-    charge = _markov_ratio(bandit, form, anchor, stop_set).ratio
+    """Parametric ratio iteration for max over rules of E Σ c / E Σ h.
+
+    Starting from the never-stop rule's ratio, each round solves the
+    charge-adjusted problem and resets the charge to the maximizing rule's
+    exact ratio N / D.  The charge increases strictly while the adjusted
+    value stays positive and can only take finitely many rule ratios, so
+    termination needs at most one round per distinct rule.
+    """
+    tol = _tie_tol(bandit, zero_tol)
+    if isinstance(bandit, TreeBandit):
+        anchor = bandit.root if anchor is None else anchor
+        if not 0 <= anchor < len(bandit.nodes):
+            raise PreconditionError(f"anchor {anchor} is not a node")
+        if bandit.nodes[anchor].halted:
+            raise PreconditionError(f"anchor {anchor} is halted; it has no index")
+
+        def solve_round(charge: Number | None) -> tuple:
+            value, stops, num, den = _tree_pass(bandit, gains, anchor, charge, tol)
+            return value, StoppingRule(anchor, stops), num, den
+
+    else:
+        anchor = bandit.initial if anchor is None else anchor
+        if not 0 <= anchor < len(bandit.states):
+            raise PreconditionError(f"anchor state {anchor} out of range")
+
+        def solve_round(charge: Number | None) -> tuple:
+            return _chain_round(bandit, gains, anchor, charge, tol, max_iters)
+
+    _, _, num, den = solve_round(None)
     trace: list[tuple[Number, Number]] = []
     for it in range(1, max_iters + 1):
-        value, candidate = _markov_stopping_value(bandit, form, anchor, charge, max_iters)
+        charge = BlockValue(num, den).ratio
+        value, rule, num, den = solve_round(charge)
         trace.append((charge, value))
-        if value == 0 or (not exact and abs(value) <= zero_tol):
-            return IndexResult(value=charge, rule=candidate, iterations=it, trace=tuple(trace))
-        charge = _markov_ratio(bandit, form, anchor, candidate).ratio
+        if abs(value) <= tol:
+            return IndexResult(value=charge, rule=rule, iterations=it, trace=tuple(trace))
     raise SolverError(f"ratio iteration did not settle within {max_iters} rounds")
 
 
@@ -409,27 +385,9 @@ def solo_index_parametric(
     zero_tol: float = ZERO_TOL,
     max_iters: int = DEFAULT_ITER_CAP,
 ) -> IndexResult:
-    """Parametric ratio iteration for the solo-payout index.
-
-    Starting from the never-stop rule, alternate between solving the
-    charge-adjusted stopping problem and resetting the charge to the
-    maximizing rule's exact ratio.  The charge increases strictly while the
-    adjusted value stays positive and can only take finitely many rule
-    ratios, so termination needs at most one round per distinct rule.
-    """
-    if isinstance(bandit, TreeBandit):
-        if anchor is None:
-            anchor = bandit.root
-        if bandit.nodes[anchor].halted:
-            raise PreconditionError(f"anchor {anchor} is halted; it has no index")
-        return _tree_index_parametric(bandit, anchor, zero_tol, max_iters)
-    if isinstance(bandit, MarkovBandit):
-        if anchor is None:
-            anchor = bandit.initial
-        if not 0 <= anchor < len(bandit.states):
-            raise PreconditionError(f"anchor state {anchor} out of range")
-        return _markov_index_parametric(bandit, _markov_form_plain(bandit, anchor), anchor, zero_tol, max_iters)
-    raise PreconditionError(f"no index solver for {type(bandit).__name__}")
+    """Parametric ratio iteration for the solo-payout index, with each
+    activation's expected reward movement as its gain."""
+    return _gain_index(bandit, anchor, _gains(bandit), zero_tol, max_iters)
 
 
 def markov_cumulative_index(
@@ -439,19 +397,13 @@ def markov_cumulative_index(
     zero_tol: float = ZERO_TOL,
     max_iters: int = DEFAULT_ITER_CAP,
 ) -> IndexResult:
-    """Index of the cumulative payout scheme, solved directly on the chain.
+    """Index of the cumulative payout scheme on a chain.
 
-    The per-path prefix sums of a Markov reward process are not a function
-    of the state, so the cumulative scheme cannot be rebuilt as a reward
-    relabeling of the same chain; instead the ratio problem "expected sum
-    of per-activation rewards over probability of halting in time" is
-    solved by the same parametric iteration with running payments.
+    Every activation pays the state's reward, so the gain of state x is
+    its reward r(x): the index is the best ratio of expected rewards
+    collected to probability of halting in time, with no prefix sums.
     """
-    if anchor is None:
-        anchor = bandit.initial
-    if not 0 <= anchor < len(bandit.states):
-        raise PreconditionError(f"anchor state {anchor} out of range")
-    return _markov_index_parametric(bandit, _markov_form_cumulative(bandit), anchor, zero_tol, max_iters)
+    return _gain_index(bandit, anchor, [s.reward for s in bandit.states], zero_tol, max_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -528,10 +480,11 @@ def index_decomposition(
     blocks: list[IndexBlock] = []
     block_of: dict[int, int] = {}
     prevailing: dict[int, Number] = {}
+    gains = _gains(bandit)
     queue: list[tuple[int, int, int | None]] = [(bandit.root, 0, None)]
     while queue:
         anchor, level, parent = queue.pop(0)
-        res = solo_index_parametric(bandit, anchor, zero_tol=zero_tol, max_iters=max_iters)
+        res = _gain_index(bandit, anchor, gains, zero_tol, max_iters)
         assert isinstance(res.rule, StoppingRule)
         bi = len(blocks)
         blocks.append(IndexBlock(level=level, anchor=anchor, value=res.value, rule=res.rule, parent=parent))

@@ -26,12 +26,14 @@ def parse_number(value: Any, *, rational: bool = False) -> Number:
 
     Accepts ints, floats, and strings holding decimal ("0.25") or ratio
     ("1/3") literals.  In rational mode floats go through their shortest
-    decimal form, so a JSON ``0.1`` becomes exactly 1/10.
+    decimal form, so a JSON ``0.1`` becomes exactly 1/10; in float mode
+    every literal becomes a float, integers included, so a float model
+    whose numbers happen to be integral is still solved in floats.
     """
     if isinstance(value, bool):
         raise ModelFormatError(f"expected a number, got boolean {value!r}")
     if isinstance(value, int):
-        return value
+        return value if rational else float(value)
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ModelFormatError(f"non-finite number {value!r}")

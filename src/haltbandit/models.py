@@ -197,6 +197,11 @@ def _finite(value: Number) -> bool:
     return not isinstance(value, float) or math.isfinite(value)
 
 
+def _sums_to_one(total: Number) -> bool:
+    # exact totals must be exactly 1; only float totals get a tolerance
+    return abs(total - 1) <= PROB_SUM_TOL if isinstance(total, float) else total == 1
+
+
 def _validate_tree(
     bandit: TreeBandit,
     out: list[Violation],
@@ -247,7 +252,7 @@ def _validate_tree(
             total = total + e.p
             if e.halting:
                 halting_mass = halting_mass + e.p
-        if node.edges and abs(total - 1) > PROB_SUM_TOL:
+        if node.edges and not _sums_to_one(total):
             out.append(Violation("edge-probability-sum", f"node {nid}", f"outgoing probabilities sum to {total!r}"))
         if not node.halted and node.edges and halting_mass <= 0:
             out.append(Violation("zero-halting-mass", f"node {nid}", "every activation must carry positive halting probability"))
@@ -292,7 +297,7 @@ def _validate_markov(bandit: MarkovBandit, out: list[Violation]) -> None:
             if not _finite(p) or p < 0:
                 out.append(Violation("negative-transition", f"state {k}", f"entry {j} is {p!r}"))
             total = total + p
-        if abs(total - 1) > PROB_SUM_TOL:
+        if not _sums_to_one(total):
             out.append(Violation("row-sum", f"state {k}", f"transition row sums to {total!r}"))
 
 

@@ -14,12 +14,20 @@ what the original pays under its own scheme:
          their running cost: halted nodes keep the reward, live nodes carry
          minus the cost.
 * CCP -- every activation pays the bandit's pre-activation reward: relabel
-         each node with the sum of rewards strictly above it (prefix sums),
+         each tree node with the sum of rewards strictly above it (prefix sums),
          so the relabeled terminal value telescopes into the running total.
 
 PSP (pay the halter its reward just before the final activation) has no
 relabeling; the game engine evaluates it natively and the greedy policy is
 the optimal one once rewards never increase before the halt.
+
+Every scheme's index is one problem: the best ratio, over stopping rules,
+of the summed gains of the activations made to their summed halting
+probabilities (``indices``).  SP, NH and TP take as gain the expected
+reward movement of one activation of the relabeled bandit.  CCP takes the
+activated node's or state's own reward, on trees and chains alike, so its
+index needs no prefix sums; on a chain, where prefix sums are not a
+function of the state, there is no relabeling at all.
 
 With constant survival probability per activation, the cumulative scheme's
 index is the classical Gittins index divided by the halting probability;
@@ -32,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from fractions import Fraction
 
 from .errors import PreconditionError
 from .jsonio import Number
@@ -41,7 +48,7 @@ from .indices import (
     DEFAULT_RULE_CAP,
     ZERO_TOL,
     IndexResult,
-    enumerate_stopping_rules,
+    _gain_index,
     markov_cumulative_index,
     solo_index_enumerate,
     solo_index_parametric,
@@ -115,8 +122,8 @@ def reduced_bandit(model: PayoutModel, bandit: AnyBandit) -> TreeBandit | Markov
     """The relabeled bandit whose CP behavior matches ``model`` on the original.
 
     Raises for PSP (no relabeling exists) and for the cumulative scheme on
-    Markov bandits (prefix sums are not a function of the state; use
-    ``model_index`` which solves that case directly on the chain).
+    Markov bandits (prefix sums are not a function of the state; its index
+    comes from ``model_index``, whose gains need no relabeling).
     """
     if model is PayoutModel.CP:
         return dynamics_of(bandit) if isinstance(bandit, ProfitBandit) else bandit  # type: ignore[return-value]
@@ -149,21 +156,25 @@ def model_index_result(
 ) -> IndexResult:
     """Full solver output for the scheme-specific index at an anchor.
 
-    Computed as the plain index of the relabeled bandit; node and state ids
-    are preserved by every relabeling, so the anchor and the realizing rule
-    carry over.  For the cumulative scheme on a Markov bandit the direct
-    running-payment solver is used instead.
+    Every scheme is one gain-over-halting-probability problem on the
+    bandit's own dynamics.  The cumulative scheme's gain is the reward of
+    the activated node or state; the others take the expected reward
+    movement of the relabeled bandit.  Node and state ids are preserved by
+    every relabeling, so the anchor and the realizing rule carry over.
+    Enumeration (trees only) scans the rules of the relabeled tree.
     """
-    if model is PayoutModel.CCP and isinstance(bandit, MarkovBandit):
-        return markov_cumulative_index(bandit, anchor, zero_tol=zero_tol, max_iters=max_iters)
-    reduced = reduced_bandit(model, bandit)
-    if method == "parametric":
-        return solo_index_parametric(reduced, anchor, zero_tol=zero_tol, max_iters=max_iters)
     if method == "enumerate":
-        if not isinstance(reduced, TreeBandit):
+        if not isinstance(dynamics_of(bandit), TreeBandit):
             raise PreconditionError("enumeration requires a tree bandit")
-        return solo_index_enumerate(reduced, anchor, cap=cap)
-    raise PreconditionError(f"unknown method {method!r}")
+        return solo_index_enumerate(reduced_bandit(model, bandit), anchor, cap=cap)  # type: ignore[arg-type]
+    if method != "parametric":
+        raise PreconditionError(f"unknown method {method!r}")
+    if model is PayoutModel.CCP:
+        if isinstance(bandit, ProfitBandit):
+            raise PreconditionError("cumulative payouts read the reward tree, not costs")
+        parts = bandit.nodes if isinstance(bandit, TreeBandit) else bandit.states
+        return _gain_index(bandit, anchor, [x.reward for x in parts], zero_tol, max_iters)
+    return solo_index_parametric(reduced_bandit(model, bandit), anchor, zero_tol=zero_tol, max_iters=max_iters)
 
 
 def model_index(
@@ -185,78 +196,6 @@ def model_index(
     return model_index_result(
         model, bandit, anchor, method=method, cap=cap, zero_tol=zero_tol, max_iters=max_iters
     ).value
-
-
-def direct_index(
-    model: PayoutModel,
-    bandit: AnyBandit,
-    anchor: int | None = None,
-    *,
-    cap: int = DEFAULT_RULE_CAP,
-) -> Number:
-    """Scheme index straight from its defining ratio, by rule enumeration.
-
-    This is the slow cross-check for ``model_index``: for each stopping
-    rule the scheme-specific numerator is accumulated path by path.  For
-    SP, TP and CCP the best (largest) ratio is returned and must equal the
-    relabeled index.  For NH the returned value is the smallest achievable
-    cost rate — the cost-minimizing convention — and equals minus the
-    relabeled index.
-    """
-    tree = dynamics_of(bandit)
-    if not isinstance(tree, TreeBandit):
-        raise PreconditionError("direct enumeration requires a tree bandit")
-    if anchor is None:
-        anchor = tree.root
-    costs = bandit.costs if isinstance(bandit, ProfitBandit) else None
-    if model is PayoutModel.TP and costs is None:
-        raise PreconditionError("the terminal-profit scheme needs a bandit with costs")
-
-    def ratio(rule) -> Number:
-        num: Number = 0
-        den: Number = 0
-        base = tree.nodes[anchor].reward
-        prefix_base = tree.prefix_reward(anchor)
-
-        def walk(nid: int, weight: Number) -> None:
-            nonlocal num, den
-            for e in tree.nodes[nid].edges:
-                w = weight * e.p
-                child = tree.nodes[e.to]
-                if e.halting:
-                    den += w
-                    if model is PayoutModel.SP:
-                        num += w * child.reward
-                    elif model is PayoutModel.TP:
-                        num += w * child.reward
-                    elif model is PayoutModel.CCP:
-                        # total paid on this branch: every activation from the
-                        # anchor (inclusive) down to the halt
-                        num += w * (tree.prefix_reward(e.to) - prefix_base)
-                    # NH: the halter pays nothing
-                elif e.to in rule.stop_set:
-                    if model is PayoutModel.NH:
-                        num += w * child.reward
-                    elif model is PayoutModel.TP:
-                        num -= w * costs[e.to]  # type: ignore[index]
-                    elif model is PayoutModel.CCP:
-                        num += w * (tree.prefix_reward(e.to) - prefix_base)
-                else:
-                    walk(e.to, w)
-
-        if model is PayoutModel.NH:
-            num -= base  # the anchor reward the bandit would have paid
-        if model is PayoutModel.TP:
-            num += costs[anchor]  # type: ignore[index]
-        walk(anchor, 1)
-        return (num if isinstance(num, float) or isinstance(den, float) else Fraction(num)) / den
-
-    values = [ratio(rule) for rule in enumerate_stopping_rules(tree, anchor, cap=cap)]
-    if model is PayoutModel.NH:
-        return min(values)
-    if model in (PayoutModel.SP, PayoutModel.TP, PayoutModel.CCP):
-        return max(values)
-    raise PreconditionError(f"no direct form for {model.value}")
 
 
 # ---------------------------------------------------------------------------

@@ -10,18 +10,24 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from haltbandit import (
     GameInstance,
     GlobalHistory,
+    MarkovBandit,
     PayoutModel,
     Policy,
+    PreconditionError,
     ProfitBandit,
     TablePolicy,
     TreeBandit,
     TreeEdge,
     TreeNode,
+    enumerate_stopping_rules,
+    random_markov_bandit,
+    random_profit_bandit,
+    random_tree_bandit,
     step,
 )
 
@@ -221,3 +227,157 @@ def oracle_value(game: GameInstance, policy: Policy) -> Fraction:
             prob *= p
         total += prob * _replay_payout(game, policy, [ids for ids, _ in combo])
     return total
+
+
+# ---------------------------------------------------------------------------
+# Independent index oracles
+
+
+def direct_index(model: PayoutModel, bandit, anchor: int | None = None):
+    """Scheme index straight from its defining ratio, by rule enumeration.
+
+    This is the slow cross-check for ``model_index``: for each stopping
+    rule the scheme-specific numerator is accumulated path by path.  For
+    SP, TP and CCP the best (largest) ratio is returned and must equal the
+    relabeled index.  For NH the returned value is the smallest achievable
+    cost rate — the cost-minimizing convention — and equals minus the
+    relabeled index.
+    """
+    tree = _dyn(bandit)
+    if anchor is None:
+        anchor = tree.root
+    costs = bandit.costs if isinstance(bandit, ProfitBandit) else None
+    if model is PayoutModel.TP and costs is None:
+        raise PreconditionError("the terminal-profit scheme needs a bandit with costs")
+
+    def ratio(rule) -> Fraction:
+        num = Fraction(0)
+        den = Fraction(0)
+        base = tree.nodes[anchor].reward
+        prefix_base = tree.prefix_reward(anchor)
+
+        def walk(nid: int, weight) -> None:
+            nonlocal num, den
+            for e in tree.nodes[nid].edges:
+                w = weight * e.p
+                child = tree.nodes[e.to]
+                if e.halting:
+                    den += w
+                    if model in (PayoutModel.SP, PayoutModel.TP):
+                        num += w * child.reward
+                    elif model is PayoutModel.CCP:
+                        # total paid on this branch: every activation from the
+                        # anchor (inclusive) down to the halt
+                        num += w * (tree.prefix_reward(e.to) - prefix_base)
+                    # NH: the halter pays nothing
+                elif e.to in rule.stop_set:
+                    if model is PayoutModel.NH:
+                        num += w * child.reward
+                    elif model is PayoutModel.TP:
+                        num -= w * costs[e.to]
+                    elif model is PayoutModel.CCP:
+                        num += w * (tree.prefix_reward(e.to) - prefix_base)
+                else:
+                    walk(e.to, w)
+
+        if model is PayoutModel.NH:
+            num -= base  # the anchor reward the bandit would have paid
+        if model is PayoutModel.TP:
+            num += costs[anchor]
+        walk(anchor, Fraction(1))
+        return num / den
+
+    values = [ratio(rule) for rule in enumerate_stopping_rules(tree, anchor)]
+    if model is PayoutModel.NH:
+        return min(values)
+    if model in (PayoutModel.SP, PayoutModel.TP, PayoutModel.CCP):
+        return max(values)
+    raise PreconditionError(f"no direct form for {model.value}")
+
+
+def _solve_exact(a: list[list[Fraction]], columns: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Gauss-Jordan elimination over Fractions for several right-hand sides
+    at once (the systems here are small and nonsingular: every state halts
+    with positive probability)."""
+    n = len(a)
+    m = [list(row) + [col[i] for col in columns] for i, row in enumerate(a)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if m[r][c] != 0)
+        m[c], m[piv] = m[piv], m[c]
+        m[c] = [v / m[c][c] for v in m[c]]
+        for r in range(n):
+            if r != c and m[r][c] != 0:
+                f = m[r][c]
+                m[r] = [v - f * w for v, w in zip(m[r], m[c])]
+    return [[row[n + k] for row in m] for k in range(len(columns))]
+
+
+CHAIN_SCHEMES = (PayoutModel.CP, PayoutModel.SP, PayoutModel.NH, PayoutModel.CCP)
+
+
+def chain_stop_set_ratios(chain: MarkovBandit, anchor: int, stop_set) -> dict[PayoutModel, Fraction]:
+    """Exact ratio of one stationary stop set under each chain scheme.
+
+    The anchor is activated first; every later arrival at a member of
+    ``stop_set`` stops.  Each scheme is written longhand as what an
+    activation of x pays, what a halt from x pays and what stopping on
+    arrival at y pays, relative to the anchor (NH's bill negated, so that
+    larger is better); the denominator pays 1 for each halt.
+    """
+    states = chain.states
+    base = states[anchor].reward
+    forms = {
+        PayoutModel.CP: (lambda x: 0, lambda x: states[x].halt_reward - base, lambda y: states[y].reward - base),
+        PayoutModel.SP: (lambda x: 0, lambda x: states[x].halt_reward, lambda y: 0),
+        PayoutModel.NH: (lambda x: 0, lambda x: base, lambda y: base - states[y].reward),
+        PayoutModel.CCP: (lambda x: states[x].reward, lambda x: 0, lambda y: 0),
+        None: (lambda x: 0, lambda x: 1, lambda y: 0),
+    }
+    h = [Fraction(s.halt_prob) for s in states]
+    rows = chain.transitions
+    live = [x for x in range(len(states)) if x not in stop_set]
+
+    # u(x) = run(x) + h(x) halt(x) + (1 - h(x)) sum_y P(x, y) (stop(y) if y stops else u(y))
+    def fixed(x: int, run, halt, stop) -> Fraction:
+        return run(x) + h[x] * halt(x) + (1 - h[x]) * sum(rows[x][y] * stop(y) for y in stop_set)
+
+    a = [[Fraction(x == y) - (1 - h[x]) * rows[x][y] for y in live] for x in live]
+    solved = _solve_exact(a, [[fixed(x, *form) for x in live] for form in forms.values()])
+    expected = {
+        key: fixed(anchor, *form) + (1 - h[anchor]) * sum(rows[anchor][y] * v for y, v in zip(live, u))
+        for (key, form), u in zip(forms.items(), solved)
+    }
+    return {model: expected[model] / expected[None] for model in CHAIN_SCHEMES}
+
+
+def chain_indices_by_stop_sets(chain: MarkovBandit, anchor: int) -> dict[PayoutModel, Fraction]:
+    """Largest exact ratio over all 2^n stationary stop sets, per scheme."""
+    n = len(chain.states)
+    tables = [
+        chain_stop_set_ratios(chain, anchor, frozenset(s))
+        for k in range(n + 1)
+        for s in combinations(range(n), k)
+    ]
+    return {model: max(t[model] for t in tables) for model in CHAIN_SCHEMES}
+
+
+# ---------------------------------------------------------------------------
+# Seeded index corpus: every live anchor of small trees, profit trees and
+# chains, under every scheme that has an index
+
+
+def index_corpus():
+    """(scheme, bandit, anchor) triples of a fixed seeded exact corpus."""
+    tree_schemes = (PayoutModel.CP, PayoutModel.SP, PayoutModel.NH, PayoutModel.CCP)
+    for seed in range(10):
+        cases = [(m, random_tree_bandit(seed, max_depth=d)) for d in (3, 4, 5) for m in tree_schemes]
+        cases.append((PayoutModel.TP, random_profit_bandit(seed, max_depth=4)))
+        cases += [(m, random_markov_bandit(seed, n_states=n)) for n in (3, 4, 5) for m in tree_schemes]
+        for model, bandit in cases:
+            dyn = _dyn(bandit)
+            if isinstance(dyn, MarkovBandit):
+                anchors = range(len(dyn.states))
+            else:
+                anchors = [nid for nid, node in enumerate(dyn.nodes) if not node.halted]
+            for anchor in anchors:
+                yield model, bandit, anchor

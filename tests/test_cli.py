@@ -13,7 +13,9 @@ from haltbandit import (
     load_model,
     loads_model,
     random_game,
+    random_markov_bandit,
     save_model,
+    to_float,
 )
 from haltbandit.cli import main
 
@@ -203,12 +205,24 @@ def test_certify_sweep_with_wide_branching_exits_cleanly(capsys):
 
 def test_singular_float_chain_exits_one(capsys, tmp_path):
     path = tmp_path / "stuck.json"
-    # halves keep the rows float through the document; integral floats read back as ints
+    # without --rational every number in the document is read as a float
     stuck = MarkovBandit(states=(MarkovState(1, 0, 0),) * 2, transitions=((0.5, 0.5),) * 2)
     save_model([stuck], path)
     code, out = run(capsys, "evaluate", "--model", str(path), "--policy", "cyclic:0")
     assert code == 1
     assert out == ""
+
+
+def test_float_chain_index_settles_when_stopping_ties(capsys, tmp_path):
+    # at the index, stopping and continuing tie at state 0; the float
+    # improvement step used to flip on rounding noise until its cap
+    path = tmp_path / "tie.json"
+    save_model([to_float(random_markov_bandit(16, n_states=3))], path)
+    code, out = run(capsys, "index", "--model", str(path), "--anchor", "0")
+    doc = json.loads(out)
+    assert code == 0
+    assert abs(doc["value"] - (-50 / 101)) <= 1e-12
+    assert doc["rule"] == {"stop_set": [0]}
 
 
 def test_certify_sweep_refuses_a_model_argument(capsys, pair_path):

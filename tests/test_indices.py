@@ -1,5 +1,6 @@
 """Index solvers: block values, enumeration vs parametric iteration, blocks."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -10,25 +11,39 @@ from haltbandit import (
     MarkovBandit,
     MarkovState,
     PayoutModel,
+    PreconditionError,
     StoppingRule,
     block_value,
     enumerate_stopping_rules,
     equivalent_rewards,
     index_decomposition,
     markov_cumulative_index,
+    model_index_result,
     parametric_stopping_value,
+    random_markov_bandit,
     random_tree_bandit,
     reduced_bandit,
     rule_count,
     solo_index_enumerate,
     solo_index_parametric,
+    to_float,
     unroll_markov,
     geometric_markov,
 )
 
 from haltbandit.models import TreeBandit
 
-from helpers import HALF, ONE, path_bandit, ramp_bandit, sure_bandit
+from helpers import (
+    HALF,
+    ONE,
+    CHAIN_SCHEMES,
+    chain_indices_by_stop_sets,
+    chain_stop_set_ratios,
+    index_corpus,
+    path_bandit,
+    ramp_bandit,
+    sure_bandit,
+)
 
 STOP_AT_1 = StoppingRule(anchor=0, stop_set=frozenset({2}))
 NEVER_STOP = StoppingRule(anchor=0, stop_set=frozenset())
@@ -120,6 +135,13 @@ def test_invalid_rules_are_rejected():
         solo_index_enumerate(ramp_bandit(), 1)  # halted anchor
 
 
+def test_anchor_outside_the_tree_is_refused():
+    with pytest.raises(PreconditionError):
+        solo_index_parametric(ramp_bandit(), 4)
+    with pytest.raises(PreconditionError):
+        solo_index_parametric(ramp_bandit(), -1)
+
+
 def test_decomposition_of_the_ramp():
     dec = index_decomposition(ramp_bandit())
     assert [b.value for b in dec.blocks] == [8, 6]
@@ -197,3 +219,47 @@ def test_markov_index_agrees_with_its_unrolled_tree():
     assert isinstance(tree, TreeBandit)
     unrolled = solo_index_parametric(tree)
     assert abs(float(unrolled.value) - float(stationary.value)) <= 1e-8
+
+
+# SHA-256 over repr((value, sorted stop set, iterations, trace)) for every
+# result of ``index_corpus``, recorded with the three-form solver (separate
+# tree, plain-chain and cumulative-chain problems) that the gain form replaced.
+INDEX_CORPUS_PIN = "5258348ed78226d6f8bf7a185d97d6081c67eb9152b7e1813bbae08e6509dbe2"
+
+
+@pytest.fixture(scope="module")
+def corpus_results():
+    return [(m, b, a, model_index_result(m, b, a)) for m, b, a in index_corpus()]
+
+
+def _stops(rule):
+    return rule.stop_set if isinstance(rule, StoppingRule) else rule
+
+
+def test_exact_index_results_are_pinned(corpus_results):
+    digest = hashlib.sha256()
+    for _, _, _, res in corpus_results:
+        digest.update(repr((res.value, sorted(_stops(res.rule)), res.iterations, res.trace)).encode())
+    assert len(corpus_results) == 1158
+    assert digest.hexdigest() == INDEX_CORPUS_PIN
+
+
+def test_float_indices_agree_with_exact_ones(corpus_results):
+    for model, bandit, anchor, res in corpus_results:
+        approx = model_index_result(model, to_float(bandit), anchor)
+        assert isinstance(approx.value, float)
+        assert abs(approx.value - res.value) <= 1e-12 * max(1, abs(res.value)), (model, anchor)
+        # ties settle within the tolerance, so floats find the exact earliest rule
+        assert _stops(approx.rule) == _stops(res.rule), (model, anchor)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_chain_index_is_the_best_stop_set_ratio(seed):
+    for n in (3, 4, 5):
+        chain = random_markov_bandit(seed, n_states=n)
+        for anchor in range(n):
+            best = chain_indices_by_stop_sets(chain, anchor)
+            for model in CHAIN_SCHEMES:
+                res = model_index_result(model, chain, anchor)
+                assert res.value == best[model]
+                assert chain_stop_set_ratios(chain, anchor, res.rule)[model] == res.value

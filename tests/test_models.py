@@ -24,6 +24,8 @@ from haltbandit import (
     validate,
 )
 
+from haltbandit.jsonio import parse_number
+
 from helpers import HALF, ONE, pair_game, path_bandit, ramp_bandit, sure_bandit
 
 
@@ -82,6 +84,33 @@ def test_markov_violations():
         initial=0,
     )
     assert "row-sum" in validate(bad_row).codes()
+
+
+def test_exact_probability_sums_must_equal_one():
+    over = HALF + Fraction(1, 10**13)
+    nodes = (
+        TreeNode(depth=0, reward=0, halted=False, edges=(TreeEdge(1, HALF, True), TreeEdge(2, over, True))),
+        TreeNode(depth=1, reward=1, halted=True),
+        TreeNode(depth=1, reward=2, halted=True),
+    )
+    tree = TreeBandit(nodes=nodes, root=0)
+    assert "edge-probability-sum" in validate(tree).codes()
+    chain = MarkovBandit(
+        states=(MarkovState(1, HALF, 0), MarkovState(2, HALF, 0)),
+        transitions=((HALF, over), (HALF, HALF)),
+    )
+    assert "row-sum" in validate(chain).codes()
+    # float totals keep their rounding tolerance
+    assert validate(to_float(tree)).passed
+    assert validate(to_float(chain)).passed
+
+
+def test_float_mode_reads_integer_literals_as_floats():
+    assert parse_number(3) == 3.0 and isinstance(parse_number(3), float)
+    assert parse_number(3, rational=True) == 3 and not isinstance(parse_number(3, rational=True), float)
+    doc = dumps_model([MarkovBandit(states=(MarkovState(2, 1, 0),), transitions=((1,),))])
+    assert not loads_model(doc)[0].is_exact()
+    assert loads_model(doc, rational=True)[0].is_exact()
 
 
 def test_depth_and_branching_limits_are_configurable():
