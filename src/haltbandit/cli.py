@@ -10,6 +10,8 @@ instead.
 Exit codes: 0 success, 1 a check failed (invalid model, failed
 certification, solver breakdown), 2 malformed input (bad JSON, bad
 arguments), 3 a resource cap was hit, 4 a precondition was violated.
+Every subcommand that reads a model validates it first (no depth or
+branching cap) and exits 1 on a violation, printing its codes to stderr.
 The ``HB_CAP`` environment variable (or ``--cap``) overrides the default
 resource caps.
 """
@@ -113,9 +115,26 @@ def _parse_outcomes(spec: str) -> list:
     return out
 
 
-def _load_game(args: argparse.Namespace) -> GameInstance:
+class _InvalidModel(Exception):
+    """A loaded model failed validation (exit 1)."""
+
+
+def _load_bandits(args: argparse.Namespace) -> list:
+    """Load the model and refuse it unless every bandit validates; no depth
+    or branching cap is applied, so deep unrolled chains still load."""
     bandits = load_model(args.model, rational=args.rational)
-    return GameInstance(bandits=tuple(bandits), model=PayoutModel(args.payout))
+    problems = []
+    for k, b in enumerate(bandits):
+        report = validate(b, max_depth=None, max_branching=None)
+        if not report.passed:
+            problems.append(f"bandit {k}: {', '.join(sorted(report.codes()))}")
+    if problems:
+        raise _InvalidModel("invalid model (" + "; ".join(problems) + ")")
+    return bandits
+
+
+def _load_game(args: argparse.Namespace) -> GameInstance:
+    return GameInstance(bandits=tuple(_load_bandits(args)), model=PayoutModel(args.payout))
 
 
 def _emit(doc: dict) -> None:
@@ -140,7 +159,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
-    bandits = load_model(args.model, rational=args.rational)
+    bandits = _load_bandits(args)
     if not 0 <= args.bandit < len(bandits):
         raise PreconditionError(f"no bandit {args.bandit} in a {len(bandits)}-bandit model")
     bandit = bandits[args.bandit]
@@ -217,7 +236,7 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    bandits = load_model(args.model, rational=args.rational)
+    bandits = _load_bandits(args)
     model = PayoutModel(args.payout)
     reduced = [reduced_bandit(model, b) for b in bandits]
     if args.output:
@@ -276,7 +295,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_gittins(args: argparse.Namespace) -> int:
-    bandits = load_model(args.model, rational=args.rational)
+    bandits = _load_bandits(args)
     if not 0 <= args.bandit < len(bandits):
         raise PreconditionError(f"no bandit {args.bandit} in a {len(bandits)}-bandit model")
     bandit = bandits[args.bandit]
@@ -433,7 +452,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except SolverError as exc:
+    except (SolverError, _InvalidModel) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

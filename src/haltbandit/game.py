@@ -21,10 +21,12 @@ declared period: the only extra state a policy may carry there).  Each
 state holds the policy's choice, the immediate payment and, per outcome,
 the probability, the successor or the halt, and the terminal payout.
 Exact evaluation works backward over it on trees and solves its
-absorbing-chain linear system on chains; certification iterates it, and
-sampling walks its states, compiled as episodes reach them, with a
-counter-based generator (Philox, 64-bit) keyed by the seed, so a (seed,
-game, policy) triple reproduces its stream bit for bit on any platform.
+absorbing-chain linear system on chains; certification iterates it;
+policy block values and prevailing indices (``pi_values``) take one
+reverse pass per bandit over it; and sampling walks its states, compiled
+as episodes reach them, with a counter-based generator (Philox, 64-bit)
+keyed by the seed, so a (seed, game, policy) triple reproduces its stream
+bit for bit on any platform.
 """
 
 from __future__ import annotations
@@ -37,11 +39,11 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import PreconditionError, ResourceCapError, SolverError
-from .indices import index_decomposition
+from .indices import DEFAULT_ITER_CAP, ZERO_TOL, _gain_index, index_decomposition
 from .jsonio import Number
 from .linear import residual, solve_linear
 from .models import AnyBandit, MarkovBandit, ProfitBandit, TreeBandit, dynamics_of
-from .reductions import PayoutModel, model_index, reduced_bandit
+from .reductions import PayoutModel, _index_form, reduced_bandit
 
 RESIDUAL_TOL = 1e-12
 DEFAULT_HISTORY_CAP = 10**7
@@ -269,13 +271,14 @@ class IndexPolicy(Policy):
 
     def __init__(self, model: PayoutModel | None = None):
         self.model = None if model is None else PayoutModel(model)
-        # (id(bandit), scheme) -> (bandit, {position: index}); the entry holds
-        # the bandit so its id cannot be reused while the table lives
-        self._tables: dict[tuple[int, PayoutModel], tuple[AnyBandit, dict[int, Number]]] = {}
+        # (id(bandit), scheme) -> (bandit, (dynamics, gains), {position: index});
+        # the entry holds the bandit so its id cannot be reused while the table lives
+        self._tables: dict[tuple[int, PayoutModel], tuple[AnyBandit, tuple, dict[int, Number]]] = {}
 
     def indices(self, game: GameInstance, history: GlobalHistory) -> list[Number]:
         """Every bandit's current index under the policy's scheme (the
-        game's by default), each computed once per bandit and position."""
+        game's by default), each bandit relabeled once per scheme and each
+        index computed once per bandit and position."""
         model = self.model if self.model is not None else game.model
         if model is PayoutModel.PSP:
             raise PreconditionError(
@@ -283,9 +286,12 @@ class IndexPolicy(Policy):
             )
         out = []
         for bandit, position in zip(game.bandits, history.nodes):
-            table = self._tables.setdefault((id(bandit), model), (bandit, {}))[1]
+            key = (id(bandit), model)
+            if key not in self._tables:
+                self._tables[key] = (bandit, _index_form(model, bandit), {})
+            _, (dyn, gains), table = self._tables[key]
             if position not in table:
-                table[position] = model_index(model, bandit, position)
+                table[position] = _gain_index(dyn, position, gains, ZERO_TOL, DEFAULT_ITER_CAP).value
             out.append(table[position])
         return out
 

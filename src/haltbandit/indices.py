@@ -177,6 +177,8 @@ def rule_count(bandit: TreeBandit, anchor: int) -> int:
 def enumerate_stopping_rules(
     bandit: TreeBandit, anchor: int, *, cap: int = DEFAULT_RULE_CAP
 ) -> list[StoppingRule]:
+    if not 0 <= anchor < len(bandit.nodes):
+        raise PreconditionError(f"anchor {anchor} is not a node")
     if bandit.nodes[anchor].halted:
         raise InvalidRuleError(f"anchor {anchor} is halted")
     n = rule_count(bandit, anchor)

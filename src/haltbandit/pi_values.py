@@ -11,6 +11,11 @@ probability — but measures both on the global continuation:
 * the denominator is the probability that this bandit is the one that
   halts the game, no later than the block's end.
 
+Both are read off the game's play graph (``game._play_graph``): one
+reverse pass per bandit, in which a move of that bandit ending its block
+is terminal, gives every product state the bandit's expected reward at
+the block's end and its probability of halting inside the block.
+
 Anchors are global histories (a bandit enters a new block at the history
 immediately after the activation that moved it onto the block's anchor
 node), and under a deterministic policy each reachable history has one
@@ -22,17 +27,15 @@ value plays no role in any payout.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .errors import PreconditionError
-from .game import DEFAULT_HISTORY_CAP, GameInstance, GlobalHistory, Policy, _play_graph, round_of, step
-from .indices import (
-    BlockValue,
-    IndexDecomposition,
-    StoppingRule,
-    check_rule,
-    index_decomposition,
-)
+from .game import DEFAULT_HISTORY_CAP, GameInstance, GlobalHistory, Policy, _Key, _play_graph, _State, _tree_value
+from .indices import BlockValue, IndexDecomposition, StoppingRule, check_rule, index_decomposition
 from .jsonio import Number
 from .models import TreeBandit
+
+_Graph = dict[_Key, _State]
 
 
 def _tree_of(game: GameInstance, i: int) -> TreeBandit:
@@ -42,51 +45,37 @@ def _tree_of(game: GameInstance, i: int) -> TreeBandit:
     return dyn
 
 
-def _assert_reachable(game: GameInstance, policy: Policy, target: GlobalHistory) -> None:
-    if (target.nodes, 0) not in _play_graph(game, policy, DEFAULT_HISTORY_CAP):
-        raise PreconditionError("the policy never reaches that history")
+def _block_pass(
+    graph: _Graph, tree: TreeBandit, i: int, ends: Callable[[int, int], bool]
+) -> dict[_Key, tuple[Number, Number]]:
+    """Per state: bandit ``i``'s expected reward when its current block
+    ends, and the probability that it halts the game inside the block.
 
-
-def _nu(
-    game: GameInstance,
-    policy: Policy,
-    i: int,
-    anchor: GlobalHistory,
-    rule: StoppingRule,
-) -> BlockValue:
-    tree = _tree_of(game, i)
-    base = tree.nodes[anchor.nodes[i]].reward
-    num: Number = 0
-    den: Number = 0
-
-    def walk(h: GlobalHistory, weight: Number, cap: Number | None) -> None:
-        nonlocal num, den
-        j = policy.choose(game, h, round_of(game, h))
-        for p, nxt in step(game, h, j):
-            w = weight * p
-            if nxt.halter is not None:
-                if j == i and cap is None:
-                    # the bandit halted inside the block: count it and read
-                    # its reward at the halted node
-                    num += w * (tree.nodes[nxt.nodes[i]].reward - base)
-                    den += w
-                else:
-                    # game over with the bandit live (someone else halted) or
-                    # past the block's end: reward at the cap, no halt counted
-                    end = cap if cap is not None else tree.nodes[nxt.nodes[i]].reward
-                    num += w * (end - base)
+    ``ends(x, y)`` says whether moving ``i`` from node x to the live node y
+    ends the block; such a move pays the reward it lands on.  On ``i``'s
+    own move the rows pair one-to-one with its node's edges (both follow
+    ``step``'s order), so a halt pays the halted label and counts toward
+    the probability; another bandit's halt pays ``i``'s current reward.
+    The reverse search order is topological on trees.
+    """
+    out: dict[_Key, tuple[Number, Number]] = {}
+    for key in reversed(graph):
+        j, _, rows = graph[key]
+        x = key[0][i]
+        lands = [e.to for e in tree.nodes[x].edges] if j == i else [x] * len(rows)
+        reward: Number = 0
+        halt: Number = 0
+        for (p, succ, _), y in zip(rows, lands):
+            if succ is None or (j == i and ends(x, y)):
+                reward += p * tree.nodes[y].reward
+                if succ is None and j == i:
+                    halt += p
             else:
-                new_cap = cap
-                if j == i and cap is None and nxt.nodes[i] in rule.stop_set:
-                    new_cap = tree.nodes[nxt.nodes[i]].reward
-                walk(nxt, w, new_cap)
-
-    walk(anchor, 1, None)
-    if den == 0:
-        raise PreconditionError(
-            f"the policy never activates bandit {i} from that history; the block value is undefined"
-        )
-    return BlockValue(numerator=num, denominator=den)
+                r, h = out[succ]
+                reward += p * r
+                halt += p * h
+        out[key] = (reward, halt)
+    return out
 
 
 def policy_block_value(
@@ -108,8 +97,42 @@ def policy_block_value(
     if anchor_history.halter is not None:
         raise PreconditionError("the anchor history is already over")
     check_rule(tree, anchor_history.nodes[i], end_rule)
-    _assert_reachable(game, policy, anchor_history)
-    return _nu(game, policy, i, anchor_history, end_rule)
+    graph = _play_graph(game, policy, DEFAULT_HISTORY_CAP)
+    key = (anchor_history.nodes, 0)
+    if key not in graph:
+        raise PreconditionError("the policy never reaches that history")
+    reward, halt = _block_pass(graph, tree, i, lambda x, y: y in end_rule.stop_set)[key]
+    if halt == 0:
+        raise PreconditionError(
+            f"the policy never activates bandit {i} from that history; the block value is undefined"
+        )
+    return BlockValue(numerator=reward - tree.nodes[key[0][i]].reward, denominator=halt)
+
+
+def _prevailing(graph: _Graph, tree: TreeBandit, i: int, dec: IndexDecomposition) -> dict[GlobalHistory, Number]:
+    """One block pass, ending blocks where ``dec`` changes block, then one
+    forward pass in search order carrying each state's realized anchor
+    value: its own if ``i`` just crossed into a new block, else its
+    predecessor's (on trees each reachable state has one predecessor)."""
+    block_of = dec.block_of
+    values = _block_pass(graph, tree, i, lambda x, y: block_of[y] != block_of[x])
+
+    def nu(key: _Key) -> Number | None:
+        reward, halt = values[key]
+        return None if halt == 0 else BlockValue(reward - tree.nodes[key[0][i]].reward, halt).ratio
+
+    start = next(iter(graph))
+    carried = {start: nu(start)}
+    out: dict[GlobalHistory, Number] = {}
+    for key, (_, _, rows) in graph.items():
+        value = carried[key]
+        if value is not None:
+            out[GlobalHistory(key[0])] = value
+        for _, succ, _ in rows:
+            if succ is not None:
+                crossed = block_of[succ[0][i]] != block_of[key[0][i]]
+                carried[succ] = nu(succ) if crossed else value
+    return out
 
 
 def policy_prevailing_index(
@@ -128,37 +151,7 @@ def policy_prevailing_index(
     """
     tree = _tree_of(game, i)
     dec = decomposition if decomposition is not None else index_decomposition(tree)
-    out: dict[GlobalHistory, Number] = {}
-    cache: dict[tuple[GlobalHistory, int], Number | None] = {}
-
-    def nu_of(anchor: GlobalHistory, bi: int) -> Number | None:
-        key = (anchor, bi)
-        if key not in cache:
-            block = dec.blocks[bi]
-            rule = block.rule
-            try:
-                cache[key] = _nu(game, policy, i, anchor, rule).ratio
-            except PreconditionError:
-                cache[key] = None
-        return cache[key]
-
-    def visit(h: GlobalHistory, anchor: GlobalHistory) -> None:
-        bi = dec.block_of[h.nodes[i]]
-        val = nu_of(anchor, bi)
-        if val is not None:
-            out[h] = val
-        j = policy.choose(game, h, round_of(game, h))
-        for _, nxt in step(game, h, j):
-            if nxt.halter is not None:
-                continue
-            if j == i and dec.block_of[nxt.nodes[i]] != bi:
-                visit(nxt, nxt)  # crossed into a new block: re-anchor
-            else:
-                visit(nxt, anchor)
-
-    start = game.initial_history()
-    visit(start, start)
-    return out
+    return _prevailing(_play_graph(game, policy, DEFAULT_HISTORY_CAP), tree, i, dec)
 
 
 def psp_value_with_policy_indices(game: GameInstance, policy: Policy) -> Number:
@@ -169,21 +162,13 @@ def psp_value_with_policy_indices(game: GameInstance, policy: Policy) -> Number:
     rewards starting at zero it reproduces the collective payout of the
     original game exactly.
     """
-    maps = [policy_prevailing_index(game, policy, i) for i in range(game.n)]
-    total: Number = 0
-
-    def walk(h: GlobalHistory, weight: Number) -> None:
-        nonlocal total
-        j = policy.choose(game, h, round_of(game, h))
-        for p, nxt in step(game, h, j):
-            if nxt.halter is not None:
-                if h not in maps[j]:
-                    raise PreconditionError(
-                        f"no prevailing value for bandit {j} at a history it is activated from"
-                    )
-                total += weight * p * maps[j][h]
-            else:
-                walk(nxt, weight * p)
-
-    walk(game.initial_history(), 1)
-    return total
+    trees = [_tree_of(game, i) for i in range(game.n)]
+    graph = _play_graph(game, policy, DEFAULT_HISTORY_CAP)
+    maps = [_prevailing(graph, tree, i, index_decomposition(tree)) for i, tree in enumerate(trees)]
+    paid: _Graph = {}
+    for key, (j, _, rows) in graph.items():
+        value = maps[j].get(GlobalHistory(key[0]))
+        if value is None and any(succ is None for _, succ, _ in rows):
+            raise PreconditionError(f"no prevailing value for bandit {j} at a history it is activated from")
+        paid[key] = (j, 0, [(p, succ, value) for p, succ, _ in rows])
+    return _tree_value(paid)

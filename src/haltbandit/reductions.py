@@ -49,9 +49,9 @@ from .indices import (
     ZERO_TOL,
     IndexResult,
     _gain_index,
+    _gains,
     markov_cumulative_index,
     solo_index_enumerate,
-    solo_index_parametric,
 )
 from .models import (
     AnyBandit,
@@ -144,6 +144,19 @@ def reduced_bandit(model: PayoutModel, bandit: AnyBandit) -> TreeBandit | Markov
     raise PreconditionError(f"unknown payout model {model!r}")
 
 
+def _index_form(model: PayoutModel, bandit: AnyBandit) -> tuple[TreeBandit | MarkovBandit, list[Number]]:
+    """The dynamics a scheme's index is solved on and the gain of each node
+    or state: the bandit and its own rewards under the cumulative scheme,
+    the relabeled bandit and its expected reward movements otherwise."""
+    if model is PayoutModel.CCP:
+        if isinstance(bandit, ProfitBandit):
+            raise PreconditionError("cumulative payouts read the reward tree, not costs")
+        parts = bandit.nodes if isinstance(bandit, TreeBandit) else bandit.states
+        return bandit, [x.reward for x in parts]
+    reduced = reduced_bandit(model, bandit)
+    return reduced, _gains(reduced)
+
+
 def model_index_result(
     model: PayoutModel,
     bandit: AnyBandit,
@@ -169,12 +182,8 @@ def model_index_result(
         return solo_index_enumerate(reduced_bandit(model, bandit), anchor, cap=cap)  # type: ignore[arg-type]
     if method != "parametric":
         raise PreconditionError(f"unknown method {method!r}")
-    if model is PayoutModel.CCP:
-        if isinstance(bandit, ProfitBandit):
-            raise PreconditionError("cumulative payouts read the reward tree, not costs")
-        parts = bandit.nodes if isinstance(bandit, TreeBandit) else bandit.states
-        return _gain_index(bandit, anchor, [x.reward for x in parts], zero_tol, max_iters)
-    return solo_index_parametric(reduced_bandit(model, bandit), anchor, zero_tol=zero_tol, max_iters=max_iters)
+    dyn, gains = _index_form(model, bandit)
+    return _gain_index(dyn, anchor, gains, zero_tol, max_iters)
 
 
 def model_index(

@@ -3,7 +3,9 @@
 ``oracle_value`` recomputes policy values from first principles — it multiplies
 out the joint distribution over per-bandit outcome paths and transcribes each
 payout formula directly — so the engine's evaluators are checked against a
-route that shares none of their code.
+route that shares none of their code.  ``reference_block_value`` and
+``reference_prevailing_index`` likewise walk every path of the game by hand,
+as the reference for ``pi_values``' passes over the play graph.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from haltbandit import (
+    BlockValue,
     GameInstance,
     GlobalHistory,
+    IndexDecomposition,
     MarkovBandit,
     PayoutModel,
     Policy,
@@ -28,6 +32,7 @@ from haltbandit import (
     random_markov_bandit,
     random_profit_bandit,
     random_tree_bandit,
+    round_of,
     step,
 )
 
@@ -73,6 +78,19 @@ def ramp_bandit() -> TreeBandit:
     """The (0, 4, 10) bandit: halt mass 1/2 after the first activation,
     certain halt after the second.  Index 8 at the root, 6 below."""
     return path_bandit((0, 4, 10), (HALF, ONE))
+
+
+def live_last_bandit() -> TreeBandit:
+    """The ramp bandit with its live depth-1 node stored last, so that a
+    negative anchor counted from the end would name a live node."""
+    return TreeBandit(
+        nodes=(
+            TreeNode(0, 0, False, (TreeEdge(1, HALF, True), TreeEdge(3, HALF, False))),
+            TreeNode(1, 4, True),
+            TreeNode(2, 10, True),
+            TreeNode(1, 4, False, (TreeEdge(2, ONE, True),)),
+        )
+    )
 
 
 def sure_bandit(value) -> TreeBandit:
@@ -227,6 +245,76 @@ def oracle_value(game: GameInstance, policy: Policy) -> Fraction:
             prob *= p
         total += prob * _replay_payout(game, policy, [ids for ids, _ in combo])
     return total
+
+
+# ---------------------------------------------------------------------------
+# Independent policy block value oracle: per-path walks of the game
+
+
+def reference_block_value(game: GameInstance, policy: Policy, i: int, anchor: GlobalHistory, rule):
+    """Policy block value by walking every path below the anchor history,
+    stepping the game by hand; ``None`` where the policy never activates
+    bandit ``i`` again (the value is undefined)."""
+    tree = game.dynamics(i)
+    base = tree.nodes[anchor.nodes[i]].reward
+    num = 0
+    den = 0
+
+    def walk(h: GlobalHistory, weight, cap) -> None:
+        nonlocal num, den
+        j = policy.choose(game, h, round_of(game, h))
+        for p, nxt in step(game, h, j):
+            w = weight * p
+            if nxt.halter is not None:
+                if j == i and cap is None:
+                    # the bandit halted inside the block: count it and read
+                    # its reward at the halted node
+                    num += w * (tree.nodes[nxt.nodes[i]].reward - base)
+                    den += w
+                else:
+                    # game over with the bandit live (someone else halted) or
+                    # past the block's end: reward at the cap, no halt counted
+                    end = cap if cap is not None else tree.nodes[nxt.nodes[i]].reward
+                    num += w * (end - base)
+            else:
+                new_cap = cap
+                if j == i and cap is None and nxt.nodes[i] in rule.stop_set:
+                    new_cap = tree.nodes[nxt.nodes[i]].reward
+                walk(nxt, w, new_cap)
+
+    walk(anchor, 1, None)
+    return None if den == 0 else BlockValue(numerator=num, denominator=den)
+
+
+def reference_prevailing_index(game: GameInstance, policy: Policy, i: int, dec: IndexDecomposition):
+    """Policy prevailing index by walking the game from the start, carrying
+    the realized anchor, and re-walking each (anchor, block) continuation."""
+    out = {}
+    cache = {}
+
+    def nu_of(anchor: GlobalHistory, bi: int):
+        if (anchor, bi) not in cache:
+            value = reference_block_value(game, policy, i, anchor, dec.blocks[bi].rule)
+            cache[anchor, bi] = None if value is None else value.ratio
+        return cache[anchor, bi]
+
+    def visit(h: GlobalHistory, anchor: GlobalHistory) -> None:
+        bi = dec.block_of[h.nodes[i]]
+        val = nu_of(anchor, bi)
+        if val is not None:
+            out[h] = val
+        j = policy.choose(game, h, round_of(game, h))
+        for _, nxt in step(game, h, j):
+            if nxt.halter is not None:
+                continue
+            if j == i and dec.block_of[nxt.nodes[i]] != bi:
+                visit(nxt, nxt)  # crossed into a new block: re-anchor
+            else:
+                visit(nxt, anchor)
+
+    start = game.initial_history()
+    visit(start, start)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ from haltbandit import (
     MarkovBandit,
     MarkovState,
     PayoutModel,
+    TreeBandit,
+    TreeEdge,
+    TreeNode,
     geometric_markov,
     load_model,
     loads_model,
@@ -19,7 +22,7 @@ from haltbandit import (
 )
 from haltbandit.cli import main
 
-from helpers import pair_game
+from helpers import live_last_bandit, pair_game
 
 
 @pytest.fixture()
@@ -33,6 +36,17 @@ def pair_path(tmp_path):
 def chain_path(tmp_path):
     path = tmp_path / "chain.json"
     save_model([geometric_markov((1, 2), Fraction(9, 10))], path)
+    return str(path)
+
+
+@pytest.fixture()
+def short_path(tmp_path):
+    # the root's only edge carries probability 3/4: `validate` flags it
+    path = tmp_path / "short.json"
+    short = TreeBandit(
+        nodes=(TreeNode(0, 0, False, (TreeEdge(1, Fraction(3, 4), True),)), TreeNode(1, 8, True))
+    )
+    save_model([short], path)
     return str(path)
 
 
@@ -300,3 +314,32 @@ def test_index_policy_is_refused_under_the_penultimate_scheme(capsys, pair_path)
         "--payout", "PSP", "--policy", "index",
     )
     assert code == 4
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("evaluate", "--policy", "always:0"),
+        ("optimal",),
+        ("index",),
+        ("simulate", "--policy", "always:0", "--samples", "10"),
+    ],
+)
+def test_an_invalid_model_is_refused_before_it_is_played(capsys, short_path, command):
+    code = main([command[0], "--model", short_path, "--rational", *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "edge-probability-sum" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("anchor", ["99", "-1"])
+def test_enumeration_anchor_outside_the_tree_exits_four(capsys, tmp_path, anchor):
+    path = tmp_path / "live_last.json"
+    save_model([live_last_bandit()], path)
+    code = main(["index", "--model", str(path), "--rational", "--method", "enumerate", "--anchor", anchor])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "Traceback" not in captured.err

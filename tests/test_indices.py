@@ -29,6 +29,7 @@ from haltbandit import (
     to_float,
     unroll_markov,
     geometric_markov,
+    validate,
 )
 
 from haltbandit.models import TreeBandit
@@ -40,6 +41,7 @@ from helpers import (
     chain_indices_by_stop_sets,
     chain_stop_set_ratios,
     index_corpus,
+    live_last_bandit,
     path_bandit,
     ramp_bandit,
     sure_bandit,
@@ -140,6 +142,17 @@ def test_anchor_outside_the_tree_is_refused():
         solo_index_parametric(ramp_bandit(), 4)
     with pytest.raises(PreconditionError):
         solo_index_parametric(ramp_bandit(), -1)
+
+
+@pytest.mark.parametrize("anchor", [99, 4, -1])
+def test_enumeration_refuses_an_anchor_outside_the_tree(anchor):
+    # refused before any node is read: -1 is not the (live) last node
+    tree = live_last_bandit()
+    assert validate(tree).passed
+    with pytest.raises(PreconditionError):
+        enumerate_stopping_rules(tree, anchor)
+    with pytest.raises(PreconditionError):
+        solo_index_enumerate(tree, anchor)
 
 
 def test_decomposition_of_the_ramp():

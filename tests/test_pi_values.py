@@ -1,8 +1,12 @@
 """Policy-diluted block values and the policy-equivalent reward maps."""
 
+from fractions import Fraction
+
 import pytest
 
 from haltbandit import (
+    BlockValue,
+    CyclicPolicy,
     GameInstance,
     GlobalHistory,
     PayoutModel,
@@ -13,6 +17,7 @@ from haltbandit import (
     enumerate_policies,
     enumerate_stopping_rules,
     evaluate_exact,
+    geometric_markov,
     index_decomposition,
     normalize,
     policy_block_value,
@@ -20,6 +25,7 @@ from haltbandit import (
     psp_value_with_policy_indices,
     random_game,
     solo_index_enumerate,
+    unroll_markov,
 )
 
 from helpers import (
@@ -30,6 +36,8 @@ from helpers import (
     path_bandit,
     ramp_bandit,
     reachable_histories,
+    reference_block_value,
+    reference_prevailing_index,
 )
 
 STOP_AT_1 = StoppingRule(anchor=0, stop_set=frozenset({2}))
@@ -156,3 +164,38 @@ def test_reward_equivalence_on_normalized_games(seed):
     )
     for policy in enumerate_policies(game):
         assert psp_value_with_policy_indices(game, policy) == evaluate_exact(game, policy)
+
+
+@pytest.mark.parametrize(
+    ("seed", "depth"), [(seed, 2) for seed in range(12)] + [(seed, 3) for seed in range(8)]
+)
+def test_graph_passes_equal_the_per_path_reference(seed, depth):
+    # every reachable anchor, bandit and stopping rule under the first 16
+    # policies: the same exact block value, or undefined on both routes
+    game = random_game(seed, max_depth=depth)
+    decs = [index_decomposition(game.dynamics(i)) for i in range(game.n)]
+    for policy in enumerate_policies(game)[:16]:
+        for i in range(game.n):
+            values = policy_prevailing_index(game, policy, i, decomposition=decs[i])
+            assert values == reference_prevailing_index(game, policy, i, decs[i])
+        for h, _ in reachable_histories(game, policy):
+            for i in range(game.n):
+                anchor = h.nodes[i]
+                if game.dynamics(i).nodes[anchor].halted:
+                    continue
+                for rule in enumerate_stopping_rules(game.dynamics(i), anchor):
+                    expected = reference_block_value(game, policy, i, h, rule)
+                    if expected is None:
+                        with pytest.raises(PreconditionError):
+                            policy_block_value(game, policy, i, h, rule)
+                    else:
+                        assert policy_block_value(game, policy, i, h, rule) == expected
+
+
+def test_block_value_on_a_deep_tree_needs_no_recursion():
+    # depth 2292: the per-path walk would recurse once per level
+    tree = unroll_markov(geometric_markov([1, 3, 0], Fraction(99, 100)))
+    game = GameInstance(bandits=(tree,), model=PayoutModel.CP)
+    never = StoppingRule(anchor=tree.root, stop_set=frozenset())
+    nu = policy_block_value(game, CyclicPolicy((0,)), 0, game.initial_history(), never)
+    assert nu == BlockValue(-1, 1)
