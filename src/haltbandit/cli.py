@@ -373,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a model document")
     common(p)
-    p.add_argument("--max-depth", type=int, default=12)
-    p.add_argument("--max-branching", type=int, default=4)
+    p.add_argument("--max-depth", type=int, default=None, help="depth cap (default none)")
+    p.add_argument("--max-branching", type=int, default=None, help="branching cap (default none)")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("index", help="solo-payout index of one bandit")

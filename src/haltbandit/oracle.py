@@ -1,12 +1,11 @@
-"""Brute-force ground truth: global optima, policy enumeration, certification.
+"""Brute-force ground truth: global optima, joint outcomes, certification.
 
 Everything here is deliberately slow and simple.  ``dp_optimal`` computes
 the best achievable value by backward induction over every reachable
 history, independent of any index machinery, so index-based policies have
-something honest to be measured against.  ``enumerate_policies`` lists
-every deterministic controller of a small game, and ``atoms`` expands the
-full joint sample space so pathwise (not just in-expectation) claims can
-be checked outcome by outcome.
+something honest to be measured against.  ``atoms`` expands the full joint
+sample space so pathwise (not just in-expectation) claims can be checked
+outcome by outcome.
 
 The two certifiers package the headline checks: the index policy attains
 the optimum, and the greedy policy is pathwise dominant under the
@@ -19,9 +18,11 @@ the instance exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from itertools import product
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .game import (
     TablePolicy,
     _play_graph,
     _tree_value,
+    current_reward,
     immediate_payment,
     round_of,
     step,
@@ -64,6 +66,42 @@ class OptimalSolution:
     actions: Mapping[GlobalHistory, int]
 
 
+def _post_order(game: GameInstance, cap: int) -> Iterator[tuple[GlobalHistory, list]]:
+    """Every live history some policy reaches, each after all its live
+    successors, with the outcomes of each activation there.
+
+    A history is pushed bare, then again with its moves above which its
+    live successors are pushed; it is yielded when it pops the second
+    time, so only the moves along the current path are held.
+    """
+    seen: set[GlobalHistory] = set()
+    stack: list[tuple[GlobalHistory, list | None]] = [(game.initial_history(), None)]
+    while stack:
+        h, moves = stack.pop()
+        if moves is not None:
+            yield h, moves
+        elif h not in seen:
+            seen.add(h)
+            if len(seen) > cap:
+                raise ResourceCapError(f"more than {cap} reachable histories")
+            moves = [step(game, h, i) for i in range(game.n)]
+            stack.append((h, moves))
+            stack.extend(
+                (nxt, None)
+                for outcomes in reversed(moves)
+                for _, nxt in reversed(outcomes)
+                if nxt.halter is None
+            )
+
+
+def _action_value(game: GameInstance, h: GlobalHistory, i: int, outcomes: Sequence, values: Mapping) -> Number:
+    """Expected payout of activating i at h, given the values of its live successors."""
+    v = immediate_payment(game, h, i)
+    for p, nxt in outcomes:
+        v = v + p * (terminal_payout(game, h, i, nxt) if nxt.halter is not None else values[nxt])
+    return v
+
+
 def dp_optimal(game: GameInstance, *, history_cap: int = DEFAULT_HISTORY_CAP) -> OptimalSolution:
     """Backward induction over every reachable history; ties to the lowest id.
 
@@ -75,66 +113,38 @@ def dp_optimal(game: GameInstance, *, history_cap: int = DEFAULT_HISTORY_CAP) ->
     minimize = game.model is PayoutModel.NH
     values: dict[GlobalHistory, Number] = {}
     actions: dict[GlobalHistory, int] = {}
-    visited = 0
-
-    def value(h: GlobalHistory) -> Number:
-        nonlocal visited
-        if h in values:
-            return values[h]
-        visited += 1
-        if visited > history_cap:
-            raise ResourceCapError(f"more than {history_cap} reachable histories")
+    for h, moves in _post_order(game, history_cap):
         best: Number | None = None
         best_i = 0
-        for i in range(game.n):
-            v = immediate_payment(game, h, i)
-            for p, nxt in step(game, h, i):
-                if nxt.halter is not None:
-                    v = v + p * terminal_payout(game, h, i, nxt)
-                else:
-                    v = v + p * value(nxt)
+        for i, outcomes in enumerate(moves):
+            v = _action_value(game, h, i, outcomes, values)
             if best is None or (v < best if minimize else v > best):
                 best, best_i = v, i
         values[h] = best  # type: ignore[assignment]
         actions[h] = best_i
-        return best  # type: ignore[return-value]
-
-    top = value(game.initial_history())
     return OptimalSolution(
-        value=top, policy=TablePolicy(actions), values=values, actions=actions
+        value=values[game.initial_history()], policy=TablePolicy(actions), values=values, actions=actions
     )
 
 
-def enumerate_policies(
-    game: GameInstance, *, cap: int = DEFAULT_POLICY_CAP
-) -> list[TablePolicy]:
-    """Every deterministic policy, one choice per history it can reach.
+def _policy_count(game: GameInstance, cap: int) -> int:
+    """How many deterministic policies a tree game has, one choice per
+    history the policy reaches.
 
-    Distinct assignments on unreachable histories do not multiply the count:
-    choices are assigned only where the policy being built can actually
-    arrive.  Reachable histories of a tree game never merge, so the
-    assignment order (smallest undecided history first) is canonical.
+    The policies that choose i at h pair off independent sub-policies, one
+    per live successor, as no two histories one policy reaches ever merge:
+    count(h) = Σᵢ Π count(h′), an empty product being 1.  Counts only grow
+    towards the start, so the first one past ``cap`` settles the answer.
     """
-    if game.backend != "tree":
-        raise PreconditionError("policy enumeration needs a finite tree backend")
-    out: list[TablePolicy] = []
-
-    def rec(assign: dict[GlobalHistory, int], frontier: frozenset[GlobalHistory]) -> None:
-        if not frontier:
-            if len(out) >= cap:
-                raise ResourceCapError(f"more than {cap} deterministic policies")
-            out.append(TablePolicy(dict(assign)))
-            return
-        h = min(frontier, key=lambda x: (round_of(game, x), x.nodes))
-        rest = frontier - {h}
-        for i in range(game.n):
-            opened = [nxt for _, nxt in step(game, h, i) if nxt.halter is None]
-            assign[h] = i
-            rec(assign, rest | frozenset(opened))
-            del assign[h]
-
-    rec({}, frozenset((game.initial_history(),)))
-    return out
+    count: dict[GlobalHistory, int] = {}
+    for h, moves in _post_order(game, DEFAULT_HISTORY_CAP):
+        count[h] = sum(
+            math.prod(count[nxt] for _, nxt in outcomes if nxt.halter is None)
+            for outcomes in moves
+        )
+        if count[h] > cap:
+            raise ResourceCapError(f"more than {cap} deterministic policies")
+    return count[game.initial_history()]
 
 
 # ---------------------------------------------------------------------------
@@ -151,16 +161,14 @@ class Atom:
 
 def _bandit_paths(tree: TreeBandit) -> list[tuple[tuple[int, ...], Number]]:
     out: list[tuple[tuple[int, ...], Number]] = []
-
-    def walk(nid: int, path: tuple[int, ...], p: Number) -> None:
-        node = tree.nodes[nid]
+    stack: list[tuple[tuple[int, ...], Number]] = [((tree.root,), 1)]
+    while stack:
+        path, p = stack.pop()
+        node = tree.nodes[path[-1]]
         if node.halted:
             out.append((path, p))
-            return
-        for e in node.edges:
-            walk(e.to, path + (e.to,), p * e.p)
-
-    walk(tree.root, (tree.root,), 1)
+            continue
+        stack.extend((path + (e.to,), p * e.p) for e in reversed(node.edges))
     return out
 
 
@@ -178,14 +186,10 @@ def atoms(game: GameInstance, *, cap: int = DEFAULT_HISTORY_CAP) -> list[Atom]:
         if count > cap:
             raise ResourceCapError(f"more than {cap} joint outcome atoms")
         per.append(paths)
-    out = [Atom(paths=(), probability=1)]
-    for paths in per:
-        out = [
-            Atom(paths=a.paths + (path,), probability=a.probability * p)
-            for a in out
-            for path, p in paths
-        ]
-    return out
+    return [
+        Atom(paths=tuple(path for path, _ in combo), probability=math.prod(p for _, p in combo))
+        for combo in product(*per)
+    ]
 
 
 @dataclass(frozen=True)
@@ -273,15 +277,7 @@ def certify_index_optimality(
     disagreements = 0
     for nodes, _ in graph:
         h = GlobalHistory(nodes)
-        q: list[Number] = []
-        for i in range(game.n):
-            v = immediate_payment(game, h, i)
-            for p, nxt in step(game, h, i):
-                if nxt.halter is not None:
-                    v = v + p * terminal_payout(game, h, i, nxt)
-                else:
-                    v = v + p * sol.values[nxt]
-            q.append(sign * v)
+        q = [sign * _action_value(game, h, i, step(game, h, i), sol.values) for i in range(game.n)]
         indices = policy.indices(game, h)
         if _unique_argmax(q, exact, tol) and _unique_argmax(indices, exact, tol):
             compared += 1
@@ -334,9 +330,15 @@ def certify_greedy_dominance(
     """Check the greedy policy's pathwise dominance under the penultimate scheme.
 
     Requires every bandit's rewards to never increase along any live path;
-    then on every joint outcome atom and against every deterministic
-    policy, greedy's realized payout must be at least the other policy's —
-    dominance outcome by outcome, not merely on average.
+    then on every joint outcome atom greedy's realized payout must be at
+    least that of every deterministic policy — dominance outcome by
+    outcome, not merely on average.  On one atom, whichever bandit i a
+    policy drives to the halt, the penultimate scheme pays r(pathᵢ[−2]),
+    i's reward just before its last activation; ``always:i`` attains
+    exactly that.  So the best any policy earns on the atom is
+    maxᵢ r(pathᵢ[−2]), and ``min_slack`` is the least, over atoms, of
+    greedy's payout minus that bound.  ``n_policies`` counts the policies
+    this covers without building them.
     """
     if game.model is not PayoutModel.PSP:
         raise PreconditionError("greedy dominance is a penultimate-scheme statement")
@@ -351,26 +353,20 @@ def certify_greedy_dominance(
                         f"bandit {i} rewards increase on edge {nid}->{e.to}; "
                         "greedy dominance needs non-increasing rewards"
                     )
-    greedy = GreedyRewardPolicy()
     all_atoms = atoms(game, cap=atom_cap)
-    greedy_pay = [run_on_atom(game, greedy, a).payout for a in all_atoms]
-    policies = enumerate_policies(game, cap=policy_cap)
-    min_slack: Number | None = None
-    ok = True
-    for pol in policies:
-        for k, a in enumerate(all_atoms):
-            slack = greedy_pay[k] - run_on_atom(game, pol, a).payout
-            if min_slack is None or slack < min_slack:
-                min_slack = slack
-            if slack < -tol:
-                ok = False
-    assert min_slack is not None
+    n_policies = _policy_count(game, policy_cap)
+    greedy = GreedyRewardPolicy()
+    min_slack = min(
+        run_on_atom(game, greedy, a).payout
+        - max(current_reward(game, i, path[-2]) for i, path in enumerate(a.paths))
+        for a in all_atoms
+    )
     return GreedyDominanceReport(
-        n_policies=len(policies),
+        n_policies=n_policies,
         n_atoms=len(all_atoms),
         min_slack=min_slack,
         tolerance=tol,
-        passed=ok,
+        passed=min_slack >= -tol,
     )
 
 

@@ -6,6 +6,9 @@ payout formula directly — so the engine's evaluators are checked against a
 route that shares none of their code.  ``reference_block_value`` and
 ``reference_prevailing_index`` likewise walk every path of the game by hand,
 as the reference for ``pi_values``' passes over the play graph.
+``enumerate_policies`` lists every deterministic controller of a small
+game, and ``reference_greedy_dominance`` replays each one on every joint
+outcome atom, as the reference for ``certify_greedy_dominance``.
 """
 
 from __future__ import annotations
@@ -18,23 +21,29 @@ from haltbandit import (
     BlockValue,
     GameInstance,
     GlobalHistory,
+    GreedyDominanceReport,
+    GreedyRewardPolicy,
     IndexDecomposition,
     MarkovBandit,
     PayoutModel,
     Policy,
     PreconditionError,
     ProfitBandit,
+    ResourceCapError,
     TablePolicy,
     TreeBandit,
     TreeEdge,
     TreeNode,
+    atoms,
     enumerate_stopping_rules,
     random_markov_bandit,
     random_profit_bandit,
     random_tree_bandit,
     round_of,
+    run_on_atom,
     step,
 )
+from haltbandit.oracle import DEFAULT_POLICY_CAP
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -245,6 +254,65 @@ def oracle_value(game: GameInstance, policy: Policy) -> Fraction:
             prob *= p
         total += prob * _replay_payout(game, policy, [ids for ids, _ in combo])
     return total
+
+
+# ---------------------------------------------------------------------------
+# Policy enumeration and the reference greedy certifier
+
+
+def enumerate_policies(game: GameInstance, *, cap: int = DEFAULT_POLICY_CAP) -> list[TablePolicy]:
+    """Every deterministic policy, one choice per history it can reach.
+
+    Distinct assignments on unreachable histories do not multiply the count:
+    choices are assigned only where the policy being built can actually
+    arrive.  Reachable histories of a tree game never merge, so the
+    assignment order (smallest undecided history first) is canonical.
+    """
+    if game.backend != "tree":
+        raise PreconditionError("policy enumeration needs a finite tree backend")
+    out: list[TablePolicy] = []
+
+    def rec(assign: dict[GlobalHistory, int], frontier: frozenset[GlobalHistory]) -> None:
+        if not frontier:
+            if len(out) >= cap:
+                raise ResourceCapError(f"more than {cap} deterministic policies")
+            out.append(TablePolicy(dict(assign)))
+            return
+        h = min(frontier, key=lambda x: (round_of(game, x), x.nodes))
+        rest = frontier - {h}
+        for i in range(game.n):
+            opened = [nxt for _, nxt in step(game, h, i) if nxt.halter is None]
+            assign[h] = i
+            rec(assign, rest | frozenset(opened))
+            del assign[h]
+
+    rec({}, frozenset((game.initial_history(),)))
+    return out
+
+
+def reference_greedy_dominance(
+    game: GameInstance, *, tol: float = 0.0, policy_cap: int = DEFAULT_POLICY_CAP
+) -> GreedyDominanceReport:
+    """Greedy dominance by replaying every enumerated policy on every atom."""
+    all_atoms = atoms(game)
+    greedy_pay = [run_on_atom(game, GreedyRewardPolicy(), a).payout for a in all_atoms]
+    policies = enumerate_policies(game, cap=policy_cap)
+    min_slack = None
+    ok = True
+    for pol in policies:
+        for k, a in enumerate(all_atoms):
+            slack = greedy_pay[k] - run_on_atom(game, pol, a).payout
+            if min_slack is None or slack < min_slack:
+                min_slack = slack
+            if slack < -tol:
+                ok = False
+    return GreedyDominanceReport(
+        n_policies=len(policies),
+        n_atoms=len(all_atoms),
+        min_slack=min_slack,
+        tolerance=tol,
+        passed=ok,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from haltbandit import (
     block_value,
     certify_greedy_dominance,
     certify_index_optimality,
-    enumerate_policies,
     enumerate_stopping_rules,
     equivalent_rewards,
     evaluate_exact,
@@ -47,6 +46,7 @@ from helpers import (
     HALF,
     ONE,
     as_table,
+    enumerate_policies,
     make_nonincreasing,
     path_bandit,
     ramp_bandit,

@@ -19,6 +19,7 @@ from haltbandit import (
     random_markov_bandit,
     save_model,
     to_float,
+    unroll_markov,
 )
 from haltbandit.cli import main
 
@@ -71,6 +72,17 @@ def test_validate_flags_a_bandit_that_never_halts(capsys, tmp_path):
     assert code == 1
     assert doc["valid"] is False
     assert any(v["code"] == "zero-halting-mass" and v["bandit"] == 0 for v in doc["violations"])
+
+
+def test_validate_caps_depth_only_when_asked(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    save_model([unroll_markov(geometric_markov([1, 3, 0], Fraction(99, 100)))], path)
+    code, out = run(capsys, "validate", "--model", str(path), "--rational")
+    assert code == 0
+    assert json.loads(out)["valid"] is True
+    code, out = run(capsys, "validate", "--model", str(path), "--rational", "--max-depth", "12")
+    assert code == 1
+    assert {v["code"] for v in json.loads(out)["violations"]} == {"depth-limit"}
 
 
 def test_malformed_json_exits_two(capsys, tmp_path):

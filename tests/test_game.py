@@ -21,7 +21,6 @@ from haltbandit import (
     TreeBandit,
     TreeEdge,
     TreeNode,
-    enumerate_policies,
     equivalent_rewards,
     evaluate_exact,
     geometric_markov,
@@ -46,6 +45,7 @@ from helpers import (
     ONE,
     always,
     as_table,
+    enumerate_policies,
     oracle_value,
     pair_game,
     path_bandit,

@@ -14,7 +14,6 @@ from haltbandit import (
     TreeEdge,
     TreeNode,
     dumps_model,
-    enumerate_policies,
     evaluate_exact,
     geometric_markov,
     loads_model,
@@ -26,7 +25,7 @@ from haltbandit import (
 
 from haltbandit.jsonio import parse_number
 
-from helpers import HALF, ONE, pair_game, path_bandit, ramp_bandit, sure_bandit
+from helpers import HALF, ONE, enumerate_policies, pair_game, path_bandit, ramp_bandit, sure_bandit
 
 
 def test_ramp_bandit_validates_cleanly():

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haltbandit import (
     GameInstance,
@@ -10,26 +12,34 @@ from haltbandit import (
     PayoutModel,
     PreconditionError,
     ResourceCapError,
+    TreeBandit,
+    TreeEdge,
+    TreeNode,
     atoms,
     certify_greedy_dominance,
     certify_index_optimality,
     dp_optimal,
-    enumerate_policies,
     evaluate_exact,
+    geometric_markov,
     random_game,
     random_tree_bandit,
     run_on_atom,
+    to_float,
+    unroll_markov,
+    validate,
 )
 
 from helpers import (
     HALF,
     ONE,
     always,
+    enumerate_policies,
     make_nonincreasing,
     oracle_value,
     pair_game,
     path_bandit,
     ramp_bandit,
+    reference_greedy_dominance,
     sure_bandit,
 )
 
@@ -191,6 +201,105 @@ def test_greedy_dominance_random_sweep(seed):
         model=PayoutModel.PSP,
     )
     assert certify_greedy_dominance(game).passed
+
+
+@st.composite
+def monotone_trees(draw, max_depth: int) -> TreeBandit:
+    """A small valid tree whose live rewards never increase: rewards come
+    from a narrow range, so ties between and within bandits are common."""
+    nodes: list[TreeNode | None] = []
+
+    def build(depth: int, ceiling: int) -> int:
+        nid = len(nodes)
+        nodes.append(None)
+        reward = draw(st.integers(-1, ceiling))
+        n_halt = draw(st.integers(1, 2))
+        n_live = 0 if depth + 1 >= max_depth else draw(st.integers(0, 2))
+        weights = draw(st.lists(st.integers(1, 3), min_size=n_halt + n_live, max_size=n_halt + n_live))
+        edges = []
+        for k, w in enumerate(weights):
+            p = Fraction(w, sum(weights))
+            if k < n_halt:
+                nodes.append(TreeNode(depth + 1, draw(st.integers(-1, 3)), True))
+                edges.append(TreeEdge(len(nodes) - 1, p, True))
+            else:
+                edges.append(TreeEdge(build(depth + 1, reward), p, False))
+        nodes[nid] = TreeNode(depth, reward, False, tuple(edges))
+        return nid
+
+    build(0, 3)
+    tree = TreeBandit(nodes=tuple(nodes))
+    assert validate(tree).passed
+    return tree
+
+
+@st.composite
+def monotone_psp_games(draw) -> GameInstance:
+    n = draw(st.integers(2, 3))
+    trees = [draw(monotone_trees(draw(st.integers(1, 3)))) for _ in range(n)]
+    if draw(st.booleans()):
+        trees = [to_float(t) for t in trees]
+    return GameInstance(bandits=tuple(trees), model=PayoutModel.PSP)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(monotone_psp_games())
+def test_greedy_dominance_matches_the_policy_by_atom_reference(game):
+    # the reference replays every enumerated policy on every atom; past the
+    # cap both must refuse
+    cap = 300
+    try:
+        want = reference_greedy_dominance(game, policy_cap=cap)
+    except ResourceCapError:
+        with pytest.raises(ResourceCapError):
+            certify_greedy_dominance(game, policy_cap=cap)
+        return
+    got = certify_greedy_dominance(game, policy_cap=cap)
+    assert got == want
+    assert type(got.min_slack) is type(want.min_slack)
+
+
+@pytest.mark.parametrize("n_bandits, depth", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("seed", range(4))
+def test_greedy_dominance_policy_cap_boundary(n_bandits, depth, seed):
+    game = GameInstance(
+        bandits=tuple(
+            make_nonincreasing(random_tree_bandit(seed * 3 + k, max_depth=depth))
+            for k in range(n_bandits)
+        ),
+        model=PayoutModel.PSP,
+    )
+    n = certify_greedy_dominance(game, policy_cap=10**6).n_policies
+    assert certify_greedy_dominance(game, policy_cap=n).n_policies == n
+    with pytest.raises(ResourceCapError, match="deterministic policies"):
+        certify_greedy_dominance(game, policy_cap=n - 1)
+
+
+def test_greedy_dominance_checks_the_atom_cap_first():
+    game = greedy_game()
+    with pytest.raises(ResourceCapError, match="joint outcome atoms"):
+        certify_greedy_dominance(game, policy_cap=1, atom_cap=1)
+
+
+def test_the_oracles_finish_on_a_deep_tree():
+    # depth 2292: one level of recursion per level of the tree would overflow
+    tree = unroll_markov(geometric_markov([1, 3, 0], Fraction(99, 100)))
+    game = GameInstance(bandits=(tree,), model=PayoutModel.CP)
+    sol = dp_optimal(game)
+    assert len(sol.values) == 2292
+    assert sol.value == evaluate_exact(game, always(0))
+    space = atoms(game)
+    assert len(space) == sum(node.halted for node in tree.nodes)
+    assert max(len(a.paths[0]) for a in space) == 2293
+    assert sum(a.probability for a in space) == 1
+
+
+def test_dp_history_cap_boundary():
+    game = random_game(3, n_bandits=3, max_depth=3)
+    n = len(dp_optimal(game).values)
+    assert dp_optimal(game, history_cap=n).value == dp_optimal(game).value
+    with pytest.raises(ResourceCapError):
+        dp_optimal(game, history_cap=n - 1)
 
 
 def test_resource_caps_bite():

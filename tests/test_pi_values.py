@@ -14,7 +14,6 @@ from haltbandit import (
     StoppingRule,
     TablePolicy,
     block_value,
-    enumerate_policies,
     enumerate_stopping_rules,
     evaluate_exact,
     geometric_markov,
@@ -32,6 +31,7 @@ from helpers import (
     HALF,
     ONE,
     always,
+    enumerate_policies,
     pair_game,
     path_bandit,
     ramp_bandit,

@@ -11,7 +11,6 @@ from haltbandit import (
     PayoutModel,
     PreconditionError,
     ProfitBandit,
-    enumerate_policies,
     evaluate_exact,
     geometric_markov,
     gittins_compare,
@@ -29,7 +28,7 @@ from haltbandit import (
     unroll_markov,
 )
 
-from helpers import HALF, ONE, direct_index, oracle_value, path_bandit, ramp_bandit
+from helpers import HALF, ONE, direct_index, enumerate_policies, oracle_value, path_bandit, ramp_bandit
 
 
 def rewards_of(tree):
