@@ -39,7 +39,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import PreconditionError, ResourceCapError, SolverError
-from .indices import DEFAULT_ITER_CAP, ZERO_TOL, _gain_index, index_decomposition
+from .indices import _index_table, index_decomposition
 from .jsonio import Number
 from .linear import residual, solve_linear
 from .models import AnyBandit, MarkovBandit, ProfitBandit, TreeBandit, dynamics_of
@@ -265,20 +265,19 @@ class GreedyRewardPolicy(Policy):
 class IndexPolicy(Policy):
     """Activate the bandit with the largest current index, lowest id on ties.
 
-    Recomputes (with caching) the scheme-specific index at every round.
+    Reads the scheme-specific index at every round off one table per bandit.
     The penultimate scheme has no index; ask for the greedy policy there.
     """
 
     def __init__(self, model: PayoutModel | None = None):
         self.model = None if model is None else PayoutModel(model)
-        # (id(bandit), scheme) -> (bandit, (dynamics, gains), {position: index});
-        # the entry holds the bandit so its id cannot be reused while the table lives
-        self._tables: dict[tuple[int, PayoutModel], tuple[AnyBandit, tuple, dict[int, Number]]] = {}
+        # (id(bandit), scheme) -> (bandit, index of every position); the entry
+        # holds the bandit so its id cannot be reused while the table lives
+        self._tables: dict[tuple[int, PayoutModel], tuple[AnyBandit, list]] = {}
 
     def indices(self, game: GameInstance, history: GlobalHistory) -> list[Number]:
         """Every bandit's current index under the policy's scheme (the
-        game's by default), each bandit relabeled once per scheme and each
-        index computed once per bandit and position."""
+        game's by default), read off one index table per bandit and scheme."""
         model = self.model if self.model is not None else game.model
         if model is PayoutModel.PSP:
             raise PreconditionError(
@@ -288,11 +287,8 @@ class IndexPolicy(Policy):
         for bandit, position in zip(game.bandits, history.nodes):
             key = (id(bandit), model)
             if key not in self._tables:
-                self._tables[key] = (bandit, _index_form(model, bandit), {})
-            _, (dyn, gains), table = self._tables[key]
-            if position not in table:
-                table[position] = _gain_index(dyn, position, gains, ZERO_TOL, DEFAULT_ITER_CAP).value
-            out.append(table[position])
+                self._tables[key] = (bandit, _index_table(*_index_form(model, bandit)))
+            out.append(self._tables[key][1][position])
         return out
 
     def choose(self, game: GameInstance, history: GlobalHistory, round_: int) -> int:

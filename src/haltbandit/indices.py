@@ -38,12 +38,23 @@ each round returns the adjusted value N - lambda D at the anchor, the
 earliest optimal stop set, and that rule's summed gain N and summed
 halting probability D.  The value is zero exactly at the index, and the
 next charge is N / D.  The earliest optimal rule stops wherever
-continuing is worth at most 0 (at most ``zero_tol`` in float arithmetic,
+continuing is worth at most 0 (at most ``ZERO_TOL`` in float arithmetic,
 so that rounding noise does not flip a tie), the canonical choice used
 throughout.
 
-Iterating the earliest optimal rule from the root partitions every path
-into index blocks whose values never increase; the per-node "prevailing
+The ratio iteration solves one anchor at a time; it backs the ``index``
+report (``solo_index_parametric``, ``markov_cumulative_index``,
+``reductions.model_index_result``), whose iterations and charge trace it
+supplies.  Everything else reads one table per bandit and scheme
+(``_index_table``, read by ``game.IndexPolicy`` and
+``index_decomposition``, and through them by block commitment,
+certification and ``pi_values``): one pass from the leaves up on a tree,
+the ratio iteration per state on a chain.  The charge-adjusted value at a
+node crosses zero at its index, so the earliest optimal rule stops at the
+first nodes below the anchor whose index is no larger than the anchor's,
+the block structure of the Gittins index (Varaiya, Walrand & Buyukkoc,
+IEEE TAC 1985).  Iterating it from the root partitions every path into
+index blocks whose values never increase; the per-node "prevailing
 index" (the value of the block a node sits in) is the non-increasing
 equivalent reward process used by the greedy reduction of the full game.
 """
@@ -51,10 +62,11 @@ equivalent reward process used by the greedy reduction of the full game.
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import InvalidRuleError, PreconditionError, ResourceCapError, SolverError
 from .jsonio import Number
@@ -136,42 +148,46 @@ def block_value(bandit: TreeBandit, anchor: int, rule: StoppingRule) -> BlockVal
     base = bandit.nodes[anchor].reward
     num: Number = 0
     den: Number = 0
-
-    def walk(nid: int, weight: Number) -> None:
-        nonlocal num, den
-        for e in bandit.nodes[nid].edges:
-            w = weight * e.p
-            child = bandit.nodes[e.to]
-            if e.halting:
-                num += w * (child.reward - base)
-                den += w
-            elif e.to in rule.stop_set:
-                num += w * (child.reward - base)
-            else:
-                walk(e.to, w)
-
-    walk(anchor, 1)
+    # edges in depth-first order, each with the weight of the node it leaves
+    stack = [(e, 1) for e in reversed(bandit.nodes[anchor].edges)]
+    while stack:
+        e, weight = stack.pop()
+        w = weight * e.p
+        child = bandit.nodes[e.to]
+        if e.halting:
+            num += w * (child.reward - base)
+            den += w
+        elif e.to in rule.stop_set:
+            num += w * (child.reward - base)
+        else:
+            stack.extend((f, w) for f in reversed(child.edges))
     return BlockValue(numerator=num, denominator=den)
 
 
-def _choices_below(bandit: TreeBandit, nid: int) -> list[frozenset[int]]:
-    # every way to place stops at/below a live node: stop here, or continue
-    # and decide independently inside each live child subtree
-    parts = [_choices_below(bandit, e.to) for e in bandit.continuation_edges(nid)]
-    if parts:
-        cont = [frozenset().union(*combo) for combo in itertools.product(*parts)]
-    else:
-        cont = [frozenset()]
-    return [frozenset((nid,))] + cont
+def _post_order(bandit: TreeBandit, anchor: int) -> list[int]:
+    # the live nodes strictly below an anchor, each after all of its live descendants
+    order = [e.to for e in bandit.continuation_edges(anchor)]
+    for nid in order:
+        order.extend(e.to for e in bandit.continuation_edges(nid))
+    return order[::-1]
+
+
+def _choices_below(bandit: TreeBandit, anchor: int) -> list[list[frozenset[int]]]:
+    # every way to place stops at/below each live child of the anchor: stop
+    # there, or continue and decide independently inside each live child subtree
+    done: dict[int, list[frozenset[int]]] = {}
+    for nid in _post_order(bandit, anchor):
+        parts = [done.pop(e.to) for e in bandit.continuation_edges(nid)]
+        done[nid] = [frozenset((nid,))] + [frozenset().union(*combo) for combo in itertools.product(*parts)]
+    return [done.pop(e.to) for e in bandit.continuation_edges(anchor)]
 
 
 def rule_count(bandit: TreeBandit, anchor: int) -> int:
     """Number of distinct stopping rules below an anchor."""
-
-    def f(nid: int) -> int:
-        return 1 + prod(f(e.to) for e in bandit.continuation_edges(nid))
-
-    return prod(f(e.to) for e in bandit.continuation_edges(anchor))
+    count: dict[int, int] = {}
+    for nid in _post_order(bandit, anchor):
+        count[nid] = 1 + prod(count.pop(e.to) for e in bandit.continuation_edges(nid))
+    return prod(count[e.to] for e in bandit.continuation_edges(anchor))
 
 
 def enumerate_stopping_rules(
@@ -186,9 +202,7 @@ def enumerate_stopping_rules(
         raise ResourceCapError(
             f"{n} stopping rules below anchor {anchor} exceed the cap {cap}; use the parametric solver"
         )
-    parts = [_choices_below(bandit, e.to) for e in bandit.continuation_edges(anchor)]
-    if not parts:
-        return [StoppingRule(anchor, frozenset())]
+    parts = _choices_below(bandit, anchor)
     return [StoppingRule(anchor, frozenset().union(*combo)) for combo in itertools.product(*parts)]
 
 
@@ -222,7 +236,7 @@ def parametric_stopping_value(
     continuing is not worth more than stopping (not more than ``ZERO_TOL``
     more in float arithmetic).
     """
-    value, stops, _, _ = _tree_pass(bandit, _gains(bandit), anchor, charge, _tie_tol(bandit, ZERO_TOL))
+    value, stops, _, _ = _tree_pass(bandit, _gains(bandit), anchor, charge, _tie_tol(bandit))
     return value, StoppingRule(anchor, stops)
 
 
@@ -244,9 +258,23 @@ def _gains(bandit: TreeBandit | MarkovBandit) -> list[Number]:
     raise PreconditionError(f"no index solver for {type(bandit).__name__}")
 
 
-def _tie_tol(bandit: TreeBandit | MarkovBandit, zero_tol: float) -> Number:
-    # exact arithmetic settles ties exactly; floats settle within zero_tol
-    return 0 if bandit.is_exact() else zero_tol
+def _tie_tol(bandit: TreeBandit | MarkovBandit) -> Number:
+    # exact arithmetic settles ties exactly; floats settle within ZERO_TOL
+    return 0 if bandit.is_exact() else ZERO_TOL
+
+
+def _first_below(
+    tree: TreeBandit, anchor: int, stops_at: Callable[[int], bool]
+) -> tuple[list[int], frozenset[int]]:
+    """The nodes a rule anchored at ``anchor`` activates, and its stop set:
+    the first live nodes below the anchor at which ``stops_at`` holds."""
+    members, stops, stack = [], [], [anchor]
+    while stack:
+        nid = stack.pop()
+        members.append(nid)
+        for e in tree.continuation_edges(nid):
+            (stops if stops_at(e.to) else stack).append(e.to)
+    return members, frozenset(stops)
 
 
 def _tree_pass(
@@ -260,28 +288,25 @@ def _tree_pass(
     anchor, the stop set, and the rule's summed gain N and summed halting
     probability D.
     """
-    stops: list[int] = []
-
-    def visit(nid: int) -> tuple[Number, Number]:
+    sums: dict[int, tuple[Number, Number]] = {}
+    stopped: set[int] = set()
+    for nid in _post_order(tree, anchor) + [anchor]:
         num: Number = gains[nid]
         den: Number = 0
         for e in tree.nodes[nid].edges:
             if e.halting:
                 den += e.p
                 continue
-            mark = len(stops)
-            n, d = visit(e.to)
+            n, d = sums.pop(e.to)
             if charge is not None and n - charge * d <= tol:
-                del stops[mark:]
-                stops.append(e.to)
+                stopped.add(e.to)
             else:
                 num += e.p * n
                 den += e.p * d
-        return num, den
-
-    num, den = visit(anchor)
+        sums[nid] = (num, den)
+    num, den = sums[anchor]
     value = None if charge is None else num - charge * den
-    return value, frozenset(stops), num, den
+    return value, _first_below(tree, anchor, stopped.__contains__)[1], num, den
 
 
 def _chain_continue(chain: MarkovBandit, pay: list[Number], stop_set: frozenset[int]) -> list[Number]:
@@ -310,7 +335,7 @@ def _chain_continue(chain: MarkovBandit, pay: list[Number], stop_set: frozenset[
 
 
 def _chain_round(
-    chain: MarkovBandit, gains: list[Number], anchor: int, charge: Number | None, tol: Number, max_iters: int
+    chain: MarkovBandit, gains: list[Number], anchor: int, charge: Number | None, tol: Number
 ) -> tuple[Number | None, frozenset[int], Number, Number]:
     """The chain counterpart of ``_tree_pass``: policy iteration over
     stationary stop sets, one solve per improvement step, then one solve
@@ -320,7 +345,7 @@ def _chain_round(
     value = None
     if charge is not None:
         pay = [c - charge * h for c, h in zip(gains, halts)]
-        for _ in range(max_iters):
+        for _ in range(DEFAULT_ITER_CAP):
             cont = _chain_continue(chain, pay, stop_set)
             improved = frozenset(x for x, v in enumerate(cont) if v <= tol)
             if improved == stop_set:
@@ -338,8 +363,6 @@ def _gain_index(
     bandit: TreeBandit | MarkovBandit,
     anchor: int | None,
     gains: list[Number],
-    zero_tol: float,
-    max_iters: int,
 ) -> IndexResult:
     """Parametric ratio iteration for max over rules of E Σ c / E Σ h.
 
@@ -349,7 +372,7 @@ def _gain_index(
     value stays positive and can only take finitely many rule ratios, so
     termination needs at most one round per distinct rule.
     """
-    tol = _tie_tol(bandit, zero_tol)
+    tol = _tie_tol(bandit)
     if isinstance(bandit, TreeBandit):
         anchor = bandit.root if anchor is None else anchor
         if not 0 <= anchor < len(bandit.nodes):
@@ -367,45 +390,76 @@ def _gain_index(
             raise PreconditionError(f"anchor state {anchor} out of range")
 
         def solve_round(charge: Number | None) -> tuple:
-            return _chain_round(bandit, gains, anchor, charge, tol, max_iters)
+            return _chain_round(bandit, gains, anchor, charge, tol)
 
     _, _, num, den = solve_round(None)
     trace: list[tuple[Number, Number]] = []
-    for it in range(1, max_iters + 1):
+    for it in range(1, DEFAULT_ITER_CAP + 1):
         charge = BlockValue(num, den).ratio
         value, rule, num, den = solve_round(charge)
         trace.append((charge, value))
         if abs(value) <= tol:
             return IndexResult(value=charge, rule=rule, iterations=it, trace=tuple(trace))
-    raise SolverError(f"ratio iteration did not settle within {max_iters} rounds")
+    raise SolverError(f"ratio iteration did not settle within {DEFAULT_ITER_CAP} rounds")
 
 
-def solo_index_parametric(
-    bandit: TreeBandit | MarkovBandit,
-    anchor: int | None = None,
-    *,
-    zero_tol: float = ZERO_TOL,
-    max_iters: int = DEFAULT_ITER_CAP,
-) -> IndexResult:
+def solo_index_parametric(bandit: TreeBandit | MarkovBandit, anchor: int | None = None) -> IndexResult:
     """Parametric ratio iteration for the solo-payout index, with each
     activation's expected reward movement as its gain."""
-    return _gain_index(bandit, anchor, _gains(bandit), zero_tol, max_iters)
+    return _gain_index(bandit, anchor, _gains(bandit))
 
 
-def markov_cumulative_index(
-    bandit: MarkovBandit,
-    anchor: int | None = None,
-    *,
-    zero_tol: float = ZERO_TOL,
-    max_iters: int = DEFAULT_ITER_CAP,
-) -> IndexResult:
+def markov_cumulative_index(bandit: MarkovBandit, anchor: int | None = None) -> IndexResult:
     """Index of the cumulative payout scheme on a chain.
 
     Every activation pays the state's reward, so the gain of state x is
     its reward r(x): the index is the best ratio of expected rewards
     collected to probability of halting in time, with no prefix sums.
     """
-    return _gain_index(bandit, anchor, [s.reward for s in bandit.states], zero_tol, max_iters)
+    return _gain_index(bandit, anchor, [s.reward for s in bandit.states])
+
+
+def _index_table(dyn: TreeBandit | MarkovBandit, gains: list[Number]) -> list[Number | None]:
+    """The index of every node or state, None at halted nodes.
+
+    On a chain, the ratio iteration at each state.  On a tree, one pass from
+    the leaves up over the value of activating x at charge λ, F_x(λ) =
+    gains[x] − λ·h(x) + Σ over live edges p_e·max(0, F_child(λ)): convex,
+    piecewise linear and strictly decreasing, with the index of x as its
+    root.  max(0, F_x) is a sum of hinges w·max(0, b − λ) kept sorted by b,
+    the weights divided by a per-list scale; the hinges above the root fold
+    into the slope there, the weight of a new hinge at the root.
+    """
+    if isinstance(dyn, MarkovBandit):
+        return [_gain_index(dyn, x, gains).value for x in range(len(dyn.states))]
+    exact = dyn.is_exact()
+    unit: Number = Fraction(1) if exact else 1.0
+    idx: list[Number | None] = [None] * len(dyn.nodes)
+    hinges: dict[int, tuple[list[tuple[Number, Number]], Number]] = {}
+    for nid in _post_order(dyn, dyn.root) + [dyn.root]:
+        num, den = gains[nid], 0
+        merged: list[tuple[Number, Number]] = []
+        scale = unit
+        for e in dyn.nodes[nid].edges:
+            if e.halting:
+                den += e.p
+                continue
+            part, s = hinges.pop(e.to)
+            s *= e.p
+            if not exact and s < 1e-150:  # fold the scale into the weights before it underflows
+                part, s = [(b, w * s) for b, w in part], unit
+            if len(part) > len(merged):
+                merged, part, scale, s = part, merged, s, scale
+            for b, w in part:
+                insort(merged, (b, w * s / scale))
+        while merged and num < merged[-1][0] * den:
+            b, w = merged.pop()
+            num += scale * w * b
+            den += scale * w
+        idx[nid] = BlockValue(num, den).ratio
+        merged.append((idx[nid], den / scale))
+        hinges[nid] = (merged, scale)
+    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -472,35 +526,27 @@ def equivalent_rewards(dec: IndexDecomposition) -> TreeBandit:
     return TreeBandit(nodes=nodes, root=bandit.root)
 
 
-def index_decomposition(
-    bandit: TreeBandit,
-    *,
-    zero_tol: float = ZERO_TOL,
-    max_iters: int = DEFAULT_ITER_CAP,
-) -> IndexDecomposition:
-    """Iterate the earliest optimal rule from the root to carve out blocks."""
+def index_decomposition(bandit: TreeBandit) -> IndexDecomposition:
+    """Read the blocks off the index table: from a block's anchor, a live
+    child stays in the block while its index exceeds the block value (by
+    more than ``ZERO_TOL`` in float arithmetic); the first children that
+    do not stay anchor the blocks of the next level."""
+    idx = _index_table(bandit, _gains(bandit))
+    tol = _tie_tol(bandit)
     blocks: list[IndexBlock] = []
     block_of: dict[int, int] = {}
     prevailing: dict[int, Number] = {}
-    gains = _gains(bandit)
     queue: list[tuple[int, int, int | None]] = [(bandit.root, 0, None)]
-    while queue:
-        anchor, level, parent = queue.pop(0)
-        res = _gain_index(bandit, anchor, gains, zero_tol, max_iters)
-        assert isinstance(res.rule, StoppingRule)
+    for anchor, level, parent in queue:
+        value = idx[anchor]
+        members, stops = _first_below(bandit, anchor, lambda y: idx[y] <= value + tol)
         bi = len(blocks)
-        blocks.append(IndexBlock(level=level, anchor=anchor, value=res.value, rule=res.rule, parent=parent))
-        stack = [anchor]
-        while stack:
-            nid = stack.pop()
+        rule = StoppingRule(anchor, stops)
+        blocks.append(IndexBlock(level=level, anchor=anchor, value=value, rule=rule, parent=parent))
+        for nid in members:
             block_of[nid] = bi
-            prevailing[nid] = res.value
-            for e in bandit.continuation_edges(nid):
-                if e.to not in res.rule.stop_set:
-                    stack.append(e.to)
-        for stop in sorted(res.rule.stop_set):
-            if not bandit.nodes[stop].halted:
-                queue.append((stop, level + 1, bi))
+            prevailing[nid] = value
+        queue.extend((stop, level + 1, bi) for stop in sorted(stops))
     return IndexDecomposition(
         bandit=bandit,
         blocks=tuple(blocks),

@@ -44,9 +44,7 @@ from enum import Enum
 from .errors import PreconditionError
 from .jsonio import Number
 from .indices import (
-    DEFAULT_ITER_CAP,
     DEFAULT_RULE_CAP,
-    ZERO_TOL,
     IndexResult,
     _gain_index,
     _gains,
@@ -164,8 +162,6 @@ def model_index_result(
     *,
     method: str = "parametric",
     cap: int = DEFAULT_RULE_CAP,
-    zero_tol: float = ZERO_TOL,
-    max_iters: int = DEFAULT_ITER_CAP,
 ) -> IndexResult:
     """Full solver output for the scheme-specific index at an anchor.
 
@@ -183,7 +179,7 @@ def model_index_result(
     if method != "parametric":
         raise PreconditionError(f"unknown method {method!r}")
     dyn, gains = _index_form(model, bandit)
-    return _gain_index(dyn, anchor, gains, zero_tol, max_iters)
+    return _gain_index(dyn, anchor, gains)
 
 
 def model_index(
@@ -193,8 +189,6 @@ def model_index(
     *,
     method: str = "parametric",
     cap: int = DEFAULT_RULE_CAP,
-    zero_tol: float = ZERO_TOL,
-    max_iters: int = DEFAULT_ITER_CAP,
 ) -> Number:
     """The scheme-specific priority index at an anchor.
 
@@ -202,9 +196,7 @@ def model_index(
     smallest achievable cost rate, so the usual argmax rule still picks
     the cost-minimizing bandit.
     """
-    return model_index_result(
-        model, bandit, anchor, method=method, cap=cap, zero_tol=zero_tol, max_iters=max_iters
-    ).value
+    return model_index_result(model, bandit, anchor, method=method, cap=cap).value
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
+from hypothesis import strategies as st
+
 from haltbandit import (
     BlockValue,
     GameInstance,
@@ -25,6 +27,7 @@ from haltbandit import (
     GreedyRewardPolicy,
     IndexDecomposition,
     MarkovBandit,
+    MarkovState,
     PayoutModel,
     Policy,
     PreconditionError,
@@ -42,6 +45,7 @@ from haltbandit import (
     round_of,
     run_on_atom,
     step,
+    validate,
 )
 from haltbandit.oracle import DEFAULT_POLICY_CAP
 
@@ -537,3 +541,54 @@ def index_corpus():
                 anchors = [nid for nid, node in enumerate(dyn.nodes) if not node.halted]
             for anchor in anchors:
                 yield model, bandit, anchor
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis strategies: small valid bandits whose rewards come from a narrow
+# range, so that ties between and within bandits are common
+
+
+@st.composite
+def small_trees(draw, max_depth: int, monotone: bool = False) -> TreeBandit:
+    """A small valid tree; with ``monotone`` its live rewards never increase."""
+    nodes: list[TreeNode | None] = []
+
+    def build(depth: int, ceiling: int) -> int:
+        nid = len(nodes)
+        nodes.append(None)
+        reward = draw(st.integers(-1, ceiling))
+        n_halt = draw(st.integers(1, 2))
+        n_live = 0 if depth + 1 >= max_depth else draw(st.integers(0, 2))
+        weights = draw(st.lists(st.integers(1, 3), min_size=n_halt + n_live, max_size=n_halt + n_live))
+        edges = []
+        for k, w in enumerate(weights):
+            p = Fraction(w, sum(weights))
+            if k < n_halt:
+                nodes.append(TreeNode(depth + 1, draw(st.integers(-1, 3)), True))
+                edges.append(TreeEdge(len(nodes) - 1, p, True))
+            else:
+                edges.append(TreeEdge(build(depth + 1, reward if monotone else 3), p, False))
+        nodes[nid] = TreeNode(depth, reward, False, tuple(edges))
+        return nid
+
+    build(0, 3)
+    tree = TreeBandit(nodes=tuple(nodes))
+    assert validate(tree).passed
+    return tree
+
+
+@st.composite
+def small_chains(draw, max_states: int) -> MarkovBandit:
+    """A small valid chain with halting probabilities from {1/4, 1/2, 3/4, 1}."""
+    n = draw(st.integers(1, max_states))
+    states = tuple(
+        MarkovState(draw(st.integers(-1, 3)), Fraction(draw(st.integers(1, 4)), 4), draw(st.integers(-1, 3)))
+        for _ in range(n)
+    )
+    rows = []
+    for _ in range(n):
+        weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+        rows.append(tuple(Fraction(w, sum(weights)) for w in weights))
+    chain = MarkovBandit(states=states, transitions=tuple(rows), initial=0)
+    assert validate(chain).passed
+    return chain

@@ -51,6 +51,14 @@ def short_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def deep_path(tmp_path_factory):
+    # depth 2292, deeper than the interpreter's recursion limit
+    path = tmp_path_factory.mktemp("deep") / "deep.json"
+    save_model([unroll_markov(geometric_markov([1, 3, 0], Fraction(99, 100)))], path)
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
@@ -74,15 +82,31 @@ def test_validate_flags_a_bandit_that_never_halts(capsys, tmp_path):
     assert any(v["code"] == "zero-halting-mass" and v["bandit"] == 0 for v in doc["violations"])
 
 
-def test_validate_caps_depth_only_when_asked(capsys, tmp_path):
-    path = tmp_path / "deep.json"
-    save_model([unroll_markov(geometric_markov([1, 3, 0], Fraction(99, 100)))], path)
-    code, out = run(capsys, "validate", "--model", str(path), "--rational")
+def test_validate_caps_depth_only_when_asked(capsys, deep_path):
+    code, out = run(capsys, "validate", "--model", deep_path, "--rational")
     assert code == 0
     assert json.loads(out)["valid"] is True
-    code, out = run(capsys, "validate", "--model", str(path), "--rational", "--max-depth", "12")
+    code, out = run(capsys, "validate", "--model", deep_path, "--rational", "--max-depth", "12")
     assert code == 1
     assert {v["code"] for v in json.loads(out)["violations"]} == {"depth-limit"}
+
+
+def test_index_of_a_deep_tree(capsys, deep_path):
+    code, out = run(capsys, "index", "--model", deep_path, "--rational")
+    assert code == 0
+    assert json.loads(out)["value"] == 197
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("evaluate", "--policy", "index"), ("evaluate", "--policy", "index-block"), ("certify",)],
+    ids=["index", "index-block", "certify"],
+)
+def test_index_policies_play_a_deep_tree(capsys, deep_path, command):
+    code = main([command[0], "--model", deep_path, "--rational", *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.err
 
 
 def test_malformed_json_exits_two(capsys, tmp_path):

@@ -1,9 +1,12 @@
 """Index solvers: block values, enumeration vs parametric iteration, blocks."""
 
 import hashlib
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haltbandit import (
     BlockValue,
@@ -32,7 +35,9 @@ from haltbandit import (
     validate,
 )
 
-from haltbandit.models import TreeBandit
+from haltbandit.indices import _first_below, _gain_index, _gains, _index_table
+from haltbandit.models import ProfitBandit, TreeBandit
+from haltbandit.reductions import _index_form
 
 from helpers import (
     HALF,
@@ -44,6 +49,8 @@ from helpers import (
     live_last_bandit,
     path_bandit,
     ramp_bandit,
+    small_chains,
+    small_trees,
     sure_bandit,
 )
 
@@ -276,3 +283,54 @@ def test_chain_index_is_the_best_stop_set_ratio(seed):
                 res = model_index_result(model, chain, anchor)
                 assert res.value == best[model]
                 assert chain_stop_set_ratios(chain, anchor, res.rule)[model] == res.value
+
+
+def test_the_enumeration_oracle_needs_no_recursion():
+    # at survival 1/2 the deepest probabilities also fall below the least float
+    depth = sys.getrecursionlimit() + 100
+    tree = unroll_markov(geometric_markov([1, 3, 0], 0.5), max_depth=depth)
+    assert rule_count(tree, tree.root) == depth
+    enum = solo_index_enumerate(tree)
+    assert enum.iterations == depth
+    assert block_value(tree, tree.root, enum.rule).ratio == enum.value
+    assert enum.value == pytest.approx(solo_index_parametric(tree).value, rel=1e-12)
+    assert enum.value == pytest.approx(_index_table(tree, _gains(tree))[tree.root], rel=1e-12)
+
+
+def _blocks(dec):
+    return [(b.anchor, b.level, b.parent, b.rule.stop_set) for b in dec.blocks]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_trees(4), st.sampled_from([m for m in PayoutModel if m is not PayoutModel.PSP]), st.data())
+def test_index_table_matches_the_ratio_iteration_on_trees(tree, model, data):
+    if model is PayoutModel.TP:
+        tree = ProfitBandit(tree, tuple(data.draw(st.integers(0, 3)) for _ in tree.nodes))
+    dyn, gains = _index_form(model, tree)
+    table = _index_table(dyn, gains)
+    approx = _index_table(*_index_form(model, to_float(tree)))
+    for anchor, node in enumerate(dyn.nodes):
+        if node.halted:
+            assert table[anchor] is None
+            continue
+        res = _gain_index(dyn, anchor, gains)
+        assert table[anchor] == res.value
+        # the earliest optimal rule stops at the first nodes whose index is no larger
+        assert _first_below(dyn, anchor, lambda y: table[y] <= table[anchor])[1] == res.rule.stop_set
+        assert abs(approx[anchor] - res.value) <= 1e-12 * max(1, abs(res.value))
+    reduced = reduced_bandit(model, tree)
+    assert _blocks(index_decomposition(to_float(reduced))) == _blocks(index_decomposition(reduced))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(small_chains(8), st.sampled_from(CHAIN_SCHEMES))
+def test_index_table_matches_the_ratio_iteration_on_chains(chain, model):
+    dyn, gains = _index_form(model, chain)
+    table = _index_table(dyn, gains)
+    approx = _index_table(*_index_form(model, to_float(chain)))
+    for anchor in range(len(chain.states)):
+        res = _gain_index(dyn, anchor, gains)
+        assert table[anchor] == res.value
+        # the stop set holds every state whose index is no larger, the anchor included
+        assert frozenset(y for y, v in enumerate(table) if v <= table[anchor]) == res.rule
+        assert abs(approx[anchor] - res.value) <= 1e-12 * max(1, abs(res.value))

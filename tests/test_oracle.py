@@ -12,9 +12,6 @@ from haltbandit import (
     PayoutModel,
     PreconditionError,
     ResourceCapError,
-    TreeBandit,
-    TreeEdge,
-    TreeNode,
     atoms,
     certify_greedy_dominance,
     certify_index_optimality,
@@ -26,7 +23,6 @@ from haltbandit import (
     run_on_atom,
     to_float,
     unroll_markov,
-    validate,
 )
 
 from helpers import (
@@ -40,6 +36,7 @@ from helpers import (
     path_bandit,
     ramp_bandit,
     reference_greedy_dominance,
+    small_trees,
     sure_bandit,
 )
 
@@ -204,39 +201,9 @@ def test_greedy_dominance_random_sweep(seed):
 
 
 @st.composite
-def monotone_trees(draw, max_depth: int) -> TreeBandit:
-    """A small valid tree whose live rewards never increase: rewards come
-    from a narrow range, so ties between and within bandits are common."""
-    nodes: list[TreeNode | None] = []
-
-    def build(depth: int, ceiling: int) -> int:
-        nid = len(nodes)
-        nodes.append(None)
-        reward = draw(st.integers(-1, ceiling))
-        n_halt = draw(st.integers(1, 2))
-        n_live = 0 if depth + 1 >= max_depth else draw(st.integers(0, 2))
-        weights = draw(st.lists(st.integers(1, 3), min_size=n_halt + n_live, max_size=n_halt + n_live))
-        edges = []
-        for k, w in enumerate(weights):
-            p = Fraction(w, sum(weights))
-            if k < n_halt:
-                nodes.append(TreeNode(depth + 1, draw(st.integers(-1, 3)), True))
-                edges.append(TreeEdge(len(nodes) - 1, p, True))
-            else:
-                edges.append(TreeEdge(build(depth + 1, reward), p, False))
-        nodes[nid] = TreeNode(depth, reward, False, tuple(edges))
-        return nid
-
-    build(0, 3)
-    tree = TreeBandit(nodes=tuple(nodes))
-    assert validate(tree).passed
-    return tree
-
-
-@st.composite
 def monotone_psp_games(draw) -> GameInstance:
     n = draw(st.integers(2, 3))
-    trees = [draw(monotone_trees(draw(st.integers(1, 3)))) for _ in range(n)]
+    trees = [draw(small_trees(draw(st.integers(1, 3)), monotone=True)) for _ in range(n)]
     if draw(st.booleans()):
         trees = [to_float(t) for t in trees]
     return GameInstance(bandits=tuple(trees), model=PayoutModel.PSP)

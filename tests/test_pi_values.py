@@ -15,6 +15,7 @@ from haltbandit import (
     TablePolicy,
     block_value,
     enumerate_stopping_rules,
+    equivalent_rewards,
     evaluate_exact,
     geometric_markov,
     index_decomposition,
@@ -199,3 +200,17 @@ def test_block_value_on_a_deep_tree_needs_no_recursion():
     never = StoppingRule(anchor=tree.root, stop_set=frozenset())
     nu = policy_block_value(game, CyclicPolicy((0,)), 0, game.initial_history(), never)
     assert nu == BlockValue(-1, 1)
+
+
+def test_prevailing_values_on_a_deep_tree():
+    # depth 2292: the blocks are read off without recursion
+    tree = unroll_markov(geometric_markov([1, 3, 0], Fraction(99, 100)))
+    game = GameInstance(bandits=(tree,), model=PayoutModel.CP)
+    alone = CyclicPolicy((0,))
+    dec = index_decomposition(tree)
+    # played alone the bandit's blocks are not diluted
+    assert policy_prevailing_index(game, alone, 0) == {
+        GlobalHistory((nid,)): v for nid, v in dec.prevailing_index.items()
+    }
+    relabeled = GameInstance(bandits=(equivalent_rewards(dec),), model=PayoutModel.PSP)
+    assert psp_value_with_policy_indices(game, alone) == evaluate_exact(relabeled, alone)
