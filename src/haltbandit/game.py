@@ -39,7 +39,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import PreconditionError, ResourceCapError, SolverError
-from .indices import _index_table, index_decomposition
+from .indices import ZERO_TOL, _index_table, index_decomposition
 from .jsonio import Number
 from .linear import residual, solve_linear
 from .models import AnyBandit, MarkovBandit, ProfitBandit, TreeBandit, dynamics_of
@@ -262,8 +262,18 @@ class GreedyRewardPolicy(Policy):
         return "greedy"
 
 
+def _lowest_best(values: list[Number]) -> int:
+    """The lowest id among the largest values: those equal to the maximum in
+    exact arithmetic, those within ``ZERO_TOL`` of it in float arithmetic."""
+    top = max(values)
+    if isinstance(top, float):
+        return next(i for i, v in enumerate(values) if top - v <= ZERO_TOL)
+    return values.index(top)
+
+
 class IndexPolicy(Policy):
-    """Activate the bandit with the largest current index, lowest id on ties.
+    """Activate the bandit with the largest current index, lowest id on ties
+    (values within ``ZERO_TOL`` of each other tie in float arithmetic).
 
     Reads the scheme-specific index at every round off one table per bandit.
     The penultimate scheme has no index; ask for the greedy policy there.
@@ -292,20 +302,15 @@ class IndexPolicy(Policy):
         return out
 
     def choose(self, game: GameInstance, history: GlobalHistory, round_: int) -> int:
-        values = self.indices(game, history)
-        best = 0
-        for i in range(1, len(values)):
-            if values[i] > values[best]:
-                best = i
-        return best
+        return _lowest_best(self.indices(game, history))
 
     def describe(self) -> str:
         return "index"
 
 
 class BlockCommitmentIndexPolicy(Policy):
-    """Pick the bandit with the best prevailing index and play it through its
-    whole block before comparing again.
+    """Pick the bandit with the best prevailing index, lowest id on ties as in
+    ``IndexPolicy``, and play it through its whole block before comparing again.
 
     Under its own play at most one bandit can sit strictly inside a block;
     the policy is still total on every history (lowest mid-block id first),
@@ -340,13 +345,7 @@ class BlockCommitmentIndexPolicy(Policy):
             block = dec.blocks[dec.block_of[nid]]
             if block.anchor != nid:
                 return i  # committed mid-block
-        best = 0
-        best_val = decs[0].prevailing_index[history.nodes[0]]
-        for i in range(1, game.n):
-            v = decs[i].prevailing_index[history.nodes[i]]
-            if v > best_val:
-                best, best_val = i, v
-        return best
+        return _lowest_best([dec.prevailing_index[nid] for dec, nid in zip(decs, history.nodes)])
 
     def describe(self) -> str:
         return "index-block"
@@ -445,24 +444,26 @@ def evaluate_exact(
     """Expected payout of a deterministic policy, read off its play graph.
 
     Tree backends take one backward pass over the graph.  Markov backends
-    solve the absorbing-chain linear system with one unknown per graph
-    state, exactly in rational mode; a float solution is rejected if its
-    residual exceeds 1e-12.  More than ``history_cap`` reachable states
-    raise ``ResourceCapError``.
+    solve the absorbing-chain system x = b + Px with one unknown per graph
+    state, given to ``solve_linear`` as one sparse row of I − P per state
+    (its successors only), exactly in rational mode; a float solution is
+    rejected if its residual exceeds 1e-12.  More than ``history_cap``
+    reachable states raise ``ResourceCapError``.
     """
     graph = _play_graph(game, policy, history_cap)
     if game.backend == "tree":
         return _tree_value(graph)
     pos = {key: k for k, key in enumerate(graph)}
-    rows: list[list[Number]] = [[0] * len(pos) for _ in pos]
+    rows: list[dict[int, Number]] = []
     rhs: list[Number] = []
     for k, (_, pay, outcomes) in enumerate(graph.values()):
-        rows[k][k] = 1
+        row: dict[int, Number] = {k: 1}
         for p, succ, term in outcomes:
             if succ is None:
                 pay = pay + p * term
             else:
-                rows[k][pos[succ]] -= p
+                row[pos[succ]] = row.get(pos[succ], 0) - p
+        rows.append(row)
         rhs.append(pay)
     sol = solve_linear(rows, rhs)
     res = residual(rows, rhs, sol)

@@ -317,12 +317,10 @@ def _chain_continue(chain: MarkovBandit, pay: list[Number], stop_set: frozenset[
     pos = {x: i for i, x in enumerate(live)}
     rows = []
     for x in live:
-        survive = 1 - chain.states[x].halt_prob
-        row: list[Number] = [0] * len(live)
-        row[pos[x]] = 1
-        for y, p in enumerate(chain.transitions[x]):
-            if p != 0 and y not in stop_set:
-                row[pos[y]] -= survive * p
+        # h - 1 is minus the survival mass, so the diagonal 1 + (h - 1)·p is 1 - (1 - h)·p
+        loss = chain.states[x].halt_prob - 1
+        row = {pos[y]: loss * p for y, p in enumerate(chain.transitions[x]) if p and y in pos}
+        row[pos[x]] = 1 + row.get(pos[x], 0)
         rows.append(row)
     entered = dict(zip(live, solve_linear(rows, [pay[x] for x in live])))
     # a live state's value is the solved one; a stop state's is one step of the same equation

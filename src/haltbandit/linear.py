@@ -1,15 +1,23 @@
-"""Dense linear solves in either arithmetic mode.
+"""Sparse linear solves in either arithmetic mode.
 
-Float systems go to numpy; exact systems (ints/Fractions) go through plain
-Gaussian elimination with partial pivoting so the solution stays rational.
-Every system in this package is strictly diagonally dominant (halting mass
-is bounded away from zero), so pivoting is never in real danger.
+A system is given as one ``{column: coefficient}`` map per row, holding
+only the nonzero entries.  Every system in this package is I − P with P
+nonnegative and each row of P summing to at most 1: strictly diagonally
+dominant when every state halts with positive mass, an M-matrix otherwise.
+Gaussian elimination on such a matrix needs no pivoting (Golub & Van Loan,
+*Matrix Computations*, §3.4), and a zero pivot means the system is
+singular.
+
+Float systems are scattered into one dense array for numpy; exact systems
+(ints/Fractions) are eliminated over their nonzeros in row order, so the
+solution stays rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from itertools import chain
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -17,56 +25,48 @@ from .errors import SolverError
 from .jsonio import Number
 
 
-def _is_exact_matrix(rows: Sequence[Sequence[Number]], rhs: Sequence[Number]) -> bool:
-    return all(not isinstance(v, float) for row in rows for v in row) and all(
-        not isinstance(v, float) for v in rhs
-    )
-
-def solve_linear(rows: Sequence[Sequence[Number]], rhs: Sequence[Number]) -> list[Number]:
+def solve_linear(rows: Sequence[Mapping[int, Number]], rhs: Sequence[Number]) -> list[Number]:
     """Solve A x = b, exactly when all inputs are rational."""
     n = len(rhs)
-    if n == 0:
-        return []
-    if not _is_exact_matrix(rows, rhs):
-        a = np.array([[float(v) for v in row] for row in rows], dtype=float)
-        b = np.array([float(v) for v in rhs], dtype=float)
+    coefs = [row.values() for row in rows]
+    if any(isinstance(v, float) for v in chain(rhs, *coefs)):
+        # row r's nonzeros go to r·n + column in one flat scatter
+        flat = np.repeat(np.arange(0, n * n, n), [len(row) for row in rows]) + np.fromiter(chain(*rows), np.intp)
+        a = np.zeros(n * n)
+        a[flat] = np.fromiter(chain(*coefs), float)
         try:
-            x = np.linalg.solve(a, b)
+            return np.linalg.solve(a.reshape(n, n), np.array(rhs, dtype=float)).tolist()
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular linear system") from exc
-        return [float(v) for v in x]
-    a = [[Fraction(v) for v in row] for row in rows]
+    a = [{c: Fraction(v) for c, v in row.items()} for row in rows]
     b = [Fraction(v) for v in rhs]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[pivot][col] == 0:
+    pivots = []
+    for col, pivot_row in enumerate(a):
+        # no pivot search (see above); the earlier columns are eliminated, so
+        # what is left of the pivot row lies right of col
+        pivot = pivot_row.pop(col, 0)
+        if pivot == 0:
             raise SolverError("singular linear system")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        inv = a[col][col]
+        pivots.append(pivot)
         for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            factor = a[r][col] / inv
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-            b[r] -= factor * b[col]
-    out: list[Fraction] = [Fraction(0)] * n
+            row = a[r]
+            if col in row:
+                factor = row.pop(col) / pivot
+                for c, v in pivot_row.items():
+                    row[c] = row.get(c, 0) - factor * v
+                b[r] -= factor * b[col]
+    out: list[Number] = [Fraction(0)] * n
     for r in range(n - 1, -1, -1):
-        acc = b[r]
-        for c in range(r + 1, n):
-            acc -= a[r][c] * out[c]
-        out[r] = acc / a[r][r]
-    return list(out)
+        out[r] = (b[r] - sum(v * out[c] for c, v in a[r].items())) / pivots[r]
+    return out
 
 
-def residual(rows: Sequence[Sequence[Number]], rhs: Sequence[Number], sol: Sequence[Number]) -> float:
+def residual(rows: Sequence[Mapping[int, Number]], rhs: Sequence[Number], sol: Sequence[Number]) -> float:
     """Max-norm residual of a candidate solution."""
     worst = 0.0
     for row, b in zip(rows, rhs):
         acc = -b
-        for coef, x in zip(row, sol):
-            acc += coef * x
+        for c, coef in row.items():
+            acc += coef * sol[c]
         worst = max(worst, abs(float(acc)))
     return worst

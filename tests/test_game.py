@@ -38,11 +38,12 @@ from haltbandit import (
     unroll_markov,
 )
 
-from haltbandit.game import _DRAW_CHUNK
+from haltbandit.game import _DRAW_CHUNK, immediate_payment, terminal_payout
 
 from helpers import (
     HALF,
     ONE,
+    _solve_exact,
     always,
     as_table,
     enumerate_policies,
@@ -134,6 +135,49 @@ def test_markov_and_unrolled_tree_evaluations_agree():
     tree_game = GameInstance(bandits=trees, model=PayoutModel.CCP)
     tree_value = evaluate_exact(tree_game, CyclicPolicy((0, 1)))
     assert abs(float(tree_value) - float(markov_value)) <= 1e-8
+
+
+def _longhand_chain_value(game: GameInstance, policy) -> Fraction:
+    """Value of a chain game from its own list of (positions, round mod the
+    policy's period) states, reached with ``step`` and solved by Gauss-Jordan
+    elimination over the dense system x = b + Px."""
+    start = (game.initial_history(), 0)
+    states, where = [start], {start: 0}
+    for h, phase in states:  # grows while it is read
+        for _, nxt in step(game, h, policy.choose(game, h, phase)):
+            key = (nxt, (phase + 1) % policy.period)
+            if nxt.halter is None and key not in where:
+                where[key] = len(states)
+                states.append(key)
+    a = [[Fraction(int(r == c)) for c in range(len(states))] for r in range(len(states))]
+    b = []
+    for r, (h, phase) in enumerate(states):
+        i = policy.choose(game, h, phase)
+        pay = Fraction(immediate_payment(game, h, i))
+        for p, nxt in step(game, h, i):
+            if nxt.halter is not None:
+                pay += p * terminal_payout(game, h, i, nxt)
+            else:
+                a[r][where[(nxt, (phase + 1) % policy.period)]] -= p
+        b.append(pay)
+    return _solve_exact(a, [b])[0][0]
+
+
+@pytest.mark.parametrize("seeds", [(0, 1), (4, 9)], ids=["seeds-0-1", "seeds-4-9"])
+@pytest.mark.parametrize(
+    "model, policy",
+    [
+        (model, CyclicPolicy(order))
+        for model in (PayoutModel.CP, PayoutModel.CCP, PayoutModel.SP, PayoutModel.NH, PayoutModel.PSP)
+        for order in ((0, 1), (0, 0, 1), (1, 0, 1))
+    ]
+    + [(PayoutModel.CP, IndexPolicy()), (PayoutModel.CCP, IndexPolicy())],
+    ids=lambda v: v.value if isinstance(v, PayoutModel) else v.describe(),
+)
+def test_exact_chain_evaluation_matches_a_longhand_solve(seeds, model, policy):
+    chains = (random_markov_bandit(seeds[0], n_states=3), random_markov_bandit(seeds[1], n_states=4))
+    game = GameInstance(bandits=chains, model=model)
+    assert evaluate_exact(game, policy) == _longhand_chain_value(game, policy)
 
 
 def test_payout_models_disagree_on_the_same_play():
@@ -376,10 +420,31 @@ def test_evaluating_an_unhalted_leaf_is_rejected():
         evaluate_exact(GameInstance(bandits=(_stuck_bandit(),)), always(0))
 
 
-def test_a_float_chain_that_never_halts_is_a_solver_error():
-    stuck = MarkovBandit(states=(MarkovState(1.0, 0.0, 0.0),), transitions=((1.0,),))
+@pytest.mark.parametrize("one", [1, 1.0], ids=["exact", "float"])
+def test_a_chain_that_never_halts_is_a_solver_error(one):
+    stuck = MarkovBandit(states=(MarkovState(one, 0 * one, 0 * one),), transitions=((one,),))
     with pytest.raises(SolverError):
         evaluate_exact(GameInstance(bandits=(stuck,)), CyclicPolicy((0,)))
+
+
+def test_an_exact_chain_with_a_halt_free_state_is_still_evaluated():
+    # state 0 never halts but always moves to state 1, which halts half the time
+    chain = MarkovBandit(
+        states=(MarkovState(1, 0, 0), MarkovState(2, HALF, 3)),
+        transitions=((0, 1), (1, 0)),
+    )
+    assert evaluate_exact(GameInstance(bandits=(chain,)), CyclicPolicy((0,))) == 3
+
+
+def test_float_index_ties_go_to_the_lowest_id():
+    exact = random_game(201, model=PayoutModel.NH)
+    game = GameInstance(bandits=tuple(to_float(b) for b in exact.bandits), model=PayoutModel.NH)
+    h = GlobalHistory((2, 0))
+    assert IndexPolicy().indices(exact, h) == [-4, -4]
+    assert IndexPolicy().indices(game, h) == [-4.0, -3.9999999999999996]
+    for policy in (IndexPolicy(), BlockCommitmentIndexPolicy()):
+        assert policy.choose(exact, h, 0) == 0
+        assert policy.choose(game, h, 0) == 0
 
 
 def test_sampling_an_unhalted_leaf_is_rejected():
