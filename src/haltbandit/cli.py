@@ -3,9 +3,9 @@
 Subcommands mirror the library: ``validate``, ``index``, ``evaluate``,
 ``simulate``, ``optimal``, ``reduce``, ``certify``, ``gittins``, ``trace``.
 All structured output is canonical JSON (stable key order, floats in
-shortest round-trip form, ``"schema": 1``), so identical invocations
-produce byte-identical documents; ``trace --format csv`` emits a CSV table
-instead.
+``.17g`` form, so 0.1 prints as 0.10000000000000001, ``"schema": 1``),
+so identical invocations produce byte-identical documents; ``trace
+--format csv`` emits a CSV table instead.
 
 Exit codes: 0 success, 1 a check failed (invalid model, failed
 certification, solver breakdown), 2 malformed input (bad JSON, bad
@@ -178,7 +178,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
             "bandit": args.bandit,
             "payout": args.payout,
             "method": args.method,
-            "value": format_number(res.value) if not isinstance(res.value, float) else res.value,
+            "value": res.value,
             "rule": rule_obj,
             "iterations": res.iterations,
         }
@@ -196,7 +196,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             "payout": args.payout,
             "policy": policy.describe(),
             "method": "exact",
-            "value": format_number(value) if not isinstance(value, float) else value,
+            "value": value,
         }
     )
     return 0
@@ -228,7 +228,7 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
         {
             "schema": 1,
             "payout": args.payout,
-            "value": format_number(sol.value) if not isinstance(sol.value, float) else sol.value,
+            "value": sol.value,
             "first_move": sol.actions[game.initial_history()],
         }
     )

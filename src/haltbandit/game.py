@@ -34,16 +34,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import PreconditionError, ResourceCapError, SolverError
-from .indices import ZERO_TOL, _index_table, index_decomposition
+from .indices import ZERO_TOL, IndexDecomposition, _decompose, _index_table
 from .jsonio import Number
 from .linear import residual, solve_linear
 from .models import AnyBandit, MarkovBandit, ProfitBandit, TreeBandit, dynamics_of
-from .reductions import PayoutModel, _index_form, reduced_bandit
+from .reductions import PayoutModel, _index_form
 
 RESIDUAL_TOL = 1e-12
 DEFAULT_HISTORY_CAP = 10**7
@@ -275,31 +275,39 @@ class IndexPolicy(Policy):
     """Activate the bandit with the largest current index, lowest id on ties
     (values within ``ZERO_TOL`` of each other tie in float arithmetic).
 
-    Reads the scheme-specific index at every round off one table per bandit.
-    The penultimate scheme has no index; ask for the greedy policy there.
+    Plays the game's scheme, reading every index off one table per bandit
+    and scheme.  The penultimate scheme has no index; ask for the greedy
+    policy there.
     """
 
-    def __init__(self, model: PayoutModel | None = None):
-        self.model = None if model is None else PayoutModel(model)
-        # (id(bandit), scheme) -> (bandit, index of every position); the entry
-        # holds the bandit so its id cannot be reused while the table lives
-        self._tables: dict[tuple[int, PayoutModel], tuple[AnyBandit, list]] = {}
+    def __init__(self) -> None:
+        # (id(bandit), scheme) -> (bandit, ``_read`` of its index table); the
+        # entry holds the bandit so its id cannot be reused while the entry lives
+        self._tables: dict[tuple[int, PayoutModel], tuple[AnyBandit, Any]] = {}
 
-    def indices(self, game: GameInstance, history: GlobalHistory) -> list[Number]:
-        """Every bandit's current index under the policy's scheme (the
-        game's by default), read off one index table per bandit and scheme."""
-        model = self.model if self.model is not None else game.model
+    def _read(self, dyn: TreeBandit | MarkovBandit, idx: list[Number | None]) -> Any:
+        """What the policy keeps of one bandit's index table: the table."""
+        return idx
+
+    def _lookups(self, game: GameInstance) -> list:
+        """``_read`` of every bandit's index table under the game's scheme."""
+        model = game.model
         if model is PayoutModel.PSP:
             raise PreconditionError(
                 "the penultimate scheme has no activation index; use the greedy policy"
             )
         out = []
-        for bandit, position in zip(game.bandits, history.nodes):
+        for bandit in game.bandits:
             key = (id(bandit), model)
             if key not in self._tables:
-                self._tables[key] = (bandit, _index_table(*_index_form(model, bandit)))
-            out.append(self._tables[key][1][position])
+                dyn, gains = _index_form(model, bandit)
+                self._tables[key] = (bandit, self._read(dyn, _index_table(dyn, gains)))
+            out.append(self._tables[key][1])
         return out
+
+    def indices(self, game: GameInstance, history: GlobalHistory) -> list[Number]:
+        """Every bandit's current index under the game's scheme."""
+        return [table[pos] for table, pos in zip(self._lookups(game), history.nodes)]
 
     def choose(self, game: GameInstance, history: GlobalHistory, round_: int) -> int:
         return _lowest_best(self.indices(game, history))
@@ -308,44 +316,34 @@ class IndexPolicy(Policy):
         return "index"
 
 
-class BlockCommitmentIndexPolicy(Policy):
+class BlockCommitmentIndexPolicy(IndexPolicy):
     """Pick the bandit with the best prevailing index, lowest id on ties as in
     ``IndexPolicy``, and play it through its whole block before comparing again.
 
     Under its own play at most one bandit can sit strictly inside a block;
     the policy is still total on every history (lowest mid-block id first),
     so it can be compared state-by-state against other policies.  Tree
-    backends only: blocks come from the index decomposition.
+    backends only: the blocks are read off each bandit's index table.
     """
 
-    def __init__(self, model: PayoutModel | None = None):
-        self.model = None if model is None else PayoutModel(model)
-        # keyed like ``IndexPolicy``'s tables: (id(bandit), scheme) -> (bandit, decomposition)
-        self._decs: dict[tuple[int, PayoutModel], tuple[AnyBandit, object]] = {}
+    def _read(self, dyn: TreeBandit | MarkovBandit, idx: list[Number | None]) -> IndexDecomposition:
+        assert isinstance(dyn, TreeBandit)
+        return _decompose(dyn, idx)
 
-    def _decomposition(self, model: PayoutModel, bandit: AnyBandit):
-        key = (id(bandit), model)
-        if key not in self._decs:
-            reduced = reduced_bandit(model, bandit)
-            if not isinstance(reduced, TreeBandit):
-                raise PreconditionError("block commitment needs a tree backend")
-            self._decs[key] = (bandit, index_decomposition(reduced))
-        return self._decs[key][1]
+    def _lookups(self, game: GameInstance) -> list:
+        if game.backend != "tree":
+            raise PreconditionError("block commitment needs a tree backend")
+        return super()._lookups(game)
+
+    def indices(self, game: GameInstance, history: GlobalHistory) -> list[Number]:
+        """Every bandit's prevailing index: the value of the block it sits in."""
+        return [dec.prevailing_index[nid] for dec, nid in zip(self._lookups(game), history.nodes)]
 
     def choose(self, game: GameInstance, history: GlobalHistory, round_: int) -> int:
-        model = self.model if self.model is not None else game.model
-        if model is PayoutModel.PSP:
-            raise PreconditionError(
-                "the penultimate scheme has no activation index; use the greedy policy"
-            )
-        decs = [self._decomposition(model, game.bandits[i]) for i in range(game.n)]
-        for i in range(game.n):
-            dec = decs[i]
-            nid = history.nodes[i]
-            block = dec.blocks[dec.block_of[nid]]
-            if block.anchor != nid:
+        for i, (dec, nid) in enumerate(zip(self._lookups(game), history.nodes)):
+            if dec.blocks[dec.block_of[nid]].anchor != nid:
                 return i  # committed mid-block
-        return _lowest_best([dec.prevailing_index[nid] for dec, nid in zip(decs, history.nodes)])
+        return super().choose(game, history, round_)
 
     def describe(self) -> str:
         return "index-block"

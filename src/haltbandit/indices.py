@@ -46,8 +46,8 @@ The ratio iteration solves one anchor at a time; it backs the ``index``
 report (``solo_index_parametric``, ``markov_cumulative_index``,
 ``reductions.model_index_result``), whose iterations and charge trace it
 supplies.  Everything else reads one table per bandit and scheme
-(``_index_table``, read by ``game.IndexPolicy`` and
-``index_decomposition``, and through them by block commitment,
+(``_index_table``, read by ``game.IndexPolicy`` and its block-committed
+subclass and by ``index_decomposition``, and through them by
 certification and ``pi_values``): one pass from the leaves up on a tree,
 the ratio iteration per state on a chain.  The charge-adjusted value at a
 node crosses zero at its index, so the earliest optimal rule stops at the
@@ -525,11 +525,15 @@ def equivalent_rewards(dec: IndexDecomposition) -> TreeBandit:
 
 
 def index_decomposition(bandit: TreeBandit) -> IndexDecomposition:
-    """Read the blocks off the index table: from a block's anchor, a live
+    """The blocks of a tree's plain index (see ``_decompose``)."""
+    return _decompose(bandit, _index_table(bandit, _gains(bandit)))
+
+
+def _decompose(bandit: TreeBandit, idx: list[Number | None]) -> IndexDecomposition:
+    """Read the blocks off an index table: from a block's anchor, a live
     child stays in the block while its index exceeds the block value (by
     more than ``ZERO_TOL`` in float arithmetic); the first children that
     do not stay anchor the blocks of the next level."""
-    idx = _index_table(bandit, _gains(bandit))
     tol = _tie_tol(bandit)
     blocks: list[IndexBlock] = []
     block_of: dict[int, int] = {}

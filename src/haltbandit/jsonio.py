@@ -19,6 +19,7 @@ from typing import Any
 from .errors import ModelFormatError
 
 Number = int | float | Fraction
+_INDENT = 2
 
 
 def parse_number(value: Any, *, rational: bool = False) -> Number:
@@ -62,9 +63,9 @@ def format_number(value: Number) -> int | float | str:
     return value
 
 
-def _emit(obj: Any, parts: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _emit(obj: Any, parts: list[str], level: int) -> None:
+    pad = " " * (_INDENT * level)
+    pad_in = " " * (_INDENT * (level + 1))
     if obj is None:
         parts.append("null")
     elif obj is True:
@@ -88,7 +89,7 @@ def _emit(obj: Any, parts: list[str], indent: int, level: int) -> None:
         parts.append("{\n")
         for i, (key, val) in enumerate(obj.items()):
             parts.append(pad_in + json.dumps(str(key)) + ": ")
-            _emit(val, parts, indent, level + 1)
+            _emit(val, parts, level + 1)
             parts.append(",\n" if i < len(obj) - 1 else "\n")
         parts.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -98,16 +99,17 @@ def _emit(obj: Any, parts: list[str], indent: int, level: int) -> None:
         parts.append("[\n")
         for i, val in enumerate(obj):
             parts.append(pad_in)
-            _emit(val, parts, indent, level + 1)
+            _emit(val, parts, level + 1)
             parts.append(",\n" if i < len(obj) - 1 else "\n")
         parts.append(pad + "]")
     else:
         raise ModelFormatError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps_canonical(obj: Any, *, indent: int = 2) -> str:
-    """Serialize to deterministic JSON text (trailing newline included)."""
+def dumps_canonical(obj: Any) -> str:
+    """Serialize to deterministic JSON text, indented by ``_INDENT`` spaces
+    per level (trailing newline included)."""
     parts: list[str] = []
-    _emit(obj, parts, indent, 0)
+    _emit(obj, parts, 0)
     parts.append("\n")
     return "".join(parts)

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ModelFormatError, PreconditionError, ResourceCapError
 from .jsonio import Number, dumps_canonical, format_number, parse_number
@@ -35,6 +35,7 @@ from .jsonio import Number, dumps_canonical, format_number, parse_number
 DEFAULT_MAX_DEPTH = 12
 DEFAULT_MAX_BRANCHING = 4
 PROB_SUM_TOL = 1e-12
+_UNROLL_NODE_CAP = 500_000
 
 
 @dataclass(frozen=True)
@@ -59,15 +60,8 @@ class TreeBandit:
     nodes: tuple[TreeNode, ...]
     root: int = 0
 
-    def node(self, node_id: int) -> TreeNode:
-        return self.nodes[node_id]
-
     def reward(self, node_id: int) -> Number:
         return self.nodes[node_id].reward
-
-    def halting_mass(self, node_id: int) -> Number:
-        """Probability that the next activation from this node halts."""
-        return sum((e.p for e in self.nodes[node_id].edges if e.halting), 0)
 
     def continuation_edges(self, node_id: int) -> tuple[TreeEdge, ...]:
         return tuple(e for e in self.nodes[node_id].edges if not e.halting)
@@ -88,30 +82,20 @@ class TreeBandit:
         """Sum of rewards of the proper ancestors of a node (root included)."""
         return self._prefix[node_id]
 
-    @property
+    @cached_property
     def _parents(self) -> dict[int, int]:
-        cached = self.__dict__.get("_parents_cache")
-        if cached is None:
-            cached = {}
-            for nid, node in enumerate(self.nodes):
-                for e in node.edges:
-                    cached[e.to] = nid
-            self.__dict__["_parents_cache"] = cached
-        return cached
+        return {e.to: nid for nid, node in enumerate(self.nodes) for e in node.edges}
 
-    @property
+    @cached_property
     def _prefix(self) -> dict[int, Number]:
-        cached = self.__dict__.get("_prefix_cache")
-        if cached is None:
-            cached = {self.root: 0}
-            stack = [self.root]
-            while stack:
-                nid = stack.pop()
-                for e in self.nodes[nid].edges:
-                    cached[e.to] = cached[nid] + self.nodes[nid].reward
-                    stack.append(e.to)
-            self.__dict__["_prefix_cache"] = cached
-        return cached
+        prefix: dict[int, Number] = {self.root: 0}
+        stack = [self.root]
+        while stack:
+            nid = stack.pop()
+            for e in self.nodes[nid].edges:
+                prefix[e.to] = prefix[nid] + self.nodes[nid].reward
+                stack.append(e.to)
+        return prefix
 
     def is_exact(self) -> bool:
         """True when every reward and probability is an int or a Fraction."""
@@ -410,7 +394,6 @@ def unroll_markov(
     *,
     max_depth: int | None = None,
     tail: float = 1e-10,
-    node_cap: int = 500_000,
 ) -> TreeBandit:
     """Unroll a Markov bandit into a finite tree.
 
@@ -431,8 +414,8 @@ def unroll_markov(
 
     def new_node(depth: int, reward: Number, halted: bool) -> int:
         nodes.append(TreeNode(depth=depth, reward=reward, halted=halted))
-        if len(nodes) > node_cap:
-            raise ResourceCapError(f"unrolled tree exceeds {node_cap} nodes; lower the depth")
+        if len(nodes) > _UNROLL_NODE_CAP:
+            raise ResourceCapError(f"unrolled tree exceeds {_UNROLL_NODE_CAP} nodes; lower the depth")
         return len(nodes) - 1
 
     root = new_node(0, bandit.states[bandit.initial].reward, False)

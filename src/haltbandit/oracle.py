@@ -56,6 +56,9 @@ from .models import (
 from .reductions import PayoutModel
 
 DEFAULT_POLICY_CAP = 10**4
+# float tolerance of index certification; greedy dominance allows no slack
+_INDEX_TOL = 1e-10
+_GREEDY_TOL = 0.0
 
 
 @dataclass(frozen=True)
@@ -250,7 +253,6 @@ class IndexOptimalityReport:
 def certify_index_optimality(
     game: GameInstance,
     *,
-    tol: float = 1e-10,
     history_cap: int = DEFAULT_HISTORY_CAP,
 ) -> IndexOptimalityReport:
     """Check that always playing the largest index attains the optimum.
@@ -259,9 +261,9 @@ def certify_index_optimality(
     optimum, and on every history the index policy reaches, checks that its
     choice agrees with the optimal action whenever both the best index and
     the best action are unique.  Exact inputs must match exactly; floats
-    within ``tol``.  ``gap`` is the optimum minus the index value: at least
-    0, or at most 0 under the non-halting scheme, whose optimum is the
-    smallest cost.
+    within ``_INDEX_TOL``.  ``gap`` is the optimum minus the index value:
+    at least 0, or at most 0 under the non-halting scheme, whose optimum is
+    the smallest cost.
     """
     if game.model is PayoutModel.PSP:
         raise PreconditionError("the penultimate scheme has no index policy to certify")
@@ -279,27 +281,27 @@ def certify_index_optimality(
         h = GlobalHistory(nodes)
         q = [sign * _action_value(game, h, i, step(game, h, i), sol.values) for i in range(game.n)]
         indices = policy.indices(game, h)
-        if _unique_argmax(q, exact, tol) and _unique_argmax(indices, exact, tol):
+        if _unique_argmax(q, exact) and _unique_argmax(indices, exact):
             compared += 1
             if q.index(max(q)) != indices.index(max(indices)):
                 disagreements += 1
-    ok = (gap == 0 if exact else abs(gap) <= tol) and disagreements == 0
+    ok = (gap == 0 if exact else abs(gap) <= _INDEX_TOL) and disagreements == 0
     return IndexOptimalityReport(
         index_value=idx_value,
         optimal_value=sol.value,
         gap=gap,
         histories_compared=compared,
         action_disagreements=disagreements,
-        tolerance=tol,
+        tolerance=_INDEX_TOL,
         passed=ok,
     )
 
 
-def _unique_argmax(values: Sequence[Number], exact: bool, tol: float) -> bool:
+def _unique_argmax(values: Sequence[Number], exact: bool) -> bool:
     top = max(values)
     if exact:
         return sum(1 for v in values if v == top) == 1
-    return sum(1 for v in values if abs(v - top) <= tol) == 1
+    return sum(1 for v in values if abs(v - top) <= _INDEX_TOL) == 1
 
 
 @dataclass(frozen=True)
@@ -323,7 +325,6 @@ class GreedyDominanceReport:
 def certify_greedy_dominance(
     game: GameInstance,
     *,
-    tol: float = 0.0,
     policy_cap: int = DEFAULT_POLICY_CAP,
     atom_cap: int = DEFAULT_HISTORY_CAP,
 ) -> GreedyDominanceReport:
@@ -365,8 +366,8 @@ def certify_greedy_dominance(
         n_policies=n_policies,
         n_atoms=len(all_atoms),
         min_slack=min_slack,
-        tolerance=tol,
-        passed=min_slack >= -tol,
+        tolerance=_GREEDY_TOL,
+        passed=min_slack >= -_GREEDY_TOL,
     )
 
 

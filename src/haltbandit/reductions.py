@@ -61,6 +61,14 @@ from .models import (
 )
 
 
+# Retirement calibration: bisection width, value-iteration convergence and
+# sweep cap of ``gittins_index``; ``gittins_compare``'s pass tolerance.
+_BISECT_TOL = 1e-10
+_VALUE_TOL = 1e-13
+_MAX_SWEEPS = 200_000
+_GITTINS_TOL = 1e-8
+
+
 class PayoutModel(str, Enum):
     CP = "CP"    # everyone is paid their current reward at the global halt
     PSP = "PSP"  # the halter is paid its reward just before the halting activation
@@ -203,14 +211,7 @@ def model_index(
 # Gittins recovery
 
 
-def gittins_index(
-    bandit: MarkovBandit,
-    state: int | None = None,
-    *,
-    bisect_tol: float = 1e-10,
-    value_tol: float = 1e-13,
-    max_sweeps: int = 200_000,
-) -> float:
+def gittins_index(bandit: MarkovBandit, state: int | None = None) -> float:
     """Classical discounted Gittins index by retirement calibration.
 
     The discount is read off the (constant) survival probability.  For a
@@ -229,7 +230,7 @@ def gittins_index(
 
     def forced_play(charge: float) -> float:
         w = [0.0] * n
-        for _ in range(max_sweeps):
+        for _ in range(_MAX_SWEEPS):
             worst = 0.0
             nxt = [0.0] * n
             for x in range(n):
@@ -237,13 +238,13 @@ def gittins_index(
                 nxt[x] = cont if cont > 0.0 else 0.0
                 worst = max(worst, abs(nxt[x] - w[x]))
             w = nxt
-            if worst <= value_tol:
+            if worst <= _VALUE_TOL:
                 break
         return rewards[state] - charge + beta * sum(rows[state][y] * w[y] for y in range(n))
 
     lo = min(rewards) - 1.0
     hi = max(rewards) + 1.0
-    while hi - lo > bisect_tol:
+    while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if forced_play(mid) > 0.0:
             lo = mid
@@ -282,12 +283,7 @@ class GittinsComparison:
         }
 
 
-def gittins_compare(
-    bandit: MarkovBandit,
-    state: int | None = None,
-    *,
-    tol: float = 1e-8,
-) -> GittinsComparison:
+def gittins_compare(bandit: MarkovBandit, state: int | None = None) -> GittinsComparison:
     """Check cumulative-scheme index == Gittins / (1 − beta) on one chain."""
     beta = _constant_survival(bandit)
     if state is None:
@@ -302,5 +298,5 @@ def gittins_compare(
         ratio=ratio,
         beta=beta,
         abs_error=err,
-        passed=err <= tol,
+        passed=err <= _GITTINS_TOL,
     )

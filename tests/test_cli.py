@@ -109,6 +109,14 @@ def test_index_policies_play_a_deep_tree(capsys, deep_path, command):
     assert "Traceback" not in captured.err
 
 
+def test_block_commitment_on_a_chain_exits_four(capsys, chain_path):
+    code = main(["evaluate", "--model", chain_path, "--rational", "--policy", "index-block"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "tree backend" in captured.err
+
+
 def test_malformed_json_exits_two(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

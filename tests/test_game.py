@@ -258,6 +258,41 @@ def test_block_commitment_matches_the_per_round_recomputation():
         assert fresh == committed
 
 
+def _float_ccp_game(seed: int) -> GameInstance:
+    exact = random_game(seed, model=PayoutModel.CCP)
+    return GameInstance(bandits=tuple(to_float(b) for b in exact.bandits), model=PayoutModel.CCP)
+
+
+def test_block_commitment_reads_the_cumulative_index_of_the_index_policy():
+    # every prevailing index is the index policy's index at the node or at
+    # one of its ancestors: the anchor of its block
+    for seed in range(40):
+        game = _float_ccp_game(seed)
+        block, plain = BlockCommitmentIndexPolicy(), IndexPolicy()
+        start = game.initial_history().nodes
+        for i in range(game.n):
+            tree = game.dynamics(i)
+
+            def at(nid: int) -> GlobalHistory:
+                return GlobalHistory(start[:i] + (nid,) + start[i + 1 :])
+
+            for nid, node in enumerate(tree.nodes):
+                if not node.halted:
+                    anchors = {plain.indices(game, at(a))[i] for a in [nid] + tree.ancestors(nid)}
+                    assert block.indices(game, at(nid))[i] in anchors
+    # bandit 1's cumulative index at node 5, an anchor, is exactly 3; read off
+    # prefix-sum gains it used to come out as 3.0000000000000004
+    assert BlockCommitmentIndexPolicy().indices(_float_ccp_game(27), GlobalHistory((0, 5)))[1] == 3.0
+
+
+def test_block_commitment_refuses_a_chain_before_building_a_table():
+    chain = random_markov_bandit(0, n_states=3)
+    policy = BlockCommitmentIndexPolicy()
+    with pytest.raises(PreconditionError, match="tree backend"):
+        evaluate_exact(GameInstance(bandits=(chain, chain)), policy)
+    assert policy._tables == {}
+
+
 def test_greedy_plays_the_larger_current_reward():
     game = GameInstance(
         bandits=(path_bandit((5, 3, 3), (HALF, ONE)), path_bandit((4, 2, 2), (HALF, ONE))),
