@@ -269,6 +269,12 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     if args.sweep is not None:
         if args.model:
             raise ModelFormatError("--sweep generates its own instances; drop --model")
+        if args.kind != "index":
+            raise ModelFormatError("--sweep certifies index optimality only; drop --kind greedy")
+        if args.sweep < 0:
+            raise ModelFormatError(f"--sweep must be at least 0, got {args.sweep}")
+        if args.branching < 1:
+            raise ModelFormatError(f"--branching must be at least 1, got {args.branching}")
         tasks = [
             (args.seed + k, args.payout, args.depth, args.branching)
             for k in range(args.sweep)

@@ -225,21 +225,6 @@ def solo_index_enumerate(
     return IndexResult(value=best, rule=best_rule, iterations=count)
 
 
-def parametric_stopping_value(
-    bandit: TreeBandit, anchor: int, charge: Number
-) -> tuple[Number, StoppingRule]:
-    """Value of the charge-adjusted stopping problem below an anchor.
-
-    Each path collects (reward at halt-or-stop − anchor reward) and pays
-    ``charge`` whenever the halt arrives before the stop.  Returns the value
-    together with the earliest optimal rule: stop at the first node where
-    continuing is not worth more than stopping (not more than ``ZERO_TOL``
-    more in float arithmetic).
-    """
-    value, stops, _, _ = _tree_pass(bandit, _gains(bandit), anchor, charge, _tie_tol(bandit))
-    return value, StoppingRule(anchor, stops)
-
-
 # ---------------------------------------------------------------------------
 # The gain form shared by every scheme and both backends
 
@@ -499,29 +484,6 @@ class IndexDecomposition:
     @property
     def depth(self) -> int:
         return 1 + max((b.level for b in self.blocks), default=0)
-
-
-def equivalent_rewards(dec: IndexDecomposition) -> TreeBandit:
-    """Relabel each live node with its prevailing index.
-
-    The result is the non-increasing reward process that is block-for-block
-    equivalent to the original; halted nodes inherit the value of the block
-    the halt interrupted (their parent's), keeping the model valid — payout
-    schemes that read pre-halt rewards never look at those labels.
-    """
-    from dataclasses import replace
-
-    bandit = dec.bandit
-
-    def label(nid: int) -> Number:
-        if bandit.nodes[nid].halted:
-            parent = bandit.parent(nid)
-            assert parent is not None
-            return dec.prevailing_index[parent]
-        return dec.prevailing_index[nid]
-
-    nodes = tuple(replace(n, reward=label(nid)) for nid, n in enumerate(bandit.nodes))
-    return TreeBandit(nodes=nodes, root=bandit.root)
 
 
 def index_decomposition(bandit: TreeBandit) -> IndexDecomposition:

@@ -60,9 +60,6 @@ class TreeBandit:
     nodes: tuple[TreeNode, ...]
     root: int = 0
 
-    def reward(self, node_id: int) -> Number:
-        return self.nodes[node_id].reward
-
     def continuation_edges(self, node_id: int) -> tuple[TreeEdge, ...]:
         return tuple(e for e in self.nodes[node_id].edges if not e.halting)
 
@@ -313,22 +310,6 @@ def validate(
     else:
         raise PreconditionError(f"cannot validate {type(bandit).__name__}")
     return ValidationReport(tuple(out))
-
-
-def normalize(bandit: TreeBandit) -> TreeBandit:
-    """Shift every reward so the root reward becomes 0 (idempotent).
-
-    Index values are built from reward differences along paths, so the
-    shift changes no argmax decision; total game values shift by the sum
-    of the removed root rewards.
-    """
-    if not isinstance(bandit, TreeBandit):
-        raise PreconditionError("normalize operates on tree bandits")
-    shift = bandit.nodes[bandit.root].reward
-    if shift == 0:
-        return bandit
-    nodes = tuple(replace(n, reward=n.reward - shift) for n in bandit.nodes)
-    return TreeBandit(nodes=nodes, root=bandit.root)
 
 
 def to_float(bandit: AnyBandit) -> AnyBandit:

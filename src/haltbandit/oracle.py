@@ -1,11 +1,14 @@
 """Brute-force ground truth: global optima, joint outcomes, certification.
 
-Everything here is deliberately slow and simple.  ``dp_optimal`` computes
-the best achievable value by backward induction over every reachable
-history, independent of any index machinery, so index-based policies have
-something honest to be measured against.  ``atoms`` expands the full joint
-sample space so pathwise (not just in-expectation) claims can be checked
-outcome by outcome.
+``dp_optimal`` computes the best achievable value of a tree game by
+backward induction over every reachable history, each a tuple of node
+ids.  It tabulates each bandit once (rewards, costs, and edges as plain
+tuples) and writes out each scheme's settlement at the halt itself, so it
+shares no code with ``game.step``, the payout functions, the play graph
+or the index solvers: a fault in any of them cannot show on both sides of
+the index certificate.  ``atoms`` expands the full joint sample space so
+pathwise (not just in-expectation) claims can be checked outcome by
+outcome.
 
 The two certifiers package the headline checks: the index policy attains
 the optimum, and the greedy policy is pathwise dominant under the
@@ -34,13 +37,11 @@ from .game import (
     GreedyRewardPolicy,
     IndexPolicy,
     Policy,
-    TablePolicy,
     _play_graph,
     _tree_value,
     current_reward,
     immediate_payment,
     round_of,
-    step,
     terminal_payout,
 )
 from .jsonio import Number
@@ -63,70 +64,115 @@ _GREEDY_TOL = 0.0
 
 @dataclass(frozen=True)
 class OptimalSolution:
+    """A tree game's optimum and, at every live history some policy reaches,
+    the best value, the best action (lowest id on ties) and the value of
+    activating each bandit (costs under the non-halting scheme)."""
+
     value: Number
-    policy: TablePolicy
     values: Mapping[GlobalHistory, Number]
     actions: Mapping[GlobalHistory, int]
+    action_values: Mapping[GlobalHistory, tuple[Number, ...]]
 
 
-def _post_order(game: GameInstance, cap: int) -> Iterator[tuple[GlobalHistory, list]]:
-    """Every live history some policy reaches, each after all its live
-    successors, with the outcomes of each activation there.
+# What a halt pays under each scheme: the halter's reward at the halted node
+# it lands on ("halted"), at the live node it left ("live") or nothing, then
+# one term per frozen bandit at its live node, added in id order: its reward,
+# its cost subtracted, or nothing.  The cumulative scheme paid as it went.
+_SETTLEMENT = {
+    PayoutModel.CP: ("halted", "reward"),
+    PayoutModel.SP: ("halted", None),
+    PayoutModel.PSP: ("live", None),
+    PayoutModel.NH: (None, "reward"),
+    PayoutModel.TP: ("halted", "cost"),
+    PayoutModel.CCP: (None, None),
+}
 
-    A history is pushed bare, then again with its moves above which its
-    live successors are pushed; it is yielded when it pops the second
-    time, so only the moves along the current path are held.
+
+def _tabulate(game: GameInstance, cap: int) -> tuple[Iterator[tuple[int, ...]], list[dict]]:
+    """Every live history some policy reaches, as a tuple of node ids, each
+    after all its live successors; and per bandit and live node its edges
+    as (p, to, offset): the successor of the k-th history is the
+    (k + offset)-th, and the offset is None at a halt.
+
+    The bandits move independently, so the histories are all the tuples of
+    live nodes, listed in ``product`` order over each bandit's children-
+    first order: a successor (one node moved to a child) comes before its
+    history, and the start comes last.  More than ``cap`` histories raise
+    ``ResourceCapError``.
     """
-    seen: set[GlobalHistory] = set()
-    stack: list[tuple[GlobalHistory, list | None]] = [(game.initial_history(), None)]
-    while stack:
-        h, moves = stack.pop()
-        if moves is not None:
-            yield h, moves
-        elif h not in seen:
-            seen.add(h)
-            if len(seen) > cap:
-                raise ResourceCapError(f"more than {cap} reachable histories")
-            moves = [step(game, h, i) for i in range(game.n)]
-            stack.append((h, moves))
-            stack.extend(
-                (nxt, None)
-                for outcomes in reversed(moves)
-                for _, nxt in reversed(outcomes)
-                if nxt.halter is None
-            )
-
-
-def _action_value(game: GameInstance, h: GlobalHistory, i: int, outcomes: Sequence, values: Mapping) -> Number:
-    """Expected payout of activating i at h, given the values of its live successors."""
-    v = immediate_payment(game, h, i)
-    for p, nxt in outcomes:
-        v = v + p * (terminal_payout(game, h, i, nxt) if nxt.halter is not None else values[nxt])
-    return v
+    trees = [game.dynamics(j) for j in range(game.n)]
+    lives: list[list[int]] = []
+    for tree in trees:
+        assert isinstance(tree, TreeBandit)
+        live = [tree.root]
+        for nid in live:  # grows while it is read; reversed, children come first
+            live.extend(e.to for e in tree.nodes[nid].edges if not e.halting)
+        lives.append(live[::-1])
+    if math.prod(map(len, lives)) > cap:
+        raise ResourceCapError(f"more than {cap} reachable histories")
+    moves: list[dict] = []
+    stride = 1  # k = Σⱼ strideⱼ · (rank of nodeⱼ in livesⱼ)
+    for tree, live in zip(reversed(trees), reversed(lives)):
+        rank = {nid: r for r, nid in enumerate(live)}
+        moves.append(
+            {
+                nid: tuple(
+                    (e.p, e.to, None if e.halting else (rank[e.to] - rank[nid]) * stride)
+                    for e in tree.nodes[nid].edges  # type: ignore[union-attr]
+                )
+                for nid in live
+            }
+        )
+        stride *= len(live)
+    return product(*lives), moves[::-1]
 
 
 def dp_optimal(game: GameInstance, *, history_cap: int = DEFAULT_HISTORY_CAP) -> OptimalSolution:
     """Backward induction over every reachable history; ties to the lowest id.
 
     The best action has the largest payout, or under the non-halting scheme
-    the smallest cost.
+    the smallest cost.  The value of activating i is its immediate payment
+    (i's reward under the cumulative scheme, else 0) plus p · (the halt's
+    settlement or the successor's value) per edge, in edge order.  Each
+    bandit is tabulated once and each scheme's settlement is read off
+    ``_SETTLEMENT``, so the oracle shares no code with ``step``, the payout
+    functions, the play graph or the indices that it certifies.
     """
     if game.backend != "tree":
         raise PreconditionError("the optimality oracle needs a finite tree backend")
+    histories, moves = _tabulate(game, history_cap)
+    halter, frozen = _SETTLEMENT[game.model]
+    rewards = [[node.reward for node in game.dynamics(j).nodes] for j in range(game.n)]  # type: ignore[union-attr]
+    terms = rewards if frozen == "reward" else None
+    if frozen == "cost":  # x + (-c) rounds exactly as x - c does
+        terms = [[-c for c in b.costs] for b in game.bandits]  # type: ignore[union-attr]
+    paid = game.model is PayoutModel.CCP
     minimize = game.model is PayoutModel.NH
-    values: dict[GlobalHistory, Number] = {}
-    actions: dict[GlobalHistory, int] = {}
-    for h, moves in _post_order(game, history_cap):
-        best: Number | None = None
-        best_i = 0
-        for i, outcomes in enumerate(moves):
-            v = _action_value(game, h, i, outcomes, values)
-            if best is None or (v < best if minimize else v > best):
-                best, best_i = v, i
-        values[h] = best  # type: ignore[assignment]
-        actions[h] = best_i
+    values: list[Number] = []
+    solved: list[tuple[GlobalHistory, int, tuple[Number, ...]]] = []
+    for k, nodes in enumerate(histories):
+        q: list[Number] = []
+        for i, nid in enumerate(nodes):
+            v = rewards[i][nid] if paid else 0
+            for p, to, offset in moves[i][nid]:
+                if offset is not None:
+                    term = values[k + offset]
+                else:
+                    term = 0 if halter is None else rewards[i][to if halter == "halted" else nid]
+                    if terms is not None:
+                        for j, other in enumerate(nodes):
+                            if j != i:
+                                term = term + terms[j][other]
+                v = v + p * term
+            q.append(v)
+        best = (min if minimize else max)(range(len(q)), key=q.__getitem__)  # the first, on ties
+        values.append(q[best])
+        solved.append((GlobalHistory(nodes), best, tuple(q)))
     return OptimalSolution(
-        value=values[game.initial_history()], policy=TablePolicy(actions), values=values, actions=actions
+        value=values[-1],
+        values={h: v for (h, _, _), v in zip(solved, values)},
+        actions={h: i for h, i, _ in solved},
+        action_values={h: q for h, _, q in solved},
     )
 
 
@@ -139,15 +185,14 @@ def _policy_count(game: GameInstance, cap: int) -> int:
     count(h) = Σᵢ Π count(h′), an empty product being 1.  Counts only grow
     towards the start, so the first one past ``cap`` settles the answer.
     """
-    count: dict[GlobalHistory, int] = {}
-    for h, moves in _post_order(game, DEFAULT_HISTORY_CAP):
-        count[h] = sum(
-            math.prod(count[nxt] for _, nxt in outcomes if nxt.halter is None)
-            for outcomes in moves
-        )
-        if count[h] > cap:
+    histories, moves = _tabulate(game, DEFAULT_HISTORY_CAP)
+    count: list[int] = []
+    for k, nodes in enumerate(histories):
+        succ = ([count[k + off] for _, _, off in moves[i][nid] if off is not None] for i, nid in enumerate(nodes))
+        count.append(sum(map(math.prod, succ)))
+        if count[-1] > cap:
             raise ResourceCapError(f"more than {cap} deterministic policies")
-    return count[game.initial_history()]
+    return count[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +324,7 @@ def certify_index_optimality(
     disagreements = 0
     for nodes, _ in graph:
         h = GlobalHistory(nodes)
-        q = [sign * _action_value(game, h, i, step(game, h, i), sol.values) for i in range(game.n)]
+        q = [sign * v for v in sol.action_values[h]]
         indices = policy.indices(game, h)
         if _unique_argmax(q, exact) and _unique_argmax(indices, exact):
             compared += 1

@@ -9,10 +9,16 @@ as the reference for ``pi_values``' passes over the play graph.
 ``enumerate_policies`` lists every deterministic controller of a small
 game, and ``reference_greedy_dominance`` replays each one on every joint
 outcome atom, as the reference for ``certify_greedy_dominance``.
+``reference_dp_optimal`` and ``reference_policy_count`` walk the histories
+by stepping the game, as the reference for the oracle's tabulated backward
+induction.  ``normalize``, ``equivalent_rewards`` and
+``parametric_stopping_value`` are model transforms and a stopping solver
+that only the tests use.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
@@ -28,25 +34,31 @@ from haltbandit import (
     IndexDecomposition,
     MarkovBandit,
     MarkovState,
+    OptimalSolution,
     PayoutModel,
     Policy,
     PreconditionError,
     ProfitBandit,
     ResourceCapError,
+    StoppingRule,
     TablePolicy,
     TreeBandit,
     TreeEdge,
     TreeNode,
     atoms,
     enumerate_stopping_rules,
+    immediate_payment,
     random_markov_bandit,
     random_profit_bandit,
     random_tree_bandit,
     round_of,
     run_on_atom,
     step,
+    terminal_payout,
     validate,
 )
+from haltbandit.game import DEFAULT_HISTORY_CAP
+from haltbandit.indices import _gains, _tie_tol, _tree_pass
 from haltbandit.oracle import DEFAULT_POLICY_CAP
 
 HALF = Fraction(1, 2)
@@ -179,6 +191,54 @@ def make_nonincreasing(tree: TreeBandit) -> TreeBandit:
 
     visit(tree.root)
     return TreeBandit(nodes=tuple(nodes), root=tree.root)
+
+
+def normalize(bandit: TreeBandit) -> TreeBandit:
+    """Shift every reward so the root reward becomes 0 (idempotent).
+
+    Index values are built from reward differences along paths, so the
+    shift changes no argmax decision; total game values shift by the sum
+    of the removed root rewards.
+    """
+    shift = bandit.nodes[bandit.root].reward
+    if shift == 0:
+        return bandit
+    nodes = tuple(replace(n, reward=n.reward - shift) for n in bandit.nodes)
+    return TreeBandit(nodes=nodes, root=bandit.root)
+
+
+def equivalent_rewards(dec: IndexDecomposition) -> TreeBandit:
+    """Relabel each live node with its prevailing index.
+
+    The result is the non-increasing reward process that is block-for-block
+    equivalent to the original; halted nodes inherit the value of the block
+    the halt interrupted (their parent's), keeping the model valid — payout
+    schemes that read pre-halt rewards never look at those labels.
+    """
+    bandit = dec.bandit
+
+    def label(nid: int):
+        if bandit.nodes[nid].halted:
+            parent = bandit.parent(nid)
+            assert parent is not None
+            return dec.prevailing_index[parent]
+        return dec.prevailing_index[nid]
+
+    nodes = tuple(replace(n, reward=label(nid)) for nid, n in enumerate(bandit.nodes))
+    return TreeBandit(nodes=nodes, root=bandit.root)
+
+
+def parametric_stopping_value(bandit: TreeBandit, anchor: int, charge):
+    """Value of the charge-adjusted stopping problem below an anchor.
+
+    Each path collects (reward at halt-or-stop − anchor reward) and pays
+    ``charge`` whenever the halt arrives before the stop.  Returns the value
+    together with the earliest optimal rule: stop at the first node where
+    continuing is not worth more than stopping (not more than ``ZERO_TOL``
+    more in float arithmetic).
+    """
+    value, stops, _, _ = _tree_pass(bandit, _gains(bandit), anchor, charge, _tie_tol(bandit))
+    return value, StoppingRule(anchor, stops)
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +377,79 @@ def reference_greedy_dominance(
         tolerance=tol,
         passed=ok,
     )
+
+
+# ---------------------------------------------------------------------------
+# The reference DP optimum: backward induction that steps the game
+
+
+def _post_order(game: GameInstance, cap: int):
+    """Every live history some policy reaches, each after all its live
+    successors, with the outcomes of each activation there.
+
+    A history is pushed bare, then again with its moves above which its
+    live successors are pushed; it is yielded when it pops the second
+    time, so only the moves along the current path are held.
+    """
+    seen: set[GlobalHistory] = set()
+    stack: list = [(game.initial_history(), None)]
+    while stack:
+        h, moves = stack.pop()
+        if moves is not None:
+            yield h, moves
+        elif h not in seen:
+            seen.add(h)
+            if len(seen) > cap:
+                raise ResourceCapError(f"more than {cap} reachable histories")
+            moves = [step(game, h, i) for i in range(game.n)]
+            stack.append((h, moves))
+            stack.extend(
+                (nxt, None)
+                for outcomes in reversed(moves)
+                for _, nxt in reversed(outcomes)
+                if nxt.halter is None
+            )
+
+
+def _action_value(game: GameInstance, h: GlobalHistory, i: int, outcomes, values):
+    """Expected payout of activating i at h, given the values of its live successors."""
+    v = immediate_payment(game, h, i)
+    for p, nxt in outcomes:
+        v = v + p * (terminal_payout(game, h, i, nxt) if nxt.halter is not None else values[nxt])
+    return v
+
+
+def reference_dp_optimal(game: GameInstance, *, history_cap: int = DEFAULT_HISTORY_CAP) -> OptimalSolution:
+    """``dp_optimal`` by stepping the game and settling each halt with
+    ``terminal_payout``; ties to the lowest id, the smallest cost under the
+    non-halting scheme."""
+    minimize = game.model is PayoutModel.NH
+    values: dict[GlobalHistory, object] = {}
+    actions: dict[GlobalHistory, int] = {}
+    action_values: dict[GlobalHistory, tuple] = {}
+    for h, moves in _post_order(game, history_cap):
+        q = tuple(_action_value(game, h, i, outcomes, values) for i, outcomes in enumerate(moves))
+        best = None
+        best_i = 0
+        for i, v in enumerate(q):
+            if best is None or (v < best if minimize else v > best):
+                best, best_i = v, i
+        values[h] = best
+        actions[h] = best_i
+        action_values[h] = q
+    return OptimalSolution(
+        value=values[game.initial_history()], values=values, actions=actions, action_values=action_values
+    )
+
+
+def reference_policy_count(game: GameInstance) -> int:
+    """The number of deterministic policies, counted over the stepped histories."""
+    count: dict[GlobalHistory, int] = {}
+    for h, moves in _post_order(game, DEFAULT_HISTORY_CAP):
+        count[h] = sum(
+            math.prod(count[nxt] for _, nxt in outcomes if nxt.halter is None) for outcomes in moves
+        )
+    return count[game.initial_history()]
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,9 @@ from haltbandit import (
     certify_greedy_dominance,
     certify_index_optimality,
     enumerate_stopping_rules,
-    equivalent_rewards,
     evaluate_exact,
     geometric_markov,
     index_decomposition,
-    normalize,
     policy_block_value,
     psp_value_with_policy_indices,
     random_game,
@@ -47,7 +45,9 @@ from helpers import (
     ONE,
     as_table,
     enumerate_policies,
+    equivalent_rewards,
     make_nonincreasing,
+    normalize,
     path_bandit,
     ramp_bandit,
     reachable_histories,
@@ -191,7 +191,7 @@ def test_5_index_engine_invariants_hold_on_the_corpus():
                         dec.prevailing_index[edge.to]
                         <= dec.prevailing_index[nid] + tol
                     )
-                    assert relabeled.reward(edge.to) <= relabeled.reward(nid) + tol
+                    assert relabeled.nodes[edge.to].reward <= relabeled.nodes[nid].reward + tol
             for blk in dec.blocks:
                 anchored = solo_index_parametric(bandit, blk.anchor)
                 if is_exact:

@@ -288,6 +288,30 @@ def test_certify_sweep_refuses_a_model_argument(capsys, pair_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--sweep", "1", "--branching", "0"), "--branching must be at least 1"),
+        (("--sweep", "1", "--branching", "-2"), "--branching must be at least 1"),
+        (("--sweep", "-3"), "--sweep must be at least 0"),
+    ],
+)
+def test_certify_sweep_refuses_out_of_range_sizes(capsys, flags, message):
+    code = main(["certify", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_certify_sweep_refuses_the_greedy_kind(capsys):
+    code = main(["certify", "--sweep", "2", "--kind", "greedy", "--payout", "PSP"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "index optimality only" in captured.err
+
+
 def test_gittins_command(capsys, chain_path):
     code, out = run(capsys, "gittins", "--model", chain_path, "--rational")
     doc = json.loads(out)

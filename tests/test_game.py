@@ -21,12 +21,10 @@ from haltbandit import (
     TreeBandit,
     TreeEdge,
     TreeNode,
-    equivalent_rewards,
     evaluate_exact,
     geometric_markov,
     index_decomposition,
     local_times,
-    normalize,
     psp_value_with_policy_indices,
     random_game,
     random_markov_bandit,
@@ -47,6 +45,8 @@ from helpers import (
     always,
     as_table,
     enumerate_policies,
+    equivalent_rewards,
+    normalize,
     oracle_value,
     pair_game,
     path_bandit,

@@ -18,11 +18,9 @@ from haltbandit import (
     StoppingRule,
     block_value,
     enumerate_stopping_rules,
-    equivalent_rewards,
     index_decomposition,
     markov_cumulative_index,
     model_index_result,
-    parametric_stopping_value,
     random_markov_bandit,
     random_tree_bandit,
     reduced_bandit,
@@ -45,8 +43,10 @@ from helpers import (
     CHAIN_SCHEMES,
     chain_indices_by_stop_sets,
     chain_stop_set_ratios,
+    equivalent_rewards,
     index_corpus,
     live_last_bandit,
+    parametric_stopping_value,
     path_bandit,
     ramp_bandit,
     small_chains,

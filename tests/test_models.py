@@ -17,7 +17,6 @@ from haltbandit import (
     evaluate_exact,
     geometric_markov,
     loads_model,
-    normalize,
     to_float,
     unroll_markov,
     validate,
@@ -25,7 +24,7 @@ from haltbandit import (
 
 from haltbandit.jsonio import parse_number
 
-from helpers import HALF, ONE, enumerate_policies, pair_game, path_bandit, ramp_bandit, sure_bandit
+from helpers import HALF, ONE, enumerate_policies, normalize, pair_game, path_bandit, ramp_bandit, sure_bandit
 
 
 def test_ramp_bandit_validates_cleanly():

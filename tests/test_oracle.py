@@ -1,5 +1,7 @@
 """Brute-force certification: DP optimum, policy/atom enumeration, dominance."""
 
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,10 @@ from haltbandit import (
     IndexPolicy,
     PayoutModel,
     PreconditionError,
+    ProfitBandit,
     ResourceCapError,
+    TablePolicy,
+    TreeBandit,
     atoms,
     certify_greedy_dominance,
     certify_index_optimality,
@@ -24,6 +29,9 @@ from haltbandit import (
     to_float,
     unroll_markov,
 )
+from haltbandit import game as game_module
+from haltbandit import indices, reductions
+from haltbandit.oracle import _policy_count
 
 from helpers import (
     HALF,
@@ -35,7 +43,9 @@ from helpers import (
     pair_game,
     path_bandit,
     ramp_bandit,
+    reference_dp_optimal,
     reference_greedy_dominance,
+    reference_policy_count,
     small_trees,
     sure_bandit,
 )
@@ -46,7 +56,87 @@ def test_dp_finds_the_pair_optimum():
     sol = dp_optimal(game)
     assert sol.value == 7
     assert sol.actions[game.initial_history()] == 0
-    assert evaluate_exact(game, sol.policy) == 7
+    assert evaluate_exact(game, TablePolicy(sol.actions)) == 7
+
+
+@st.composite
+def tree_games(draw) -> GameInstance:
+    """1–3 small trees under any scheme, exact or float.  Rewards and costs
+    are small integers over 1, 3, 7 or 10, so that float sums taken in
+    another order often round differently."""
+    model = draw(st.sampled_from(list(PayoutModel)))
+    n = draw(st.integers(1, 3))
+    over = st.sampled_from((1, 3, 7, 10))
+    bandits = [
+        TreeBandit(nodes=tuple(replace(node, reward=Fraction(node.reward, draw(over))) for node in tree.nodes))
+        for tree in (draw(small_trees(draw(st.integers(1, 2 if n == 3 else 3)))) for _ in range(n))
+    ]
+    if model is PayoutModel.TP:
+        bandits = [
+            ProfitBandit(rewards=t, costs=tuple(Fraction(draw(st.integers(0, 3)), draw(over)) for _ in t.nodes))
+            for t in bandits
+        ]
+    if draw(st.booleans()):
+        bandits = [to_float(b) for b in bandits]
+    return GameInstance(bandits=tuple(bandits), model=model)
+
+
+def _exactly(x):
+    # the type and the repr tell Fraction(2) from 2 and -0.0 from 0.0
+    return type(x), repr(x)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tree_games())
+def test_dp_optimal_equals_the_stepping_reference(game):
+    got = dp_optimal(game)
+    want = reference_dp_optimal(game)
+    assert _exactly(got.value) == _exactly(want.value)
+    assert set(got.values) == set(want.values)
+    for h, v in want.values.items():
+        assert _exactly(got.values[h]) == _exactly(v)
+        assert got.actions[h] == want.actions[h]
+        assert list(map(_exactly, got.action_values[h])) == list(map(_exactly, want.action_values[h]))
+    assert _policy_count(game, 10**12) == reference_policy_count(game)
+
+
+class _Refused(Exception):
+    pass
+
+
+def test_dp_optimal_shares_no_code_with_the_game_or_the_indices(monkeypatch):
+    # every binding of the stepping, settling, play-graph and index code in
+    # the package raises; the oracle must not notice
+    games = [random_game(seed, model=model, max_depth=3) for seed, model in enumerate(PayoutModel)]
+    want = [reference_dp_optimal(g) for g in games]
+    counts = [reference_policy_count(g) for g in games]
+    shared = [
+        game_module.step,
+        game_module.terminal_payout,
+        game_module.immediate_payment,
+        game_module.current_reward,
+        game_module._final_reward,
+        game_module._play_graph,
+        game_module._compile_state,
+        game_module._index_table,
+        indices._tree_pass,
+        indices._gains,
+        reductions._index_form,
+    ]
+
+    def refuse(*args, **kwargs):
+        raise _Refused
+
+    for name, module in list(sys.modules.items()):
+        if name == "haltbandit" or name.startswith("haltbandit."):
+            for key, value in list(vars(module).items()):
+                if any(value is f for f in shared):
+                    monkeypatch.setattr(module, key, refuse)
+    for g, w, n in zip(games, want, counts):
+        assert dp_optimal(g) == w
+        assert _policy_count(g, 10**12) == n
+    with pytest.raises(_Refused):  # the patch bites: the certifier plays the index policy
+        certify_index_optimality(games[0])
 
 
 def test_dp_dominates_every_enumerated_policy():

@@ -15,11 +15,9 @@ from haltbandit import (
     TablePolicy,
     block_value,
     enumerate_stopping_rules,
-    equivalent_rewards,
     evaluate_exact,
     geometric_markov,
     index_decomposition,
-    normalize,
     policy_block_value,
     policy_prevailing_index,
     psp_value_with_policy_indices,
@@ -33,6 +31,8 @@ from helpers import (
     ONE,
     always,
     enumerate_policies,
+    equivalent_rewards,
+    normalize,
     pair_game,
     path_bandit,
     ramp_bandit,
