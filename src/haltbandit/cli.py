@@ -23,7 +23,6 @@ import csv
 import io
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
 from .errors import (
@@ -273,6 +272,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             raise ModelFormatError("--sweep certifies index optimality only; drop --kind greedy")
         if args.sweep < 0:
             raise ModelFormatError(f"--sweep must be at least 0, got {args.sweep}")
+        if args.depth < 1:
+            raise ModelFormatError(f"--depth must be at least 1, got {args.depth}")
         if args.branching < 1:
             raise ModelFormatError(f"--branching must be at least 1, got {args.branching}")
         tasks = [
@@ -280,6 +281,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             for k in range(args.sweep)
         ]
         if args.workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # only sweeps with workers pay its import
+
             with ProcessPoolExecutor(max_workers=args.workers) as pool:
                 rows = list(pool.map(_sweep_task, tasks))
         else:

@@ -34,9 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 from .errors import PreconditionError, ResourceCapError, SolverError
 from .indices import ZERO_TOL, IndexDecomposition, _decompose, _index_table
@@ -44,6 +42,9 @@ from .jsonio import Number
 from .linear import residual, solve_linear
 from .models import AnyBandit, MarkovBandit, ProfitBandit, TreeBandit, dynamics_of
 from .reductions import PayoutModel, _index_form
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RESIDUAL_TOL = 1e-12
 DEFAULT_HISTORY_CAP = 10**7
@@ -524,6 +525,8 @@ def run_policy_sampled(
     """
     if n_samples < 1:
         raise PreconditionError("need at least one sample")
+    import numpy as np  # here only, so exact runs never load numpy
+
     rng = np.random.Generator(np.random.Philox(key=seed))
     compiled: dict[_Key, tuple] = {}
     start = (game.initial_history().nodes, 0)

@@ -473,14 +473,6 @@ class IndexDecomposition:
     block_of: Mapping[int, int]
     prevailing_index: Mapping[int, Number]
 
-    def index_times(self, k: int) -> StoppingRule:
-        """The k-th block boundary (k >= 1) as a rule anchored at the root;
-        paths halting earlier simply never reach it."""
-        if k < 1:
-            raise PreconditionError("block boundaries are indexed from 1")
-        stops = [b.rule.stop_set for b in self.blocks if b.level == k - 1]
-        return StoppingRule(self.bandit.root, frozenset().union(*stops) if stops else frozenset())
-
     @property
     def depth(self) -> int:
         return 1 + max((b.level for b in self.blocks), default=0)

@@ -19,8 +19,6 @@ from fractions import Fraction
 from itertools import chain
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .errors import SolverError
 from .jsonio import Number
 
@@ -30,6 +28,8 @@ def solve_linear(rows: Sequence[Mapping[int, Number]], rhs: Sequence[Number]) ->
     n = len(rhs)
     coefs = [row.values() for row in rows]
     if any(isinstance(v, float) for v in chain(rhs, *coefs)):
+        import numpy as np  # here only, so exact runs never load numpy
+
         # row r's nonzeros go to r·n + column in one flat scatter
         flat = np.repeat(np.arange(0, n * n, n), [len(row) for row in rows]) + np.fromiter(chain(*rows), np.intp)
         a = np.zeros(n * n)

@@ -63,9 +63,6 @@ class TreeBandit:
     def continuation_edges(self, node_id: int) -> tuple[TreeEdge, ...]:
         return tuple(e for e in self.nodes[node_id].edges if not e.halting)
 
-    def parent(self, node_id: int) -> int | None:
-        return self._parents.get(node_id)
-
     def ancestors(self, node_id: int) -> list[int]:
         """Proper ancestors of a node, nearest first."""
         out = []

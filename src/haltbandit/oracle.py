@@ -25,9 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .errors import PreconditionError, ResourceCapError
 from .game import (
@@ -55,6 +53,9 @@ from .models import (
     validate,
 )
 from .reductions import PayoutModel
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_POLICY_CAP = 10**4
 # float tolerance of index certification; greedy dominance allows no slack
@@ -424,6 +425,8 @@ _HALT_MASSES = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
 
 
 def _rng_of(seed_or_rng: int | np.random.Generator) -> np.random.Generator:
+    import numpy as np  # here only, so exact runs never load numpy
+
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
     return np.random.Generator(np.random.Philox(key=seed_or_rng))

@@ -11,9 +11,9 @@ game, and ``reference_greedy_dominance`` replays each one on every joint
 outcome atom, as the reference for ``certify_greedy_dominance``.
 ``reference_dp_optimal`` and ``reference_policy_count`` walk the histories
 by stepping the game, as the reference for the oracle's tabulated backward
-induction.  ``normalize``, ``equivalent_rewards`` and
-``parametric_stopping_value`` are model transforms and a stopping solver
-that only the tests use.
+induction.  ``normalize``, ``parent``, ``equivalent_rewards``,
+``index_times`` and ``parametric_stopping_value`` are model transforms,
+lookups and a stopping solver that only the tests use.
 """
 
 from __future__ import annotations
@@ -207,6 +207,13 @@ def normalize(bandit: TreeBandit) -> TreeBandit:
     return TreeBandit(nodes=nodes, root=bandit.root)
 
 
+def parent(bandit: TreeBandit, node_id: int) -> int:
+    """The node's parent; the root has none."""
+    parents = bandit.ancestors(node_id)
+    assert parents, f"node {node_id} is the root"
+    return parents[0]
+
+
 def equivalent_rewards(dec: IndexDecomposition) -> TreeBandit:
     """Relabel each live node with its prevailing index.
 
@@ -219,13 +226,19 @@ def equivalent_rewards(dec: IndexDecomposition) -> TreeBandit:
 
     def label(nid: int):
         if bandit.nodes[nid].halted:
-            parent = bandit.parent(nid)
-            assert parent is not None
-            return dec.prevailing_index[parent]
+            return dec.prevailing_index[parent(bandit, nid)]
         return dec.prevailing_index[nid]
 
     nodes = tuple(replace(n, reward=label(nid)) for nid, n in enumerate(bandit.nodes))
     return TreeBandit(nodes=nodes, root=bandit.root)
+
+
+def index_times(dec: IndexDecomposition, k: int) -> StoppingRule:
+    """The k-th block boundary (k >= 1) as a rule anchored at the root;
+    paths halting earlier simply never reach it."""
+    assert k >= 1, "block boundaries are indexed from 1"
+    stops = [b.rule.stop_set for b in dec.blocks if b.level == k - 1]
+    return StoppingRule(dec.bandit.root, frozenset().union(*stops) if stops else frozenset())
 
 
 def parametric_stopping_value(bandit: TreeBandit, anchor: int, charge):

@@ -1,7 +1,11 @@
 """End-to-end command-line checks: exit codes and canonical output."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -294,6 +298,8 @@ def test_certify_sweep_refuses_a_model_argument(capsys, pair_path):
         (("--sweep", "1", "--branching", "0"), "--branching must be at least 1"),
         (("--sweep", "1", "--branching", "-2"), "--branching must be at least 1"),
         (("--sweep", "-3"), "--sweep must be at least 0"),
+        (("--sweep", "1", "--depth", "0"), "--depth must be at least 1"),
+        (("--sweep", "1", "--depth", "-3"), "--depth must be at least 1"),
     ],
 )
 def test_certify_sweep_refuses_out_of_range_sizes(capsys, flags, message):
@@ -411,3 +417,40 @@ def test_enumeration_anchor_outside_the_tree_exits_four(capsys, tmp_path, anchor
     assert code == 4
     assert captured.out == ""
     assert "Traceback" not in captured.err
+
+
+# Runs each argv through `main` in a fresh interpreter, then prints which of
+# the heavy modules the process has loaded.
+_LOADED_AFTER = """
+import contextlib, io, json, sys
+import haltbandit
+from haltbandit.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(json.dumps([m for m in ("numpy", "concurrent.futures.process") if m in sys.modules]))
+"""
+
+
+def loaded_after(*argvs):
+    # this process already holds numpy, so the check needs a fresh one
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_exact_tree_runs_never_load_numpy(pair_path, chain_path):
+    exact = ("--model", pair_path, "--rational")
+    assert loaded_after() == []
+    assert loaded_after(
+        ("evaluate", *exact, "--policy", "index"), ("certify", *exact), ("optimal", *exact)
+    ) == []
+    # float solves and sampling still load it, so the check above can fail
+    assert loaded_after(("evaluate", "--model", chain_path, "--policy", "cyclic:0")) == ["numpy"]
+    assert loaded_after(
+        ("simulate", "--model", pair_path, "--policy", "always:0", "--samples", "10")
+    ) == ["numpy"]

@@ -45,6 +45,7 @@ from helpers import (
     chain_stop_set_ratios,
     equivalent_rewards,
     index_corpus,
+    index_times,
     live_last_bandit,
     parametric_stopping_value,
     path_bandit,
@@ -171,7 +172,7 @@ def test_decomposition_of_the_ramp():
     assert dec.blocks[1].parent == 0
     assert dec.depth == 2
     assert dec.prevailing_index == {0: 8, 2: 6}
-    assert dec.index_times(1).stop_set == frozenset({2})
+    assert index_times(dec, 1).stop_set == frozenset({2})
 
 
 def test_single_step_bandit_has_one_block_worth_its_landing():
