@@ -445,8 +445,9 @@ def evaluate_exact(
     Tree backends take one backward pass over the graph.  Markov backends
     solve the absorbing-chain system x = b + Px with one unknown per graph
     state, given to ``solve_linear`` as one sparse row of I − P per state
-    (its successors only), exactly in rational mode; a float solution is
-    rejected if its residual exceeds 1e-12.  More than ``history_cap``
+    (its successors only), exactly in rational mode, where the solution is
+    checked exactly against every row; a float solution is rejected if its
+    residual exceeds 1e-12.  More than ``history_cap``
     reachable states raise ``ResourceCapError``.
     """
     graph = _play_graph(game, policy, history_cap)
@@ -465,9 +466,10 @@ def evaluate_exact(
         rows.append(row)
         rhs.append(pay)
     sol = solve_linear(rows, rhs)
-    res = residual(rows, rhs, sol)
-    if isinstance(res, float) and res > RESIDUAL_TOL:
-        raise SolverError(f"linear system residual {res} above {RESIDUAL_TOL}")
+    if isinstance(sol[0], float):  # an exact solution is checked exactly by solve_linear
+        res = residual(rows, rhs, sol)
+        if res > RESIDUAL_TOL:
+            raise SolverError(f"linear system residual {res} above {RESIDUAL_TOL}")
     return sol[0]
 
 

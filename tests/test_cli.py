@@ -443,12 +443,15 @@ def loaded_after(*argvs):
     return json.loads(proc.stdout)
 
 
-def test_exact_tree_runs_never_load_numpy(pair_path, chain_path):
+def test_exact_runs_never_load_numpy_on_either_backend(pair_path, chain_path):
     exact = ("--model", pair_path, "--rational")
     assert loaded_after() == []
     assert loaded_after(
         ("evaluate", *exact, "--policy", "index"), ("certify", *exact), ("optimal", *exact)
     ) == []
+    # exact chain values and chain indices are exact linear solves
+    chain = ("evaluate", "--model", chain_path, "--rational", "--policy")
+    assert loaded_after((*chain, "cyclic:0"), (*chain, "index")) == []
     # float solves and sampling still load it, so the check above can fail
     assert loaded_after(("evaluate", "--model", chain_path, "--policy", "cyclic:0")) == ["numpy"]
     assert loaded_after(
