@@ -32,20 +32,23 @@ from .errors import (
     SolverError,
 )
 from .game import (
+    DEFAULT_HISTORY_CAP,
     BlockCommitmentIndexPolicy,
     CyclicPolicy,
     GameInstance,
     GreedyRewardPolicy,
     IndexPolicy,
     Policy,
+    _SEED_BOUND,
     evaluate_exact,
     run_policy_sampled,
     trace_times,
 )
-from .indices import StoppingRule
+from .indices import DEFAULT_RULE_CAP, StoppingRule
 from .jsonio import dumps_canonical, format_number
 from .models import MarkovBandit, load_model, save_model, dumps_model, validate
 from .oracle import (
+    DEFAULT_POLICY_CAP,
     certify_greedy_dominance,
     certify_index_optimality,
     dp_optimal,
@@ -132,6 +135,12 @@ def _load_bandits(args: argparse.Namespace) -> list:
     return bandits
 
 
+def _check_seeds(first: int, count: int) -> None:
+    """Refuse, before numpy loads, seeds outside the generator's key range."""
+    if count and not (0 <= first and first + count <= _SEED_BOUND):
+        raise ModelFormatError(f"seed {first if first < 0 else first + count - 1} lies outside [0, 2**128)")
+
+
 def _load_game(args: argparse.Namespace) -> GameInstance:
     return GameInstance(bandits=tuple(_load_bandits(args)), model=PayoutModel(args.payout))
 
@@ -167,7 +176,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
         bandit,
         args.anchor,
         method=args.method,
-        cap=_cap(args, 10**6),
+        cap=_cap(args, DEFAULT_RULE_CAP),
     )
     rule = res.rule
     rule_obj = rule.to_obj() if isinstance(rule, StoppingRule) else {"stop_set": sorted(rule)}
@@ -188,7 +197,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     game = _load_game(args)
     policy = _parse_policy(args.policy)
-    value = evaluate_exact(game, policy, history_cap=_cap(args, 10**7))
+    value = evaluate_exact(game, policy, history_cap=_cap(args, DEFAULT_HISTORY_CAP))
     _emit(
         {
             "schema": 1,
@@ -202,6 +211,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    _check_seeds(args.seed, 1)
     game = _load_game(args)
     policy = _parse_policy(args.policy)
     res = run_policy_sampled(game, policy, args.seed, args.samples)
@@ -222,7 +232,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_optimal(args: argparse.Namespace) -> int:
     game = _load_game(args)
-    sol = dp_optimal(game, history_cap=_cap(args, 10**7))
+    sol = dp_optimal(game, history_cap=_cap(args, DEFAULT_HISTORY_CAP))
     _emit(
         {
             "schema": 1,
@@ -276,6 +286,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             raise ModelFormatError(f"--depth must be at least 1, got {args.depth}")
         if args.branching < 1:
             raise ModelFormatError(f"--branching must be at least 1, got {args.branching}")
+        _check_seeds(args.seed, args.sweep)
         tasks = [
             (args.seed + k, args.payout, args.depth, args.branching)
             for k in range(args.sweep)
@@ -294,9 +305,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         raise ModelFormatError("certify needs --model or --sweep")
     game = _load_game(args)
     if args.kind == "greedy":
-        report = certify_greedy_dominance(game, policy_cap=_cap(args, 10**4))
+        report = certify_greedy_dominance(game, policy_cap=_cap(args, DEFAULT_POLICY_CAP))
     else:
-        report = certify_index_optimality(game, history_cap=_cap(args, 10**7))
+        report = certify_index_optimality(game, history_cap=_cap(args, DEFAULT_HISTORY_CAP))
     doc = {"schema": 1, "kind": args.kind}
     doc.update(report.to_obj())
     _emit(doc)

@@ -50,6 +50,7 @@ RESIDUAL_TOL = 1e-12
 DEFAULT_HISTORY_CAP = 10**7
 _EPISODE_ROUND_CAP = 10**6
 _DRAW_CHUNK = 4096
+_SEED_BOUND = 2**128  # Philox keys lie in [0, 2**128)
 
 
 @dataclass(frozen=True)
@@ -497,8 +498,20 @@ def _float_view(state: _State) -> tuple[float, list[tuple[float, _Key | None, fl
     """A compiled state for sampling: float payment and, per outcome,
     (cumulative float probability, successor, float terminal payout)."""
     _, pay, rows = state
-    cums = accumulate(float(p) for p, _, _ in rows)
-    return float(pay), [(cum, succ, float(term)) for cum, (_, succ, term) in zip(cums, rows)]
+    try:
+        cums = accumulate(float(p) for p, _, _ in rows)
+        return float(pay), [(cum, succ, float(term)) for cum, (_, succ, term) in zip(cums, rows)]
+    except OverflowError as exc:
+        raise PreconditionError(f"a payout beyond float range cannot be sampled: {exc}") from exc
+
+
+def _philox(seed: int) -> np.random.Generator:
+    """The counter-based generator keyed by ``seed``."""
+    if not 0 <= seed < _SEED_BOUND:
+        raise PreconditionError(f"seed {seed} lies outside the key range [0, 2**128)")
+    import numpy as np  # here only, so exact runs never load numpy
+
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def _uniforms(rng: np.random.Generator) -> Iterator[float]:
@@ -529,7 +542,7 @@ def run_policy_sampled(
         raise PreconditionError("need at least one sample")
     import numpy as np  # here only, so exact runs never load numpy
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = _philox(seed)
     compiled: dict[_Key, tuple] = {}
     start = (game.initial_history().nodes, 0)
     draws = _uniforms(rng)

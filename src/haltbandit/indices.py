@@ -43,13 +43,13 @@ so that rounding noise does not flip a tie), the canonical choice used
 throughout.
 
 The ratio iteration solves one anchor at a time; it backs the ``index``
-report (``solo_index_parametric``, ``markov_cumulative_index``,
-``reductions.model_index_result``), whose iterations and charge trace it
-supplies.  Everything else reads one table per bandit and scheme
-(``_index_table``, read by ``game.IndexPolicy`` and its block-committed
-subclass and by ``index_decomposition``, and through them by
-certification and ``pi_values``): one pass from the leaves up on a tree,
-the ratio iteration per state on a chain.  The charge-adjusted value at a
+report (``solo_index_parametric``, ``reductions.model_index_result``),
+whose iterations and charge trace it supplies.  Everything else reads
+one table per bandit and scheme (``_index_table``, read by
+``game.IndexPolicy`` and its block-committed subclass and by
+``index_decomposition``, and through them by certification and
+``pi_values``): one pass from the leaves up on a tree, the ratio
+iteration per state on a chain.  The charge-adjusted value at a
 node crosses zero at its index, so the earliest optimal rule stops at the
 first nodes below the anchor whose index is no larger than the anchor's,
 the block structure of the Gittins index (Varaiya, Walrand & Buyukkoc,
@@ -390,16 +390,6 @@ def solo_index_parametric(bandit: TreeBandit | MarkovBandit, anchor: int | None 
     """Parametric ratio iteration for the solo-payout index, with each
     activation's expected reward movement as its gain."""
     return _gain_index(bandit, anchor, _gains(bandit))
-
-
-def markov_cumulative_index(bandit: MarkovBandit, anchor: int | None = None) -> IndexResult:
-    """Index of the cumulative payout scheme on a chain.
-
-    Every activation pays the state's reward, so the gain of state x is
-    its reward r(x): the index is the best ratio of expected rewards
-    collected to probability of halting in time, with no prefix sums.
-    """
-    return _gain_index(bandit, anchor, [s.reward for s in bandit.states])
 
 
 def _index_table(dyn: TreeBandit | MarkovBandit, gains: list[Number]) -> list[Number | None]:

@@ -29,25 +29,30 @@ def parse_number(value: Any, *, rational: bool = False) -> Number:
     ("1/3") literals.  In rational mode floats go through their shortest
     decimal form, so a JSON ``0.1`` becomes exactly 1/10; in float mode
     every literal becomes a float, integers included, so a float model
-    whose numbers happen to be integral is still solved in floats.
+    whose numbers happen to be integral is still solved in floats, and a
+    literal beyond float range is refused as non-finite.
     """
     if isinstance(value, bool):
         raise ModelFormatError(f"expected a number, got boolean {value!r}")
-    if isinstance(value, int):
-        return value if rational else float(value)
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ModelFormatError(f"non-finite number {value!r}")
         return Fraction(str(value)) if rational else value
     if isinstance(value, str):
         try:
-            frac = Fraction(value)
+            number: int | Fraction = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ModelFormatError(f"cannot parse number literal {value!r}") from exc
-        if rational:
-            return frac
-        return float(frac)
-    raise ModelFormatError(f"expected a number, got {type(value).__name__}")
+    elif isinstance(value, int):
+        number = value
+    else:
+        raise ModelFormatError(f"expected a number, got {type(value).__name__}")
+    if rational:
+        return number
+    try:
+        return float(number)
+    except OverflowError as exc:
+        raise ModelFormatError(f"non-finite number {value!r} in float mode") from exc
 
 
 def format_number(value: Number) -> int | float | str:

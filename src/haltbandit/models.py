@@ -507,6 +507,8 @@ def _obj_to_tree(obj: dict, where: str, rational: bool) -> TreeBandit:
             raise ModelFormatError(f"{where}: node {nid} depth must be an integer")
         if not isinstance(halted, bool):
             raise ModelFormatError(f"{where}: node {nid} halted flag must be boolean")
+        if not isinstance(raw_edges, list):
+            raise ModelFormatError(f"{where}: node {nid} edges must be a list")
         edges = []
         for edge in raw_edges:
             if not isinstance(edge, dict):

@@ -12,7 +12,9 @@ outcome.
 
 The two certifiers package the headline checks: the index policy attains
 the optimum, and the greedy policy is pathwise dominant under the
-penultimate scheme once rewards never increase before the halt.
+penultimate scheme once rewards never increase before the halt.  Both
+play their policy through the play graph; the greedy certificate walks
+each atom through its compiled states.
 
 The random generators at the bottom produce small valid instances for
 property sweeps; they draw from a counter-based generator so a seed pins
@@ -34,13 +36,12 @@ from .game import (
     GlobalHistory,
     GreedyRewardPolicy,
     IndexPolicy,
-    Policy,
+    _Key,
+    _State,
+    _philox,
     _play_graph,
     _tree_value,
     current_reward,
-    immediate_payment,
-    round_of,
-    terminal_payout,
 )
 from .jsonio import Number
 from .models import (
@@ -241,33 +242,19 @@ def atoms(game: GameInstance, *, cap: int = DEFAULT_HISTORY_CAP) -> list[Atom]:
     ]
 
 
-@dataclass(frozen=True)
-class AtomRun:
-    payout: Number
-    halter: int
-    rounds: int
-    final: GlobalHistory
-
-
-def run_on_atom(game: GameInstance, policy: Policy, atom: Atom) -> AtomRun:
-    """Play the policy on one atom: every draw is dictated by the atom's paths."""
-    positions = [0] * game.n  # index into each bandit's path
-    h = game.initial_history()
-    total: Number = 0
-    for round_ in range(sum(len(p) for p in atom.paths)):
-        i = policy.choose(game, h, round_of(game, h))
-        total += immediate_payment(game, h, i)
-        positions[i] += 1
-        nid = atom.paths[i][positions[i]]
-        nxt_nodes = h.nodes[:i] + (nid,) + h.nodes[i + 1 :]
-        dyn = game.dynamics(i)
-        assert isinstance(dyn, TreeBandit)
-        if dyn.nodes[nid].halted:
-            post = GlobalHistory(nxt_nodes, halter=i)
-            total += terminal_payout(game, h, i, post)
-            return AtomRun(payout=total, halter=i, rounds=round_ + 1, final=post)
-        h = GlobalHistory(nxt_nodes)
-    raise PreconditionError("atom paths ran out before any bandit halted")
+def _atom_payout(game: GameInstance, graph: dict[_Key, _State], atom: Atom) -> Number:
+    """The payout of the policy compiled in ``graph`` on one atom: walk its
+    states, taking the row of the edge to the activated bandit's next node
+    on its path (rows pair one-to-one with that node's edges)."""
+    pos, key, total = [0] * game.n, next(iter(graph)), 0
+    while key is not None:
+        i, pay, rows = graph[key]
+        pos[i] += 1
+        nid = atom.paths[i][pos[i]]
+        edges = game.dynamics(i).nodes[key[0][i]].edges  # type: ignore[union-attr]
+        _, key, term = rows[next(k for k, e in enumerate(edges) if e.to == nid)]
+        total = total + pay
+    return total + term
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +376,11 @@ def certify_greedy_dominance(
     """
     if game.model is not PayoutModel.PSP:
         raise PreconditionError("greedy dominance is a penultimate-scheme statement")
+    if game.backend != "tree":
+        raise PreconditionError("the greedy certificate needs a finite tree backend")
     for i in range(game.n):
         dyn = game.dynamics(i)
-        assert isinstance(dyn, TreeBandit)
-        for nid, node in enumerate(dyn.nodes):
+        for nid, node in enumerate(dyn.nodes):  # type: ignore[union-attr]
             for e in node.edges:
                 child = dyn.nodes[e.to]
                 if not child.halted and child.reward > node.reward:
@@ -402,9 +390,10 @@ def certify_greedy_dominance(
                     )
     all_atoms = atoms(game, cap=atom_cap)
     n_policies = _policy_count(game, policy_cap)
-    greedy = GreedyRewardPolicy()
+    # at most one state per atom: every state has a halting row, every atom one halt
+    graph = _play_graph(game, GreedyRewardPolicy(), atom_cap)
     min_slack = min(
-        run_on_atom(game, greedy, a).payout
+        _atom_payout(game, graph, a)
         - max(current_reward(game, i, path[-2]) for i, path in enumerate(a.paths))
         for a in all_atoms
     )
@@ -429,7 +418,7 @@ def _rng_of(seed_or_rng: int | np.random.Generator) -> np.random.Generator:
 
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
-    return np.random.Generator(np.random.Philox(key=seed_or_rng))
+    return _philox(seed_or_rng)
 
 
 def random_tree_bandit(

@@ -48,7 +48,6 @@ from .indices import (
     IndexResult,
     _gain_index,
     _gains,
-    markov_cumulative_index,
     solo_index_enumerate,
 )
 from .models import (
@@ -78,76 +77,47 @@ class PayoutModel(str, Enum):
     CCP = "CCP"  # every activation pays the activated bandit's current reward
 
 
-def reduce_sp(bandit: TreeBandit) -> TreeBandit:
-    """Keep halted rewards, zero live ones."""
-    nodes = tuple(
-        replace(n, reward=n.reward if n.halted else 0) for n in bandit.nodes
-    )
-    return TreeBandit(nodes=nodes, root=bandit.root)
-
-
-def reduce_nh(bandit: TreeBandit) -> TreeBandit:
-    """Zero halted rewards, negate live ones (CP value = minus the NH cost)."""
-    nodes = tuple(
-        replace(n, reward=0 if n.halted else -n.reward) for n in bandit.nodes
-    )
-    return TreeBandit(nodes=nodes, root=bandit.root)
-
-
-def reduce_tp(bandit: ProfitBandit) -> TreeBandit:
-    """Halted nodes keep the terminal reward, live nodes carry minus the cost."""
-    if not isinstance(bandit, ProfitBandit):
+def _reward_dynamics(model: PayoutModel, bandit: AnyBandit) -> TreeBandit | MarkovBandit:
+    """The process a scheme relabels or indexes, under one cost rule: costs
+    are read under TP and required there; CP reads any bandit's rewards."""
+    if model is PayoutModel.TP and not isinstance(bandit, ProfitBandit):
         raise PreconditionError("the terminal-profit scheme needs a bandit with costs")
-    tree = bandit.rewards
-    nodes = tuple(
-        replace(n, reward=n.reward if n.halted else -bandit.costs[nid])
-        for nid, n in enumerate(tree.nodes)
-    )
-    return TreeBandit(nodes=nodes, root=tree.root)
-
-
-def reduce_ccp(bandit: TreeBandit) -> TreeBandit:
-    """Relabel each node with the sum of rewards strictly above it."""
-    nodes = tuple(
-        replace(n, reward=bandit.prefix_reward(nid)) for nid, n in enumerate(bandit.nodes)
-    )
-    return TreeBandit(nodes=nodes, root=bandit.root)
-
-
-def _reduce_markov(model: PayoutModel, bandit: MarkovBandit) -> MarkovBandit:
-    if model is PayoutModel.SP:
-        states = tuple(MarkovState(0, s.halt_prob, s.halt_reward) for s in bandit.states)
-    elif model is PayoutModel.NH:
-        states = tuple(MarkovState(-s.reward, s.halt_prob, 0) for s in bandit.states)
-    else:
-        raise PreconditionError(f"no state relabeling for {model.value} on markov bandits")
-    return MarkovBandit(states=states, transitions=bandit.transitions, initial=bandit.initial)
+    if isinstance(bandit, ProfitBandit) and model not in (PayoutModel.CP, PayoutModel.TP):
+        raise PreconditionError(f"{model.value} payouts read the reward tree, not costs")
+    return dynamics_of(bandit)
 
 
 def reduced_bandit(model: PayoutModel, bandit: AnyBandit) -> TreeBandit | MarkovBandit:
     """The relabeled bandit whose CP behavior matches ``model`` on the original.
 
-    Raises for PSP (no relabeling exists) and for the cumulative scheme on
-    Markov bandits (prefix sums are not a function of the state; its index
-    comes from ``model_index``, whose gains need no relabeling).
+    CP returns the reward process itself.  Raises for PSP (no relabeling
+    exists), for SP, NH and CCP on a bandit with costs (only TP reads
+    them), and for TP and CCP on Markov bandits (prefix sums are not a
+    function of the state; the cumulative index comes from
+    ``model_index_result``, whose gains need no relabeling).
     """
-    if model is PayoutModel.CP:
-        return dynamics_of(bandit) if isinstance(bandit, ProfitBandit) else bandit  # type: ignore[return-value]
     if model is PayoutModel.PSP:
         raise PreconditionError("the penultimate scheme has no reward relabeling; evaluate it natively")
-    if isinstance(bandit, MarkovBandit):
-        return _reduce_markov(model, bandit)
+    dyn = _reward_dynamics(model, bandit)
+    if model is PayoutModel.CP:
+        return dyn
+    if isinstance(dyn, MarkovBandit):
+        if model is PayoutModel.SP:
+            states = tuple(MarkovState(0, s.halt_prob, s.halt_reward) for s in dyn.states)
+        elif model is PayoutModel.NH:
+            states = tuple(MarkovState(-s.reward, s.halt_prob, 0) for s in dyn.states)
+        else:
+            raise PreconditionError(f"no state relabeling for {model.value} on markov bandits")
+        return MarkovBandit(states=states, transitions=dyn.transitions, initial=dyn.initial)
     if model is PayoutModel.SP:
-        return reduce_sp(bandit)  # type: ignore[arg-type]
-    if model is PayoutModel.NH:
-        return reduce_nh(bandit)  # type: ignore[arg-type]
-    if model is PayoutModel.TP:
-        return reduce_tp(bandit)  # type: ignore[arg-type]
-    if model is PayoutModel.CCP:
-        if isinstance(bandit, ProfitBandit):
-            raise PreconditionError("cumulative payouts read the reward tree, not costs")
-        return reduce_ccp(bandit)
-    raise PreconditionError(f"unknown payout model {model!r}")
+        labels = [n.reward if n.halted else 0 for n in dyn.nodes]
+    elif model is PayoutModel.NH:
+        labels = [0 if n.halted else -n.reward for n in dyn.nodes]
+    elif model is PayoutModel.TP:
+        labels = [n.reward if n.halted else -bandit.cost(nid) for nid, n in enumerate(dyn.nodes)]  # type: ignore[union-attr]
+    else:  # CCP
+        labels = [dyn.prefix_reward(nid) for nid in range(len(dyn.nodes))]
+    return TreeBandit(nodes=tuple(replace(n, reward=r) for n, r in zip(dyn.nodes, labels)), root=dyn.root)
 
 
 def _index_form(model: PayoutModel, bandit: AnyBandit) -> tuple[TreeBandit | MarkovBandit, list[Number]]:
@@ -155,10 +125,9 @@ def _index_form(model: PayoutModel, bandit: AnyBandit) -> tuple[TreeBandit | Mar
     or state: the bandit and its own rewards under the cumulative scheme,
     the relabeled bandit and its expected reward movements otherwise."""
     if model is PayoutModel.CCP:
-        if isinstance(bandit, ProfitBandit):
-            raise PreconditionError("cumulative payouts read the reward tree, not costs")
-        parts = bandit.nodes if isinstance(bandit, TreeBandit) else bandit.states
-        return bandit, [x.reward for x in parts]
+        dyn = _reward_dynamics(model, bandit)
+        parts = dyn.nodes if isinstance(dyn, TreeBandit) else dyn.states
+        return dyn, [x.reward for x in parts]
     reduced = reduced_bandit(model, bandit)
     return reduced, _gains(reduced)
 
@@ -179,6 +148,9 @@ def model_index_result(
     movement of the relabeled bandit.  Node and state ids are preserved by
     every relabeling, so the anchor and the realizing rule carry over.
     Enumeration (trees only) scans the rules of the relabeled tree.
+    Larger is better for every scheme; for NH the value is minus the
+    smallest achievable cost rate, so the usual argmax rule still picks
+    the cost-minimizing bandit.
     """
     if method == "enumerate":
         if not isinstance(dynamics_of(bandit), TreeBandit):
@@ -188,23 +160,6 @@ def model_index_result(
         raise PreconditionError(f"unknown method {method!r}")
     dyn, gains = _index_form(model, bandit)
     return _gain_index(dyn, anchor, gains)
-
-
-def model_index(
-    model: PayoutModel,
-    bandit: AnyBandit,
-    anchor: int | None = None,
-    *,
-    method: str = "parametric",
-    cap: int = DEFAULT_RULE_CAP,
-) -> Number:
-    """The scheme-specific priority index at an anchor.
-
-    Larger is better for every scheme; for NH the value is minus the
-    smallest achievable cost rate, so the usual argmax rule still picks
-    the cost-minimizing bandit.
-    """
-    return model_index_result(model, bandit, anchor, method=method, cap=cap).value
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +179,10 @@ def gittins_index(bandit: MarkovBandit, state: int | None = None) -> float:
     beta = _constant_survival(bandit)
     if state is None:
         state = bandit.initial
-    rewards = [float(s.reward) for s in bandit.states]
+    try:
+        rewards = [float(s.reward) for s in bandit.states]
+    except OverflowError as exc:
+        raise PreconditionError(f"retirement calibration runs in floats: {exc}") from exc
     rows = [[float(p) for p in row] for row in bandit.transitions]
     n = len(rewards)
 
@@ -288,7 +246,7 @@ def gittins_compare(bandit: MarkovBandit, state: int | None = None) -> GittinsCo
     beta = _constant_survival(bandit)
     if state is None:
         state = bandit.initial
-    rho = markov_cumulative_index(bandit, state).value
+    rho = model_index_result(PayoutModel.CCP, bandit, state).value
     g = gittins_index(bandit, state)
     err = abs(float(rho) * (1.0 - beta) - g)
     ratio = float(rho) / g if g != 0 else math.inf

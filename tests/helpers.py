@@ -52,7 +52,6 @@ from haltbandit import (
     random_profit_bandit,
     random_tree_bandit,
     round_of,
-    run_on_atom,
     step,
     terminal_payout,
     validate,
@@ -372,13 +371,13 @@ def reference_greedy_dominance(
 ) -> GreedyDominanceReport:
     """Greedy dominance by replaying every enumerated policy on every atom."""
     all_atoms = atoms(game)
-    greedy_pay = [run_on_atom(game, GreedyRewardPolicy(), a).payout for a in all_atoms]
+    greedy_pay = [_replay_payout(game, GreedyRewardPolicy(), a.paths) for a in all_atoms]
     policies = enumerate_policies(game, cap=policy_cap)
     min_slack = None
     ok = True
     for pol in policies:
         for k, a in enumerate(all_atoms):
-            slack = greedy_pay[k] - run_on_atom(game, pol, a).payout
+            slack = greedy_pay[k] - _replay_payout(game, pol, a.paths)
             if min_slack is None or slack < min_slack:
                 min_slack = slack
             if slack < -tol:

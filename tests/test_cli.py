@@ -13,9 +13,11 @@ from haltbandit import (
     MarkovBandit,
     MarkovState,
     PayoutModel,
+    ProfitBandit,
     TreeBandit,
     TreeEdge,
     TreeNode,
+    dumps_model,
     geometric_markov,
     load_model,
     loads_model,
@@ -25,9 +27,10 @@ from haltbandit import (
     to_float,
     unroll_markov,
 )
+from haltbandit import cli
 from haltbandit.cli import main
 
-from helpers import live_last_bandit, pair_game
+from helpers import ONE, live_last_bandit, pair_game, path_bandit, sure_bandit
 
 
 @pytest.fixture()
@@ -52,6 +55,15 @@ def short_path(tmp_path):
         nodes=(TreeNode(0, 0, False, (TreeEdge(1, Fraction(3, 4), True),)), TreeNode(1, 8, True))
     )
     save_model([short], path)
+    return str(path)
+
+
+@pytest.fixture()
+def costs_path(tmp_path):
+    # the pair game's bandits with running costs, for the terminal-profit scheme
+    path = tmp_path / "costs.json"
+    ramp, sure = pair_game().bandits
+    save_model([ProfitBandit(rewards=ramp, costs=(1, 2, 3, 4)), ProfitBandit(rewards=sure, costs=(2, 0))], path)
     return str(path)
 
 
@@ -126,6 +138,58 @@ def test_malformed_json_exits_two(capsys, tmp_path):
     path.write_text("{not json")
     code, _ = run(capsys, "validate", "--model", str(path))
     assert code == 2
+
+
+_MALFORMED = {
+    "edges-int": {"edges": 5},
+    "edges-null": {"edges": None},
+    "reward-literal-beyond-float": {"reward": "1e400"},
+    "reward-int-beyond-float": {"reward": 10**400},
+}
+_EVERY_SUBCOMMAND = [
+    ("validate",),
+    ("index",),
+    ("evaluate", "--policy", "index"),
+    ("simulate", "--policy", "index", "--samples", "10"),
+    ("optimal",),
+    ("reduce", "--payout", "SP"),
+    ("certify",),
+    ("gittins",),
+    ("trace", "--policy", "index", "--outcomes", "h"),
+]
+
+
+@pytest.mark.parametrize("command", _EVERY_SUBCOMMAND, ids=lambda c: c[0])
+@pytest.mark.parametrize("fault", sorted(_MALFORMED))
+def test_malformed_documents_exit_two(capsys, tmp_path, command, fault):
+    doc = json.loads(dumps_model(list(pair_game().bandits)))
+    doc["bandits"][0]["nodes"][0].update(_MALFORMED[fault])
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code = main([command[0], "--model", str(path), *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, bandits",
+    [
+        (("simulate", "--policy", "index", "--samples", "10"), [path_bandit((0, 10**400), (ONE,)), sure_bandit(5)]),
+        (("gittins",), [geometric_markov((1, 10**400), Fraction(1, 2))]),
+    ],
+    ids=["simulate", "gittins"],
+)
+def test_exact_numbers_beyond_float_range_exit_four_where_floats_are_needed(capsys, tmp_path, command, bandits):
+    path = tmp_path / "huge.json"
+    save_model(bandits, path)
+    code = main([command[0], "--model", str(path), "--rational", *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "float" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_missing_model_file_exits_two(capsys, tmp_path):
@@ -308,6 +372,77 @@ def test_certify_sweep_refuses_out_of_range_sizes(capsys, flags, message):
     assert code == 2
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--policy", "index", "--seed", "-1"),
+        ("simulate", "--policy", "index", "--seed", str(2**128)),
+        ("certify", "--sweep", "1", "--seed", "-1"),
+        ("certify", "--sweep", "2", "--seed", str(2**128 - 1)),
+    ],
+)
+def test_seeds_outside_the_key_range_exit_two(capsys, monkeypatch, pair_path, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the seed reached the generator")
+
+    monkeypatch.setattr(cli, "run_policy_sampled", refuse)
+    monkeypatch.setattr(cli, "random_game", refuse)
+    model = ("--model", pair_path) if argv[0] == "simulate" else ()
+    code = main([*argv[:1], *model, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "lies outside [0, 2**128)" in captured.err
+
+
+def test_the_largest_seed_is_a_valid_key(capsys, pair_path):
+    last = str(2**128 - 1)
+    code, out = run(capsys, "simulate", "--model", pair_path, "--policy", "always:1", "--samples", "3", "--seed", last)
+    assert code == 0
+    assert json.loads(out)["mean"] == 5
+    code, out = run(capsys, "certify", "--sweep", "1", "--depth", "2", "--seed", last)
+    assert code == 0
+    assert json.loads(out)["results"][0]["seed"] == 2**128 - 1
+
+
+def test_greedy_certificate_on_a_chain_exits_four(capsys, chain_path):
+    code = main(["certify", "--kind", "greedy", "--payout", "PSP", "--model", chain_path, "--rational"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "tree backend" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_cost_documents_play_under_the_terminal_profit_scheme(capsys, costs_path):
+    exact = ("--model", costs_path, "--rational", "--payout", "TP")
+    code, out = run(capsys, "evaluate", *exact, "--policy", "index")
+    assert (code, json.loads(out)["value"]) == (0, 5)
+    code, out = run(capsys, "evaluate", *exact, "--policy", "always:1")
+    assert (code, json.loads(out)["value"]) == (0, 4)
+    code, out = run(capsys, "certify", *exact)
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["pass"] is True
+    assert doc["optimal_value"] == 5
+    code, out = run(capsys, "reduce", *exact)
+    assert code == 0
+    ramp, sure = loads_model(out, rational=True)
+    assert [n.reward for n in ramp.nodes] == [-1, 4, -3, 10]
+    assert [n.reward for n in sure.nodes] == [-2, 5]
+
+
+@pytest.mark.parametrize("payout", ["SP", "NH"])
+@pytest.mark.parametrize("command", ["reduce", "index"])
+def test_cost_documents_are_refused_outside_the_terminal_profit_scheme(capsys, costs_path, command, payout):
+    code = main([command, "--model", costs_path, "--rational", "--payout", payout])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "not costs" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_certify_sweep_refuses_the_greedy_kind(capsys):

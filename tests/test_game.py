@@ -490,6 +490,18 @@ def test_sampling_an_unhalted_leaf_is_rejected():
         run_policy_sampled(GameInstance(bandits=(stuck,)), always(0), seed=0, n_samples=3)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_sampling_refuses_a_seed_outside_the_key_range(seed):
+    with pytest.raises(PreconditionError, match="key range"):
+        run_policy_sampled(pair_game(), always(0), seed=seed, n_samples=3)
+
+
+def test_sampling_refuses_a_payout_beyond_float_range():
+    huge = path_bandit((0, 10**400), (ONE,))
+    with pytest.raises(PreconditionError, match="float range"):
+        run_policy_sampled(GameInstance(bandits=(huge,)), always(0), seed=0, n_samples=3)
+
+
 def test_trace_reproduces_the_interleaving_bookkeeping():
     game = example_one_game()
     trace = trace_times(game, CyclicPolicy((0, 1)), ["survive"] * 4)

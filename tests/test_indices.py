@@ -19,7 +19,6 @@ from haltbandit import (
     block_value,
     enumerate_stopping_rules,
     index_decomposition,
-    markov_cumulative_index,
     model_index_result,
     random_markov_bandit,
     random_tree_bandit,
@@ -227,8 +226,8 @@ def test_blocks_are_monotone_and_self_consistent(seed):
 
 
 def test_cumulative_markov_index_closed_forms():
-    assert markov_cumulative_index(geometric_markov(1, HALF)).value == 2
-    res = markov_cumulative_index(geometric_markov((1, 2), Fraction(9, 10)))
+    assert model_index_result(PayoutModel.CCP, geometric_markov(1, HALF)).value == 2
+    res = model_index_result(PayoutModel.CCP, geometric_markov((1, 2), Fraction(9, 10)))
     assert res.value == Fraction(280, 19)
     assert res.rule == frozenset({0})
 

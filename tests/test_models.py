@@ -1,5 +1,7 @@
 """Model representations: validation, normalization, builders, serialization."""
 
+import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,15 +10,19 @@ from haltbandit import (
     GameInstance,
     MarkovBandit,
     MarkovState,
+    ModelFormatError,
     PayoutModel,
     PreconditionError,
+    ProfitBandit,
     TreeBandit,
     TreeEdge,
     TreeNode,
     dumps_model,
     evaluate_exact,
     geometric_markov,
+    load_model,
     loads_model,
+    save_model,
     to_float,
     unroll_markov,
     validate,
@@ -181,6 +187,50 @@ def test_model_document_round_trip_is_byte_identical():
     loaded = loads_model(text, rational=True)
     assert loaded == bandits
     assert dumps_model(loaded) == text
+
+
+def test_profit_document_round_trip_is_byte_identical(tmp_path):
+    bandits = [
+        ProfitBandit(rewards=ramp_bandit(), costs=(1, HALF, 3, 0)),
+        ProfitBandit(rewards=sure_bandit(5), costs=(2, 0)),
+    ]
+    first, second = tmp_path / "costs.json", tmp_path / "again.json"
+    save_model(bandits, first)
+    text = first.read_text()
+    assert '"costs"' in text
+    loaded = load_model(first, rational=True)
+    assert loaded == bandits
+    save_model(loaded, second)
+    assert second.read_text() == text
+
+
+def test_profit_violations():
+    assert validate(ProfitBandit(rewards=ramp_bandit(), costs=(1, 2, 3))).codes() == {"cost-shape"}
+    report = validate(ProfitBandit(rewards=ramp_bandit(), costs=(1, math.inf, 3, math.nan)))
+    assert report.codes() == {"non-finite-cost"}
+    assert [v.where for v in report.violations] == ["node 1", "node 3"]
+
+
+@pytest.mark.parametrize(
+    "costs, message",
+    [
+        ([[0, 0, 0, 0]], "'costs' must align with 'bandits'"),
+        ([[0, 0, 0], None], "cost row must align with the node list"),
+        ([None, [0, 0]], "costs apply to tree bandits only"),
+    ],
+)
+def test_misaligned_cost_rows_are_refused(costs, message):
+    doc = json.loads(dumps_model([ramp_bandit(), geometric_markov(1, HALF)]))
+    doc["costs"] = costs
+    with pytest.raises(ModelFormatError, match=message):
+        loads_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("literal", ["1e400", "-1e400", 10**400])
+def test_float_mode_refuses_a_literal_beyond_float_range(literal):
+    with pytest.raises(ModelFormatError, match="non-finite number"):
+        parse_number(literal)
+    assert parse_number(literal, rational=True) == Fraction(literal)
 
 
 def test_parser_accepts_decimal_strings_and_floats():

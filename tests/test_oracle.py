@@ -25,17 +25,17 @@ from haltbandit import (
     geometric_markov,
     random_game,
     random_tree_bandit,
-    run_on_atom,
     to_float,
     unroll_markov,
 )
 from haltbandit import game as game_module
 from haltbandit import indices, reductions
-from haltbandit.oracle import _policy_count
+from haltbandit.oracle import _atom_payout, _policy_count
 
 from helpers import (
     HALF,
     ONE,
+    _replay_payout,
     always,
     enumerate_policies,
     make_nonincreasing,
@@ -181,10 +181,9 @@ def test_atoms_partition_the_outcome_space():
     space = atoms(game)
     assert len(space) == 2
     assert sum(a.probability for a in space) == 1
-    runs = [run_on_atom(game, always(0), a) for a in space]
-    assert sorted(r.payout for r in runs) == [4, 10]
-    assert all(r.halter == 0 for r in runs)
-    assert sum(a.probability * r.payout for a, r in zip(space, runs)) == 7
+    runs = [_replay_payout(game, always(0), a.paths) for a in space]
+    assert sorted(runs) == [4, 10]
+    assert sum(a.probability * r for a, r in zip(space, runs)) == 7
 
 
 def test_atom_replay_matches_exact_evaluation_in_expectation():
@@ -193,10 +192,21 @@ def test_atom_replay_matches_exact_evaluation_in_expectation():
         space = atoms(game)
         for policy in enumerate_policies(game)[:10]:
             expectation = sum(
-                a.probability * run_on_atom(game, policy, a).payout for a in space
+                a.probability * _replay_payout(game, policy, a.paths) for a in space
             )
             assert expectation == evaluate_exact(game, policy)
             assert expectation == oracle_value(game, policy)
+
+
+@pytest.mark.parametrize("model", list(PayoutModel))
+def test_atom_walks_over_the_play_graph_match_the_longhand_replay(model):
+    # the greedy certificate walks each atom through the compiled states
+    game = random_game(3, model=model, max_depth=3)
+    space = atoms(game)
+    for policy in enumerate_policies(game)[:10]:
+        graph = game_module._play_graph(game, policy, 10**4)
+        walked = [_atom_payout(game, graph, a) for a in space]
+        assert walked == [_replay_payout(game, policy, a.paths) for a in space]
 
 
 def test_index_certificate_on_the_pair_game():
@@ -276,6 +286,18 @@ def test_greedy_dominance_requires_non_increasing_rewards():
 def test_greedy_dominance_requires_the_penultimate_scheme():
     with pytest.raises(PreconditionError):
         certify_greedy_dominance(pair_game(PayoutModel.CP))
+
+
+def test_greedy_dominance_refuses_a_chain():
+    chain = geometric_markov((3, 1), HALF)
+    with pytest.raises(PreconditionError, match="tree backend"):
+        certify_greedy_dominance(GameInstance(bandits=(chain, chain), model=PayoutModel.PSP))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_generators_refuse_a_seed_outside_the_key_range(seed):
+    with pytest.raises(PreconditionError, match="key range"):
+        random_tree_bandit(seed)
 
 
 @pytest.mark.parametrize("seed", range(15))
