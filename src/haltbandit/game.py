@@ -266,10 +266,15 @@ class GreedyRewardPolicy(Policy):
 
 def _lowest_best(values: list[Number]) -> int:
     """The lowest id among the largest values: those equal to the maximum in
-    exact arithmetic, those within ``ZERO_TOL`` of it in float arithmetic."""
+    exact arithmetic, those within ``ZERO_TOL`` of it in float arithmetic.
+    A float maximum beyond float range (±inf or NaN) raises
+    ``PreconditionError``."""
     top = max(values)
     if isinstance(top, float):
-        return next(i for i, v in enumerate(values) if top - v <= ZERO_TOL)
+        best = next((i for i, v in enumerate(values) if top - v <= ZERO_TOL), None)
+        if best is None:  # only a top of ±inf or NaN matches no value
+            raise PreconditionError(f"an index of {top!r} lies beyond float range")
+        return best
     return values.index(top)
 
 
@@ -568,8 +573,12 @@ def run_policy_sampled(
             raise SolverError("an episode exceeded the round cap; is the model valid?")
         out.append(total)
     totals = np.array(out)
-    mean = float(np.mean(totals))
-    stderr = 0.0 if n_samples == 1 else float(np.std(totals, ddof=1) / math.sqrt(n_samples))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            mean = float(np.mean(totals))
+            stderr = 0.0 if n_samples == 1 else float(np.std(totals, ddof=1) / math.sqrt(n_samples))
+    except FloatingPointError as exc:
+        raise PreconditionError(f"sampled payouts beyond float range: {exc}") from exc
     return SimulationResult(mean=mean, stderr=stderr, n_samples=n_samples, seed=seed)
 
 

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Any
 
-from .errors import ModelFormatError
+from .errors import ModelFormatError, PreconditionError
 
 Number = int | float | Fraction
 _INDENT = 2
@@ -85,7 +85,8 @@ def _emit(obj: Any, parts: list[str], level: int) -> None:
         parts.append(json.dumps(str(format_number(obj))) if obj.denominator != 1 else str(int(obj)))
     elif isinstance(obj, float):
         if not math.isfinite(obj):
-            raise ModelFormatError(f"cannot serialize non-finite float {obj!r}")
+            # parsing refuses such input, so a computed value left float range
+            raise PreconditionError(f"cannot serialize {obj!r}: a value beyond float range")
         parts.append(format(obj, ".17g"))
     elif isinstance(obj, dict):
         if not obj:

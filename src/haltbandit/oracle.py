@@ -6,9 +6,13 @@ ids.  It tabulates each bandit once (rewards, costs, and edges as plain
 tuples) and writes out each scheme's settlement at the halt itself, so it
 shares no code with ``game.step``, the payout functions, the play graph
 or the index solvers: a fault in any of them cannot show on both sides of
-the index certificate.  ``atoms`` expands the full joint sample space so
-pathwise (not just in-expectation) claims can be checked outcome by
-outcome.
+the index certificate.  On a game of ints and Fractions it runs over
+integers, each history's values scaled by one integer fixed per node
+before the loop, and builds a value only when it is read; a game with any
+float runs the same induction in the input's own arithmetic, whose
+operation order fixes every float bit for bit.  ``atoms`` expands the
+full joint sample space so pathwise (not just in-expectation) claims can
+be checked outcome by outcome.
 
 The two certifiers package the headline checks: the index policy attains
 the optimum, and the greedy policy is pathwise dominant under the
@@ -24,10 +28,11 @@ the instance exactly.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from itertools import chain, product
+from typing import TYPE_CHECKING
 
 from .errors import PreconditionError, ResourceCapError
 from .game import (
@@ -68,7 +73,13 @@ _GREEDY_TOL = 0.0
 class OptimalSolution:
     """A tree game's optimum and, at every live history some policy reaches,
     the best value, the best action (lowest id on ties) and the value of
-    activating each bandit (costs under the non-halting scheme)."""
+    activating each bandit (costs under the non-halting scheme).
+
+    From ``dp_optimal`` the three mappings are read-only views over flat
+    per-history lists, which list the histories in the order the induction
+    solved them and compare equal to dicts of the same entries; on an
+    exact game each value is built when it is read.
+    """
 
     value: Number
     values: Mapping[GlobalHistory, Number]
@@ -90,17 +101,17 @@ _SETTLEMENT = {
 }
 
 
-def _tabulate(game: GameInstance, cap: int) -> tuple[Iterator[tuple[int, ...]], list[dict]]:
-    """Every live history some policy reaches, as a tuple of node ids, each
-    after all its live successors; and per bandit and live node its edges
-    as (p, to, offset): the successor of the k-th history is the
-    (k + offset)-th, and the offset is None at a halt.
+def _tabulate(game: GameInstance, cap: int) -> tuple[list[list[int]], list[dict[int, int]], list[dict]]:
+    """Every live history some policy reaches and its place in a flat list;
+    and per bandit and live node its edges as (p, to, offset).
 
     The bandits move independently, so the histories are all the tuples of
-    live nodes, listed in ``product`` order over each bandit's children-
+    live nodes, listed as ``product(*lives)`` over each bandit's children-
     first order: a successor (one node moved to a child) comes before its
-    history, and the start comes last.  More than ``cap`` histories raise
-    ``ResourceCapError``.
+    history, and the start comes last.  The k-th history has
+    k = Σⱼ placesⱼ[nodeⱼ], so the successor of the k-th is the
+    (k + offset)-th; the offset is None at a halt.  More than ``cap``
+    histories raise ``ResourceCapError``.
     """
     trees = [game.dynamics(j) for j in range(game.n)]
     lives: list[list[int]] = []
@@ -112,21 +123,52 @@ def _tabulate(game: GameInstance, cap: int) -> tuple[Iterator[tuple[int, ...]], 
         lives.append(live[::-1])
     if math.prod(map(len, lives)) > cap:
         raise ResourceCapError(f"more than {cap} reachable histories")
-    moves: list[dict] = []
-    stride = 1  # k = Σⱼ strideⱼ · (rank of nodeⱼ in livesⱼ)
-    for tree, live in zip(reversed(trees), reversed(lives)):
-        rank = {nid: r for r, nid in enumerate(live)}
-        moves.append(
-            {
-                nid: tuple(
-                    (e.p, e.to, None if e.halting else (rank[e.to] - rank[nid]) * stride)
-                    for e in tree.nodes[nid].edges  # type: ignore[union-attr]
-                )
-                for nid in live
-            }
-        )
+    places: list[dict[int, int]] = []
+    stride = 1  # the place of a node is its rank in its live list times its bandit's stride
+    for live in reversed(lives):
+        places.append({nid: r * stride for r, nid in enumerate(live)})
         stride *= len(live)
-    return product(*lives), moves[::-1]
+    places.reverse()
+    moves = [
+        {
+            nid: tuple(
+                (e.p, e.to, None if e.halting else place[e.to] - place[nid])
+                for e in tree.nodes[nid].edges  # type: ignore[union-attr]
+            )
+            for nid in live
+        }
+        for tree, live, place in zip(trees, lives, places)
+    ]
+    return lives, places, moves
+
+
+class _Solved(Mapping):
+    """A read-only mapping from each live history of a tabulated game to
+    ``entry(k)``, k being the history's place; it lists the histories in
+    ``product(*lives)`` order."""
+
+    def __init__(self, lives: list[list[int]], places: list[dict[int, int]], entry: Callable[[int], object]):
+        self._lives, self._places, self._entry = lives, places, entry
+
+    def _place(self, h: object) -> int:
+        if not isinstance(h, GlobalHistory) or h.halter is not None or len(h.nodes) != len(self._places):
+            raise KeyError(h)
+        try:
+            return sum(place[nid] for place, nid in zip(self._places, h.nodes))
+        except KeyError:  # a halted or unknown node
+            raise KeyError(h) from None
+
+    def __getitem__(self, h: object):
+        return self._entry(self._place(h))
+
+    def __iter__(self) -> Iterator[GlobalHistory]:
+        return map(GlobalHistory, product(*self._lives))
+
+    def __len__(self) -> int:
+        return math.prod(map(len, self._lives))
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 def dp_optimal(game: GameInstance, *, history_cap: int = DEFAULT_HISTORY_CAP) -> OptimalSolution:
@@ -135,24 +177,46 @@ def dp_optimal(game: GameInstance, *, history_cap: int = DEFAULT_HISTORY_CAP) ->
     The best action has the largest payout, or under the non-halting scheme
     the smallest cost.  The value of activating i is its immediate payment
     (i's reward under the cumulative scheme, else 0) plus p · (the halt's
-    settlement or the successor's value) per edge, in edge order.  Each
-    bandit is tabulated once and each scheme's settlement is read off
+    settlement or the successor's value) per edge.  Each bandit is
+    tabulated once and each scheme's settlement is read off
     ``_SETTLEMENT``, so the oracle shares no code with ``step``, the payout
     functions, the play graph or the indices that it certifies.
+
+    A game whose probabilities, rewards and costs are all ints and
+    ``Fraction``s is solved over integers (``_integer_induction``); any
+    other game by ``_float_induction``, whose operation order fixes every
+    float value.
     """
     if game.backend != "tree":
         raise PreconditionError("the optimality oracle needs a finite tree backend")
-    histories, moves = _tabulate(game, history_cap)
+    lives, places, moves = _tabulate(game, history_cap)
     halter, frozen = _SETTLEMENT[game.model]
     rewards = [[node.reward for node in game.dynamics(j).nodes] for j in range(game.n)]  # type: ignore[union-attr]
     terms = rewards if frozen == "reward" else None
     if frozen == "cost":  # x + (-c) rounds exactly as x - c does
         terms = [[-c for c in b.costs] for b in game.bandits]  # type: ignore[union-attr]
-    paid = game.model is PayoutModel.CCP
-    minimize = game.model is PayoutModel.NH
+    numbers = chain(*rewards, *(terms or ()), (p for m in moves for edges in m.values() for p, _, _ in edges))
+    induction = _integer_induction if set(map(type, numbers)) <= {int, Fraction} else _float_induction
+    value, actions, action_values = induction(
+        lives, moves, rewards, terms, halter, game.model is PayoutModel.CCP, game.model is PayoutModel.NH
+    )
+    return OptimalSolution(
+        value=value(len(actions) - 1),  # the start is solved last
+        values=_Solved(lives, places, value),
+        actions=_Solved(lives, places, actions.__getitem__),
+        action_values=_Solved(lives, places, action_values),
+    )
+
+
+def _float_induction(lives, moves, rewards, terms, halter, paid, minimize):
+    """Backward induction in the input's own arithmetic: each action value
+    adds p · term per edge in edge order, and a halt's settlement adds the
+    frozen terms in id order.  Returns, by place, a reader of the values,
+    the list of best actions and a reader of the action values."""
     values: list[Number] = []
-    solved: list[tuple[GlobalHistory, int, tuple[Number, ...]]] = []
-    for k, nodes in enumerate(histories):
+    actions: list[int] = []
+    action_values: list[tuple[Number, ...]] = []
+    for k, nodes in enumerate(product(*lives)):
         q: list[Number] = []
         for i, nid in enumerate(nodes):
             v = rewards[i][nid] if paid else 0
@@ -169,13 +233,95 @@ def dp_optimal(game: GameInstance, *, history_cap: int = DEFAULT_HISTORY_CAP) ->
             q.append(v)
         best = (min if minimize else max)(range(len(q)), key=q.__getitem__)  # the first, on ties
         values.append(q[best])
-        solved.append((GlobalHistory(nodes), best, tuple(q)))
-    return OptimalSolution(
-        value=values[-1],
-        values={h: v for (h, _, _), v in zip(solved, values)},
-        actions={h: i for h, i, _ in solved},
-        action_values={h: q for h, _, q in solved},
-    )
+        actions.append(best)
+        action_values.append(tuple(q))
+    return values.__getitem__, actions, action_values.__getitem__
+
+
+def _integer_induction(lives, moves, rewards, terms, halter, paid, minimize):
+    """Backward induction over integers, for a game of ints and Fractions.
+
+    Per bandit and live node x, T(x) = lcm over x's edges of den(p) · T(to),
+    with T = 1 at a halted node, and an edge's multiplier is p · T(x)/T(to),
+    an integer.  With R the lcm of the denominators of every reward and
+    cost, a history h = (x₁ … xₙ) has the integer U(h) = R · ∏ⱼ Tⱼ(xⱼ) · V(h).
+    Activating i there is worth Σ multiplier · U(successor) over its live
+    edges plus ∏_{j≠i} Tⱼ(xⱼ) · (A + M · Σ_{j≠i} R · termⱼ(xⱼ)), where A
+    (the scaled halter rewards, and the scaled paid reward) and M (the
+    scaled halting mass) are constants of the node.  All action values of
+    h share one scale, so the best is read off the integers.
+
+    An entry is built when read: ``Fraction(U, scale)``, or ``U // scale``
+    where the input's own arithmetic would have taken no ``Fraction`` (a
+    bit per action, from the node's numbers and its successors' values).
+    """
+    R = math.lcm(*(x.denominator for row in chain(rewards, terms or ()) for x in row))
+
+    def lift(x: int | Fraction) -> int:
+        return x.numerator * (R // x.denominator)
+
+    tables: list[dict] = []
+    for i, bandit_moves in enumerate(moves):
+        table: dict[int, tuple] = {}
+        for nid, edges in bandit_moves.items():  # children first
+            dens = [p.denominator * (1 if off is None else table[to][0]) for p, to, off in edges]
+            t = math.lcm(*dens)
+            a = t * lift(rewards[i][nid]) if paid else 0
+            frac = paid and isinstance(rewards[i][nid], Fraction)
+            mass, halts, live = 0, False, []
+            for (p, to, off), den in zip(edges, dens):
+                mul = p.numerator * (t // den)
+                frac = frac or isinstance(p, Fraction)
+                if off is not None:
+                    live.append((mul, off))
+                    continue
+                halts, mass = True, mass + mul
+                if halter is not None:
+                    x = rewards[i][to if halter == "halted" else nid]
+                    a += mul * lift(x)
+                    frac = frac or isinstance(x, Fraction)
+            term = 0 if terms is None else terms[i][nid]
+            # (T, A, M, R · own frozen term, live edges, Fraction for sure,
+            #  halts, own frozen term is a Fraction)
+            table[nid] = (t, a, mass, lift(term), tuple(live), frac, halts, isinstance(term, Fraction))
+        tables.append(table)
+    cols = [list(table.values()) for table in tables]  # each in its live order
+    scales = list(map(math.prod, product(*([row[0] for row in col] for col in cols))))  # ∏ⱼ Tⱼ(xⱼ) by place
+    settles = list(map(sum, product(*([row[3] for row in col] for col in cols))))  # Σⱼ R · termⱼ(xⱼ)
+    U: list[int] = []
+    actions: list[int] = []
+    solved: list[tuple[list[int], int]] = []  # (action U's, Fraction bits)
+    for k, rows in enumerate(product(*cols)):
+        scale, settled = scales[k], settles[k]
+        q: list[int] = []
+        bits = 0
+        for i, (t, a, mass, own, live, frac, halts, frozen_frac) in enumerate(rows):
+            u = scale // t * (a + mass * (settled - own))
+            for mul, off in live:
+                u += mul * U[k + off]
+            q.append(u)
+            if (
+                frac
+                or (halts and sum(row[7] for row in rows) > frozen_frac)
+                or any(solved[k + off][1] >> actions[k + off] & 1 for _, off in live)
+            ):
+                bits |= 1 << i
+        best = q.index(min(q) if minimize else max(q))  # the first, on ties
+        U.append(q[best])
+        actions.append(best)
+        solved.append((q, bits))
+
+    def number(u: int, k: int, frac: int) -> Number:
+        return Fraction(u, R * scales[k]) if frac else u // (R * scales[k])
+
+    def value(k: int) -> Number:
+        return number(U[k], k, solved[k][1] >> actions[k] & 1)
+
+    def action_values(k: int) -> tuple[Number, ...]:
+        q, bits = solved[k]
+        return tuple(number(u, k, bits >> i & 1) for i, u in enumerate(q))
+
+    return value, actions, action_values
 
 
 def _policy_count(game: GameInstance, cap: int) -> int:
@@ -187,9 +333,9 @@ def _policy_count(game: GameInstance, cap: int) -> int:
     count(h) = Σᵢ Π count(h′), an empty product being 1.  Counts only grow
     towards the start, so the first one past ``cap`` settles the answer.
     """
-    histories, moves = _tabulate(game, DEFAULT_HISTORY_CAP)
+    lives, _, moves = _tabulate(game, DEFAULT_HISTORY_CAP)
     count: list[int] = []
-    for k, nodes in enumerate(histories):
+    for k, nodes in enumerate(product(*lives)):
         succ = ([count[k + off] for _, _, off in moves[i][nid] if off is not None] for i, nid in enumerate(nodes))
         count.append(sum(map(math.prod, succ)))
         if count[-1] > cap:

@@ -192,6 +192,35 @@ def test_exact_numbers_beyond_float_range_exit_four_where_floats_are_needed(caps
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("evaluate", "--policy", "index"),
+        ("simulate", "--policy", "index", "--samples", "10"),
+        ("optimal",),
+        ("certify",),
+    ],
+    ids=lambda c: c[0],
+)
+@pytest.mark.parametrize("signs", [(1, 1, 1, 1, 1, 1), (1, 1, 1, 1, -1, 1)], ids=["all-huge", "mixed-signs"])
+def test_float_values_beyond_float_range_exit_four(capsys, tmp_path, command, signs):
+    # every reward ±1.7e308: a valid float model whose sums overflow to ±inf,
+    # and with mixed signs to an infinite index and NaN differences
+    doc = json.loads(dumps_model(list(pair_game().bandits)))
+    for node, sign in zip((n for b in doc["bandits"] for n in b["nodes"]), signs, strict=True):
+        node["reward"] = sign * 1.7e308
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--model", str(path)]) == 0
+    capsys.readouterr()
+    code = main([command[0], "--model", str(path), *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "float range" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_missing_model_file_exits_two(capsys, tmp_path):
     code, _ = run(capsys, "validate", "--model", str(tmp_path / "nope.json"))
     assert code == 2

@@ -3,6 +3,7 @@
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from haltbandit import (
     GameInstance,
+    GlobalHistory,
     IndexPolicy,
     PayoutModel,
     PreconditionError,
@@ -17,6 +19,8 @@ from haltbandit import (
     ResourceCapError,
     TablePolicy,
     TreeBandit,
+    TreeEdge,
+    TreeNode,
     atoms,
     certify_greedy_dominance,
     certify_index_optimality,
@@ -62,19 +66,28 @@ def test_dp_finds_the_pair_optimum():
 @st.composite
 def tree_games(draw) -> GameInstance:
     """1–3 small trees under any scheme, exact or float.  Rewards and costs
-    are small integers over 1, 3, 7 or 10, so that float sums taken in
-    another order often round differently."""
+    are small integers, kept as ints or taken over 1, 3, 7 or 10, so that
+    float sums taken in another order often round differently; a node with
+    one edge may give it the int probability 1, as parsed documents do."""
     model = draw(st.sampled_from(list(PayoutModel)))
     n = draw(st.integers(1, 3))
-    over = st.sampled_from((1, 3, 7, 10))
+
+    def number(k: int):
+        over = draw(st.sampled_from((None, 1, 3, 7, 10)))
+        return k if over is None else Fraction(k, over)
+
+    def loosen(node: TreeNode) -> TreeNode:
+        if len(node.edges) == 1 and draw(st.booleans()):
+            node = replace(node, edges=(replace(node.edges[0], p=1),))
+        return replace(node, reward=number(node.reward))
+
     bandits = [
-        TreeBandit(nodes=tuple(replace(node, reward=Fraction(node.reward, draw(over))) for node in tree.nodes))
+        TreeBandit(nodes=tuple(map(loosen, tree.nodes)))
         for tree in (draw(small_trees(draw(st.integers(1, 2 if n == 3 else 3)))) for _ in range(n))
     ]
     if model is PayoutModel.TP:
         bandits = [
-            ProfitBandit(rewards=t, costs=tuple(Fraction(draw(st.integers(0, 3)), draw(over)) for _ in t.nodes))
-            for t in bandits
+            ProfitBandit(rewards=t, costs=tuple(number(draw(st.integers(0, 3))) for _ in t.nodes)) for t in bandits
         ]
     if draw(st.booleans()):
         bandits = [to_float(b) for b in bandits]
@@ -98,6 +111,74 @@ def test_dp_optimal_equals_the_stepping_reference(game):
         assert got.actions[h] == want.actions[h]
         assert list(map(_exactly, got.action_values[h])) == list(map(_exactly, want.action_values[h]))
     assert _policy_count(game, 10**12) == reference_policy_count(game)
+
+
+@pytest.mark.parametrize("model", [PayoutModel.CP, PayoutModel.CCP])
+def test_a_value_through_a_sure_live_edge_keeps_its_successors_type(model):
+    # validate refuses a live node without halting mass, but the oracle plays
+    # it: activating there is worth its successor's value, an int or a Fraction
+    bridge = TreeBandit(
+        nodes=(
+            TreeNode(0, 1, False, (TreeEdge(1, 1, False),)),
+            TreeNode(1, 2, False, (TreeEdge(2, 1, True),)),
+            TreeNode(2, 6, True),
+        )
+    )
+    game = GameInstance(bandits=(bridge, path_bandit((0, 5, 3), (HALF, 1))), model=model)
+    got, want = dp_optimal(game), reference_dp_optimal(game)
+    through = set()
+    for h, q in want.action_values.items():
+        assert list(map(_exactly, got.action_values[h])) == list(map(_exactly, q))
+        if h.nodes[0] == 0:
+            through.add(type(q[0]))
+    assert through == {int, Fraction}
+
+
+def _children_first_order(game: GameInstance) -> list[GlobalHistory]:
+    # every live node of each bandit, breadth first from the root, reversed;
+    # the histories are their product, so each successor precedes its history
+    lives = []
+    for j in range(game.n):
+        tree = game.dynamics(j)
+        live = [tree.root]
+        for nid in live:
+            live.extend(e.to for e in tree.nodes[nid].edges if not e.halting)
+        lives.append(live[::-1])
+    return [GlobalHistory(nodes) for nodes in product(*lives)]
+
+
+@pytest.mark.parametrize("rational", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("model", list(PayoutModel))
+def test_the_solution_reads_like_the_dicts_it_replaces(model, rational):
+    game = random_game(5, n_bandits=3, model=model, max_depth=3)
+    if not rational:
+        game = GameInstance(bandits=tuple(map(to_float, game.bandits)), model=model)
+    got = dp_optimal(game)
+    want = reference_dp_optimal(game)
+    assert got == want and want == got
+    order = _children_first_order(game)
+    pairs = ((got.values, want.values), (got.actions, want.actions), (got.action_values, want.action_values))
+    for mine, theirs in pairs:
+        assert mine == theirs and theirs == mine
+        assert len(mine) == len(theirs) == len(order)
+        assert list(mine) == list(mine.keys()) == order
+    start = game.initial_history()
+    tree = game.dynamics(0)
+    halted = next(e.to for e in tree.nodes[tree.root].edges if e.halting)
+    for missing in (
+        GlobalHistory((halted,) + start.nodes[1:]),
+        GlobalHistory((len(tree.nodes),) + start.nodes[1:]),
+        GlobalHistory((-1,) + start.nodes[1:]),
+        GlobalHistory(start.nodes[:-1]),
+        GlobalHistory(start.nodes + (0,)),
+        GlobalHistory(start.nodes, halter=0),
+        start.nodes,
+    ):
+        for mapping in (got.values, got.actions, got.action_values):
+            assert missing not in mapping
+            with pytest.raises(KeyError):
+                mapping[missing]
+    assert start in got.values and got.values[start] == got.value
 
 
 class _Refused(Exception):
