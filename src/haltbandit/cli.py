@@ -14,6 +14,11 @@ Every subcommand that reads a model validates it first (no depth or
 branching cap) and exits 1 on a violation, printing its codes to stderr.
 The ``HB_CAP`` environment variable (or ``--cap``) overrides the default
 resource caps.
+
+Each subcommand imports what it runs inside its handler: ``game`` for the
+subcommands that play a game, ``oracle`` only for ``optimal`` and
+``certify``.  So ``validate``, ``index``, ``reduce`` and ``gittins`` load
+neither, and no subcommand loads ``pi_values``.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import csv
 import io
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     ModelFormatError,
@@ -31,35 +36,18 @@ from .errors import (
     ResourceCapError,
     SolverError,
 )
-from .game import (
-    DEFAULT_HISTORY_CAP,
-    BlockCommitmentIndexPolicy,
-    CyclicPolicy,
-    GameInstance,
-    GreedyRewardPolicy,
-    IndexPolicy,
-    Policy,
-    _SEED_BOUND,
-    evaluate_exact,
-    run_policy_sampled,
-    trace_times,
-)
 from .indices import DEFAULT_RULE_CAP, StoppingRule
 from .jsonio import dumps_canonical, format_number
 from .models import MarkovBandit, load_model, save_model, dumps_model, validate
-from .oracle import (
-    DEFAULT_POLICY_CAP,
-    certify_greedy_dominance,
-    certify_index_optimality,
-    dp_optimal,
-    random_game,
-)
 from .reductions import (
     PayoutModel,
     gittins_compare,
     model_index_result,
     reduced_bandit,
 )
+
+if TYPE_CHECKING:
+    from .game import GameInstance, Policy
 
 
 def _cap(args: argparse.Namespace, default: int) -> int:
@@ -75,6 +63,8 @@ def _cap(args: argparse.Namespace, default: int) -> int:
 
 
 def _parse_policy(desc: str) -> Policy:
+    from .game import BlockCommitmentIndexPolicy, CyclicPolicy, GreedyRewardPolicy, IndexPolicy
+
     if desc == "index":
         return IndexPolicy()
     if desc == "index-block":
@@ -137,11 +127,15 @@ def _load_bandits(args: argparse.Namespace) -> list:
 
 def _check_seeds(first: int, count: int) -> None:
     """Refuse, before numpy loads, seeds outside the generator's key range."""
+    from .game import _SEED_BOUND
+
     if count and not (0 <= first and first + count <= _SEED_BOUND):
         raise ModelFormatError(f"seed {first if first < 0 else first + count - 1} lies outside [0, 2**128)")
 
 
 def _load_game(args: argparse.Namespace) -> GameInstance:
+    from .game import GameInstance
+
     return GameInstance(bandits=tuple(_load_bandits(args)), model=PayoutModel(args.payout))
 
 
@@ -195,6 +189,8 @@ def _cmd_index(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from .game import DEFAULT_HISTORY_CAP, evaluate_exact
+
     game = _load_game(args)
     policy = _parse_policy(args.policy)
     value = evaluate_exact(game, policy, history_cap=_cap(args, DEFAULT_HISTORY_CAP))
@@ -211,26 +207,22 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .game import run_policy_sampled
+
     _check_seeds(args.seed, 1)
     game = _load_game(args)
     policy = _parse_policy(args.policy)
     res = run_policy_sampled(game, policy, args.seed, args.samples)
-    _emit(
-        {
-            "schema": 1,
-            "payout": args.payout,
-            "policy": policy.describe(),
-            "method": "sampled",
-            "mean": res.mean,
-            "stderr": res.stderr,
-            "n_samples": res.n_samples,
-            "seed": res.seed,
-        }
-    )
+    doc = {"schema": 1, "payout": args.payout, "policy": policy.describe(), "method": "sampled"}
+    doc.update(res.to_obj())
+    _emit(doc)
     return 0
 
 
 def _cmd_optimal(args: argparse.Namespace) -> int:
+    from .game import DEFAULT_HISTORY_CAP
+    from .oracle import dp_optimal
+
     game = _load_game(args)
     sol = dp_optimal(game, history_cap=_cap(args, DEFAULT_HISTORY_CAP))
     _emit(
@@ -256,6 +248,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _sweep_task(task: tuple[int, str, int, int]) -> dict:
+    from .oracle import certify_index_optimality, random_game
+
     seed, payout, depth, branching = task
     game = random_game(
         seed,
@@ -275,6 +269,9 @@ def _sweep_task(task: tuple[int, str, int, int]) -> dict:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    from .game import DEFAULT_HISTORY_CAP
+    from .oracle import DEFAULT_POLICY_CAP, certify_greedy_dominance, certify_index_optimality
+
     if args.sweep is not None:
         if args.model:
             raise ModelFormatError("--sweep generates its own instances; drop --model")
@@ -329,6 +326,8 @@ def _cmd_gittins(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from .game import trace_times
+
     game = _load_game(args)
     policy = _parse_policy(args.policy)
     trace = trace_times(game, policy, _parse_outcomes(args.outcomes))

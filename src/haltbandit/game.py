@@ -609,11 +609,6 @@ class Trace:
     halt_round: int | None
     halter: int | None
 
-    def activation_rounds(self, i: int) -> tuple[int, ...]:
-        """Rounds at which bandit ``i`` was activated: entry t is the round
-        advancing its local time from t to t+1."""
-        return tuple(r.round for r in self.rows if r.choice == i)
-
 
 Outcome = str | tuple[str, int]
 

@@ -71,7 +71,7 @@ from typing import Callable, Mapping
 from .errors import InvalidRuleError, PreconditionError, ResourceCapError, SolverError
 from .jsonio import Number
 from .linear import solve_linear
-from .models import MarkovBandit, TreeBandit
+from .models import MarkovBandit, TreeBandit, _finite
 
 DEFAULT_RULE_CAP = 10**6
 DEFAULT_ITER_CAP = 10**4
@@ -353,7 +353,8 @@ def _gain_index(
     charge-adjusted problem and resets the charge to the maximizing rule's
     exact ratio N / D.  The charge increases strictly while the adjusted
     value stays positive and can only take finitely many rule ratios, so
-    termination needs at most one round per distinct rule.
+    termination needs at most one round per distinct rule.  A float charge
+    or adjusted value beyond float range raises ``PreconditionError``.
     """
     tol = _tie_tol(bandit)
     if isinstance(bandit, TreeBandit):
@@ -380,6 +381,8 @@ def _gain_index(
     for it in range(1, DEFAULT_ITER_CAP + 1):
         charge = BlockValue(num, den).ratio
         value, rule, num, den = solve_round(charge)
+        if not (_finite(charge) and _finite(value)):
+            raise PreconditionError(f"the ratio iteration left float range (charge {charge!r}, value {value!r})")
         trace.append((charge, value))
         if abs(value) <= tol:
             return IndexResult(value=charge, rule=rule, iterations=it, trace=tuple(trace))
@@ -462,10 +465,6 @@ class IndexDecomposition:
     blocks: tuple[IndexBlock, ...]
     block_of: Mapping[int, int]
     prevailing_index: Mapping[int, Number]
-
-    @property
-    def depth(self) -> int:
-        return 1 + max((b.level for b in self.blocks), default=0)
 
 
 def index_decomposition(bandit: TreeBandit) -> IndexDecomposition:

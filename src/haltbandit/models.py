@@ -162,14 +162,6 @@ class ValidationReport:
     def codes(self) -> set[str]:
         return {v.code for v in self.violations}
 
-    def to_obj(self) -> dict:
-        return {
-            "pass": self.passed,
-            "violations": [
-                {"code": v.code, "where": v.where, "detail": v.detail} for v in self.violations
-            ],
-        }
-
 
 def _finite(value: Number) -> bool:
     return not isinstance(value, float) or math.isfinite(value)

@@ -50,8 +50,6 @@ from .game import (
 )
 from .jsonio import Number
 from .models import (
-    MarkovBandit,
-    MarkovState,
     ProfitBandit,
     TreeBandit,
     TreeEdge,
@@ -627,34 +625,6 @@ def random_profit_bandit(
     tree = random_tree_bandit(rng, max_depth=max_depth, max_branching=max_branching)
     costs = tuple(int(rng.integers(0, 6)) for _ in tree.nodes)
     return ProfitBandit(rewards=tree, costs=costs)
-
-
-def random_markov_bandit(
-    seed_or_rng: int | np.random.Generator,
-    *,
-    n_states: int = 3,
-    constant_halt: Fraction | None = None,
-    halt_rewards: str = "reward",
-) -> MarkovBandit:
-    """A small valid chain; a constant halting probability (e.g. for the
-    discounted-index comparison) can be forced."""
-    rng = _rng_of(seed_or_rng)
-    states = []
-    for _ in range(n_states):
-        r = int(rng.integers(-5, 11))
-        h = constant_halt if constant_halt is not None else _HALT_MASSES[int(rng.integers(0, 3))]
-        states.append(MarkovState(reward=r, halt_prob=h, halt_reward=r if halt_rewards == "reward" else 0))
-    transitions = []
-    for _ in range(n_states):
-        weights = [int(rng.integers(0, 4)) for _ in range(n_states)]
-        if sum(weights) == 0:
-            weights[int(rng.integers(0, n_states))] = 1
-        s = sum(weights)
-        transitions.append(tuple(Fraction(w, s) for w in weights))
-    bandit = MarkovBandit(states=tuple(states), transitions=tuple(transitions), initial=0)
-    report = validate(bandit)
-    assert report.passed, report.codes()
-    return bandit
 
 
 def random_game(

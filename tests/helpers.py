@@ -12,8 +12,10 @@ outcome atom, as the reference for ``certify_greedy_dominance``.
 ``reference_dp_optimal`` and ``reference_policy_count`` walk the histories
 by stepping the game, as the reference for the oracle's tabulated backward
 induction.  ``normalize``, ``parent``, ``equivalent_rewards``,
-``index_times`` and ``parametric_stopping_value`` are model transforms,
-lookups and a stopping solver that only the tests use.
+``index_times``, ``parametric_stopping_value``, ``random_markov_bandit``
+and ``activation_rounds`` are model transforms, lookups, a stopping
+solver, a seeded chain generator and a trace reading that only the tests
+use.
 """
 
 from __future__ import annotations
@@ -42,13 +44,13 @@ from haltbandit import (
     ResourceCapError,
     StoppingRule,
     TablePolicy,
+    Trace,
     TreeBandit,
     TreeEdge,
     TreeNode,
     atoms,
     enumerate_stopping_rules,
     immediate_payment,
-    random_markov_bandit,
     random_profit_bandit,
     random_tree_bandit,
     round_of,
@@ -58,7 +60,7 @@ from haltbandit import (
 )
 from haltbandit.game import DEFAULT_HISTORY_CAP
 from haltbandit.indices import _gains, _tie_tol, _tree_pass
-from haltbandit.oracle import DEFAULT_POLICY_CAP
+from haltbandit.oracle import _HALT_MASSES, DEFAULT_POLICY_CAP, _rng_of
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -130,8 +132,37 @@ def pair_game(model: PayoutModel = PayoutModel.CP) -> GameInstance:
     return GameInstance(bandits=(ramp_bandit(), sure_bandit(5)), model=model)
 
 
+def random_markov_bandit(seed: int, *, n_states: int = 3, constant_halt: Fraction | None = None) -> MarkovBandit:
+    """A small valid seeded chain: integer rewards in [-5, 10], each paid
+    again at the halt, halting probabilities from {1/4, 1/2, 3/4} unless
+    ``constant_halt`` forces one (e.g. for the discounted-index comparison)."""
+    rng = _rng_of(seed)
+    states = []
+    for _ in range(n_states):
+        r = int(rng.integers(-5, 11))
+        h = constant_halt if constant_halt is not None else _HALT_MASSES[int(rng.integers(0, 3))]
+        states.append(MarkovState(reward=r, halt_prob=h, halt_reward=r))
+    transitions = []
+    for _ in range(n_states):
+        weights = [int(rng.integers(0, 4)) for _ in range(n_states)]
+        if sum(weights) == 0:
+            weights[int(rng.integers(0, n_states))] = 1
+        s = sum(weights)
+        transitions.append(tuple(Fraction(w, s) for w in weights))
+    bandit = MarkovBandit(states=tuple(states), transitions=tuple(transitions), initial=0)
+    report = validate(bandit)
+    assert report.passed, report.codes()
+    return bandit
+
+
 def always(i: int) -> TablePolicy:
     return TablePolicy({}, default=i)
+
+
+def activation_rounds(trace: Trace, i: int) -> tuple[int, ...]:
+    """Rounds at which bandit ``i`` was activated: entry t is the round
+    advancing its local time from t to t+1."""
+    return tuple(r.round for r in trace.rows if r.choice == i)
 
 
 def as_table(game: GameInstance, policy: Policy) -> TablePolicy:

@@ -43,6 +43,7 @@ from haltbandit.errors import PreconditionError
 from helpers import (
     HALF,
     ONE,
+    activation_rounds,
     as_table,
     enumerate_policies,
     equivalent_rewards,
@@ -260,8 +261,8 @@ def test_6_worked_interleaving_example_is_reproduced():
         trace = trace_times(game, alternate, ["survive"] * 4)
         assert [r.local_times for r in trace.rows] == [(0, 0), (1, 0), (1, 1), (2, 1)]
         assert [r.choice for r in trace.rows] == [0, 1, 0, 1]
-        assert trace.activation_rounds(0) == (0, 2)  # second visit at round 2
-        assert trace.activation_rounds(1) == (1, 3)  # second visit at round 3
+        assert activation_rounds(trace, 0) == (0, 2)  # second visit at round 2
+        assert activation_rounds(trace, 1) == (1, 3)  # second visit at round 3
         assert [r.survival_probability for r in trace.rows] == [
             HALF,
             Fraction(1, 4),

@@ -22,15 +22,13 @@ from haltbandit import (
     load_model,
     loads_model,
     random_game,
-    random_markov_bandit,
     save_model,
     to_float,
     unroll_markov,
 )
-from haltbandit import cli
 from haltbandit.cli import main
 
-from helpers import ONE, live_last_bandit, pair_game, path_bandit, sure_bandit
+from helpers import ONE, live_last_bandit, pair_game, path_bandit, random_markov_bandit, sure_bandit
 
 
 @pytest.fixture()
@@ -192,20 +190,12 @@ def test_exact_numbers_beyond_float_range_exit_four_where_floats_are_needed(caps
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize(
-    "command",
-    [
-        ("evaluate", "--policy", "index"),
-        ("simulate", "--policy", "index", "--samples", "10"),
-        ("optimal",),
-        ("certify",),
-    ],
-    ids=lambda c: c[0],
-)
-@pytest.mark.parametrize("signs", [(1, 1, 1, 1, 1, 1), (1, 1, 1, 1, -1, 1)], ids=["all-huge", "mixed-signs"])
-def test_float_values_beyond_float_range_exit_four(capsys, tmp_path, command, signs):
-    # every reward ±1.7e308: a valid float model whose sums overflow to ±inf,
-    # and with mixed signs to an infinite index and NaN differences
+# every reward ±1.7e308: a valid float model whose sums overflow to ±inf,
+# and with mixed signs to an infinite index and NaN differences
+ALL_HUGE, MIXED_SIGNS = (1, 1, 1, 1, 1, 1), (1, 1, 1, 1, -1, 1)
+
+
+def exits_four_beyond_float_range(capsys, tmp_path, signs, command):
     doc = json.loads(dumps_model(list(pair_game().bandits)))
     for node, sign in zip((n for b in doc["bandits"] for n in b["nodes"]), signs, strict=True):
         node["reward"] = sign * 1.7e308
@@ -219,6 +209,31 @@ def test_float_values_beyond_float_range_exit_four(capsys, tmp_path, command, si
     assert captured.out == ""
     assert "float range" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("evaluate", "--policy", "index"),
+        ("simulate", "--policy", "index", "--samples", "10"),
+        ("optimal",),
+        ("certify",),
+    ],
+    ids=lambda c: c[0],
+)
+@pytest.mark.parametrize("signs", [ALL_HUGE, MIXED_SIGNS], ids=["all-huge", "mixed-signs"])
+def test_float_values_beyond_float_range_exit_four(capsys, tmp_path, command, signs):
+    exits_four_beyond_float_range(capsys, tmp_path, signs, command)
+
+
+@pytest.mark.parametrize(
+    "signs, bandit, payout",
+    [(ALL_HUGE, "0", "CCP"), (MIXED_SIGNS, "1", "CP"), (MIXED_SIGNS, "0", "CCP")],
+    ids=["all-huge-0-CCP", "mixed-signs-1-CP", "mixed-signs-0-CCP"],
+)
+def test_float_indices_beyond_float_range_exit_four(capsys, tmp_path, signs, bandit, payout):
+    # the ratio iteration's charge reaches inf, and its adjusted value -inf or NaN
+    exits_four_beyond_float_range(capsys, tmp_path, signs, ("index", "--bandit", bandit, "--payout", payout))
 
 
 def test_missing_model_file_exits_two(capsys, tmp_path):
@@ -416,8 +431,8 @@ def test_seeds_outside_the_key_range_exit_two(capsys, monkeypatch, pair_path, ar
     def refuse(*args, **kwargs):
         raise AssertionError("the seed reached the generator")
 
-    monkeypatch.setattr(cli, "run_policy_sampled", refuse)
-    monkeypatch.setattr(cli, "random_game", refuse)
+    monkeypatch.setattr("haltbandit.game.run_policy_sampled", refuse)
+    monkeypatch.setattr("haltbandit.oracle.random_game", refuse)
     model = ("--model", pair_path) if argv[0] == "simulate" else ()
     code = main([*argv[:1], *model, *argv[1:]])
     captured = capsys.readouterr()
@@ -583,28 +598,34 @@ def test_enumeration_anchor_outside_the_tree_exits_four(capsys, tmp_path, anchor
     assert "Traceback" not in captured.err
 
 
-# Runs each argv through `main` in a fresh interpreter, then prints which of
-# the heavy modules the process has loaded.
-_LOADED_AFTER = """
+# Imports the package, runs each argv through `main` in a fresh interpreter,
+# then prints every module the process has loaded.
+_MODULES_AFTER = """
 import contextlib, io, json, sys
 import haltbandit
-from haltbandit.cli import main
 for argv in json.loads(sys.argv[1]):
+    from haltbandit.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
-print(json.dumps([m for m in ("numpy", "concurrent.futures.process") if m in sys.modules]))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
-def loaded_after(*argvs):
-    # this process already holds numpy, so the check needs a fresh one
+def modules_after(*argvs):
+    # this process already holds every module, so the check needs a fresh one
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", _LOADED_AFTER, json.dumps(argvs)],
+        [sys.executable, "-c", _MODULES_AFTER, json.dumps(argvs)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def loaded_after(*argvs):
+    """Which of the heavy modules the runs load."""
+    modules = modules_after(*argvs)
+    return [m for m in ("numpy", "concurrent.futures.process") if m in modules]
 
 
 def test_exact_runs_never_load_numpy_on_either_backend(pair_path, chain_path):
@@ -621,3 +642,32 @@ def test_exact_runs_never_load_numpy_on_either_backend(pair_path, chain_path):
     assert loaded_after(
         ("simulate", "--model", pair_path, "--policy", "always:0", "--samples", "10")
     ) == ["numpy"]
+
+
+# the modules every subcommand loads: the parser's payout choices need `reductions`
+_PARSE = {"cli", "errors", "indices", "jsonio", "linear", "models", "reductions"}
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        ((), set()),
+        (("validate", "--model", "{pair}"), _PARSE),
+        (("index", "--model", "{pair}"), _PARSE),
+        (("reduce", "--model", "{pair}", "--payout", "SP"), _PARSE),
+        (("gittins", "--model", "{chain}", "--rational"), _PARSE),
+        (("evaluate", "--model", "{pair}", "--policy", "index"), _PARSE | {"game"}),
+        (("simulate", "--model", "{pair}", "--policy", "index", "--samples", "10"), _PARSE | {"game"}),
+        (("trace", "--model", "{pair}", "--policy", "always:0", "--outcomes", "s,h"), _PARSE | {"game"}),
+        (("optimal", "--model", "{pair}"), _PARSE | {"game", "oracle"}),
+        (("certify", "--model", "{pair}", "--rational"), _PARSE | {"game", "oracle"}),
+        (("certify", "--sweep", "1"), _PARSE | {"game", "oracle"}),
+    ],
+    ids=["import", "validate", "index", "reduce", "gittins", "evaluate", "simulate", "trace", "optimal", "certify",
+         "certify-sweep"],
+)
+def test_each_subcommand_loads_only_the_modules_it_runs(pair_path, chain_path, argv, loads):
+    # an empty argv is a bare `import haltbandit`, which loads no submodule
+    runs = [tuple(a.format(pair=pair_path, chain=chain_path) for a in argv)] if argv else []
+    package = {m.removeprefix("haltbandit.") for m in modules_after(*runs) if m.startswith("haltbandit.")}
+    assert package == loads

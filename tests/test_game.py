@@ -27,7 +27,6 @@ from haltbandit import (
     local_times,
     psp_value_with_policy_indices,
     random_game,
-    random_markov_bandit,
     round_of,
     run_policy_sampled,
     step,
@@ -42,6 +41,7 @@ from helpers import (
     HALF,
     ONE,
     _solve_exact,
+    activation_rounds,
     always,
     as_table,
     enumerate_policies,
@@ -51,6 +51,7 @@ from helpers import (
     pair_game,
     path_bandit,
     ramp_bandit,
+    random_markov_bandit,
     reachable_histories,
     sure_bandit,
 )
@@ -507,8 +508,8 @@ def test_trace_reproduces_the_interleaving_bookkeeping():
     trace = trace_times(game, CyclicPolicy((0, 1)), ["survive"] * 4)
     assert [r.local_times for r in trace.rows] == [(0, 0), (1, 0), (1, 1), (2, 1)]
     assert [r.choice for r in trace.rows] == [0, 1, 0, 1]
-    assert trace.activation_rounds(0) == (0, 2)
-    assert trace.activation_rounds(1) == (1, 3)
+    assert activation_rounds(trace, 0) == (0, 2)
+    assert activation_rounds(trace, 1) == (1, 3)
     assert [r.survival_probability for r in trace.rows] == [
         HALF,
         Fraction(1, 4),

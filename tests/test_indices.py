@@ -20,7 +20,6 @@ from haltbandit import (
     enumerate_stopping_rules,
     index_decomposition,
     model_index_result,
-    random_markov_bandit,
     random_tree_bandit,
     reduced_bandit,
     rule_count,
@@ -49,6 +48,7 @@ from helpers import (
     parametric_stopping_value,
     path_bandit,
     ramp_bandit,
+    random_markov_bandit,
     small_chains,
     small_trees,
     sure_bandit,
@@ -169,7 +169,7 @@ def test_decomposition_of_the_ramp():
     assert [b.level for b in dec.blocks] == [0, 1]
     assert dec.blocks[0].rule.stop_set == frozenset({2})
     assert dec.blocks[1].parent == 0
-    assert dec.depth == 2
+    assert 1 + max(b.level for b in dec.blocks) == 2
     assert dec.prevailing_index == {0: 8, 2: 6}
     assert index_times(dec, 1).stop_set == frozenset({2})
 

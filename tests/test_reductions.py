@@ -17,13 +17,21 @@ from haltbandit import (
     gittins_index,
     model_index_result,
     random_game,
-    random_markov_bandit,
     reduced_bandit,
     solo_index_enumerate,
     unroll_markov,
 )
 
-from helpers import HALF, ONE, direct_index, enumerate_policies, oracle_value, path_bandit, ramp_bandit
+from helpers import (
+    HALF,
+    ONE,
+    direct_index,
+    enumerate_policies,
+    oracle_value,
+    path_bandit,
+    ramp_bandit,
+    random_markov_bandit,
+)
 
 
 def rewards_of(tree):
