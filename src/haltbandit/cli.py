@@ -13,7 +13,8 @@ arguments), 3 a resource cap was hit, 4 a precondition was violated.
 Every subcommand that reads a model validates it first (no depth or
 branching cap) and exits 1 on a violation, printing its codes to stderr.
 The ``HB_CAP`` environment variable (or ``--cap``) overrides the default
-resource caps.
+resource cap of ``index``, ``evaluate``, ``optimal`` and ``certify``, the
+subcommands that read one; the others refuse ``--cap`` (exit 2).
 
 Each subcommand imports what it runs inside its handler: ``game`` for the
 subcommands that play a game, ``oracle`` only for ``optimal`` and
@@ -51,7 +52,7 @@ if TYPE_CHECKING:
 
 
 def _cap(args: argparse.Namespace, default: int) -> int:
-    if getattr(args, "cap", None) is not None:
+    if args.cap is not None:
         return args.cap
     env = os.environ.get("HB_CAP")
     if env:
@@ -149,15 +150,10 @@ def _emit(doc: dict) -> None:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     bandits = load_model(args.model, rational=args.rational)
-    violations = []
-    ok = True
-    for k, b in enumerate(bandits):
-        report = validate(b, max_depth=args.max_depth, max_branching=args.max_branching)
-        ok = ok and report.passed
-        for v in report.violations:
-            violations.append({"bandit": k, "code": v.code, "where": v.where, "detail": v.detail})
-    _emit({"schema": 1, "valid": ok, "violations": violations})
-    return 0 if ok else 1
+    reports = [validate(b, max_depth=args.max_depth, max_branching=args.max_branching) for b in bandits]
+    violations = [{"bandit": k, **v.to_obj()} for k, r in enumerate(reports) for v in r.violations]
+    _emit({"schema": 1, "valid": not violations, "violations": violations})
+    return 1 if violations else 0
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
@@ -213,9 +209,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     game = _load_game(args)
     policy = _parse_policy(args.policy)
     res = run_policy_sampled(game, policy, args.seed, args.samples)
-    doc = {"schema": 1, "payout": args.payout, "policy": policy.describe(), "method": "sampled"}
-    doc.update(res.to_obj())
-    _emit(doc)
+    _emit({"schema": 1, "payout": args.payout, "policy": policy.describe(), "method": "sampled", **res.to_obj()})
     return 0
 
 
@@ -305,9 +299,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         report = certify_greedy_dominance(game, policy_cap=_cap(args, DEFAULT_POLICY_CAP))
     else:
         report = certify_index_optimality(game, history_cap=_cap(args, DEFAULT_HISTORY_CAP))
-    doc = {"schema": 1, "kind": args.kind}
-    doc.update(report.to_obj())
-    _emit(doc)
+    _emit({"schema": 1, "kind": args.kind, **report.to_obj()})
     return 0 if report.passed else 1
 
 
@@ -319,9 +311,7 @@ def _cmd_gittins(args: argparse.Namespace) -> int:
     if not isinstance(bandit, MarkovBandit):
         raise PreconditionError("the discounted-index comparison needs a markov bandit")
     rep = gittins_compare(bandit, args.state)
-    doc = {"schema": 1}
-    doc.update(rep.to_obj())
-    _emit(doc)
+    _emit({"schema": 1, **rep.to_obj()})
     return 0 if rep.passed else 1
 
 
@@ -347,23 +337,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             )
         sys.stdout.write(buf.getvalue())
         return 0
-    _emit(
-        {
-            "schema": 1,
-            "rows": [
-                {
-                    "round": r.round,
-                    "local_times": list(r.local_times),
-                    "choice": r.choice,
-                    "reward": r.reward,
-                    "survival_probability": r.survival_probability,
-                }
-                for r in trace.rows
-            ],
-            "halt_round": trace.halt_round,
-            "halter": trace.halter,
-        }
-    )
+    _emit({"schema": 1, **trace.to_obj()})
     return 0
 
 
@@ -385,10 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, model_required: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, *, model_required: bool = True, cap: bool = False) -> None:
         p.add_argument("--model", required=model_required, help="model JSON file")
         p.add_argument("--rational", action="store_true", help="exact rational arithmetic")
-        p.add_argument("--cap", type=int, default=None, help="resource cap override")
+        if cap:
+            p.add_argument("--cap", type=int, default=None, help="resource cap override")
 
     p = sub.add_parser("validate", help="check a model document")
     common(p)
@@ -397,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("index", help="solo-payout index of one bandit")
-    common(p)
+    common(p, cap=True)
     p.add_argument("--bandit", type=int, default=0)
     p.add_argument("--anchor", type=int, default=None, help="node/state id (default root)")
     p.add_argument("--payout", default="CP", choices=[m.value for m in PayoutModel])
@@ -405,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_index)
 
     p = sub.add_parser("evaluate", help="exact policy value")
-    common(p)
+    common(p, cap=True)
     p.add_argument("--payout", default="CP", choices=[m.value for m in PayoutModel])
     p.add_argument("--policy", required=True)
     p.set_defaults(func=_cmd_evaluate)
@@ -419,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("optimal", help="brute-force optimal value")
-    common(p)
+    common(p, cap=True)
     p.add_argument("--payout", default="CP", choices=[m.value for m in PayoutModel])
     p.set_defaults(func=_cmd_optimal)
 
@@ -430,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("certify", help="check index optimality or greedy dominance")
-    common(p, model_required=False)
+    common(p, model_required=False, cap=True)
     p.add_argument("--payout", default="CP", choices=[m.value for m in PayoutModel])
     p.add_argument("--kind", default="index", choices=["index", "greedy"])
     p.add_argument("--sweep", type=int, default=None, help="run N seeded random instances")

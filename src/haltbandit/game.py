@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 from .errors import PreconditionError, ResourceCapError, SolverError
 from .indices import ZERO_TOL, IndexDecomposition, _decompose, _index_table
-from .jsonio import Number
+from .jsonio import Number, Record
 from .linear import residual, solve_linear
 from .models import AnyBandit, MarkovBandit, ProfitBandit, TreeBandit, dynamics_of
 from .reductions import PayoutModel, _index_form
@@ -484,19 +484,11 @@ def evaluate_exact(
 
 
 @dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(Record):
     mean: float
     stderr: float
     n_samples: int
     seed: int
-
-    def to_obj(self) -> dict:
-        return {
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-        }
 
 
 def _float_view(state: _State) -> tuple[float, list[tuple[float, _Key | None, float]]]:
@@ -587,7 +579,7 @@ def run_policy_sampled(
 
 
 @dataclass(frozen=True)
-class TraceRow:
+class TraceRow(Record):
     round: int
     local_times: tuple[int, ...]
     choice: int
@@ -596,7 +588,7 @@ class TraceRow:
 
 
 @dataclass(frozen=True)
-class Trace:
+class Trace(Record):
     """Bookkeeping of one concrete play-through.
 
     ``rows[s]`` describes round ``s``: local times before the activation,

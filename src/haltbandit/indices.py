@@ -69,7 +69,7 @@ from math import prod
 from typing import Callable, Mapping
 
 from .errors import InvalidRuleError, PreconditionError, ResourceCapError, SolverError
-from .jsonio import Number
+from .jsonio import Number, Record
 from .linear import solve_linear
 from .models import MarkovBandit, TreeBandit, _finite
 
@@ -79,14 +79,11 @@ ZERO_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class StoppingRule:
+class StoppingRule(Record):
     """Stop at the first member of ``stop_set`` reached strictly below ``anchor``."""
 
     anchor: int
     stop_set: frozenset[int]
-
-    def to_obj(self) -> dict:
-        return {"anchor": self.anchor, "stop_set": sorted(self.stop_set)}
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Number parsing and canonical JSON emission.
+"""Number parsing, canonical JSON emission and the result base class.
 
 Model files and reports carry probabilities and rewards either as JSON
 numbers or as strings ("0.25", "1/3").  Exact mode keeps every quantity a
@@ -7,6 +7,11 @@ converts to machine floats.  The emitter is deterministic: dict insertion
 order is preserved, floats are printed with 17 significant digits, and
 Fractions serialize as ratio strings, so serializing the same document
 twice yields byte-identical text.
+
+Result types (certificate reports, sampled values, traces, stopping rules,
+validation violations) inherit `Record`, whose ``to_obj`` writes their
+dataclass fields in declaration order; the CLI prefixes its own keys
+(``"schema"``, ``"kind"``, ...) and emits the rest as the record gives it.
 """
 
 from __future__ import annotations
@@ -65,6 +70,33 @@ def format_number(value: Number) -> int | float | str:
         if value.denominator == 1:
             return int(value)
         return str(value)
+    return value
+
+
+class Record:
+    """Base of the frozen dataclasses whose fields are a JSON document.
+
+    ``to_obj`` maps each field to its key in declaration order, the field
+    ``passed`` to ``"pass"``; nested records and tuples are converted
+    alike, and a frozenset becomes a sorted list.
+    """
+
+    __slots__ = ()
+
+    def to_obj(self) -> dict:
+        return {
+            "pass" if name == "passed" else name: _plain(getattr(self, name))
+            for name in self.__dataclass_fields__  # type: ignore[attr-defined]
+        }
+
+
+def _plain(value: Any) -> Any:
+    if isinstance(value, Record):
+        return value.to_obj()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, frozenset):
+        return sorted(value)
     return value
 
 

@@ -30,12 +30,13 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import ModelFormatError, PreconditionError, ResourceCapError
-from .jsonio import Number, dumps_canonical, format_number, parse_number
+from .jsonio import Number, Record, dumps_canonical, format_number, parse_number
 
 DEFAULT_MAX_DEPTH = 12
 DEFAULT_MAX_BRANCHING = 4
 PROB_SUM_TOL = 1e-12
 _UNROLL_NODE_CAP = 500_000
+_UNROLL_TAIL = 1e-10  # chain mass left at the default cut of ``unroll_markov``
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ def dynamics_of(bandit: AnyBandit) -> TreeBandit | MarkovBandit:
 
 
 @dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     code: str
     where: str
     detail: str
@@ -328,13 +329,12 @@ def to_float(bandit: AnyBandit) -> AnyBandit:
 def geometric_markov(
     rewards: Number | Sequence[Number],
     beta: Number,
-    halt_rewards: str | Sequence[Number] = "zero",
+    halt_rewards: str = "zero",
 ) -> MarkovBandit:
     """Build the geometric-halting chain: constant survival ``beta`` per
     activation, rewards cycling through the given sequence.
 
-    ``halt_rewards`` may be "zero", "reward" (halt pays the state reward),
-    or an explicit per-state sequence.
+    ``halt_rewards`` is "zero" or "reward" (halt pays the state reward).
     """
     if not 0 < beta < 1:
         raise PreconditionError(f"survival probability must lie strictly inside (0, 1), got {beta!r}")
@@ -342,17 +342,12 @@ def geometric_markov(
     if not seq:
         raise PreconditionError("at least one reward is required")
     n = len(seq)
-    if isinstance(halt_rewards, str):
-        if halt_rewards == "zero":
-            halt_seq: list[Number] = [0] * n
-        elif halt_rewards == "reward":
-            halt_seq = list(seq)
-        else:
-            raise PreconditionError(f"unknown halt reward rule {halt_rewards!r}")
+    if halt_rewards == "zero":
+        halt_seq: list[Number] = [0] * n
+    elif halt_rewards == "reward":
+        halt_seq = list(seq)
     else:
-        halt_seq = list(halt_rewards)
-        if len(halt_seq) != n:
-            raise PreconditionError("halt rewards must align with the reward cycle")
+        raise PreconditionError(f"unknown halt reward rule {halt_rewards!r}")
     halt_prob = 1 - beta
     states = tuple(MarkovState(seq[i], halt_prob, halt_seq[i]) for i in range(n))
     rows = tuple(tuple(1 if j == (i + 1) % n else 0 for j in range(n)) for i in range(n))
@@ -363,7 +358,6 @@ def unroll_markov(
     bandit: MarkovBandit,
     *,
     max_depth: int | None = None,
-    tail: float = 1e-10,
 ) -> TreeBandit:
     """Unroll a Markov bandit into a finite tree.
 
@@ -371,15 +365,15 @@ def unroll_markov(
     remaining mass is folded into a forced halting edge.  With minimum
     halting probability h the probability of ever reaching the cut is at
     most (1-h)^depth, so by default the cut is placed where that tail drops
-    below ``tail``; values computed on the tree differ from the chain by at
-    most that mass times the reward scale.
+    below ``_UNROLL_TAIL`` (1e-10); values computed on the tree differ from
+    the chain by at most that mass times the reward scale.
     """
     h_min = min(float(st.halt_prob) for st in bandit.states)
     if max_depth is None:
         if h_min >= 1:
             max_depth = 1
         else:
-            max_depth = max(1, math.ceil(math.log(tail) / math.log(1 - h_min)))
+            max_depth = max(1, math.ceil(math.log(_UNROLL_TAIL) / math.log(1 - h_min)))
     nodes: list[TreeNode] = []
 
     def new_node(depth: int, reward: Number, halted: bool) -> int:

@@ -48,7 +48,7 @@ from .game import (
     _tree_value,
     current_reward,
 )
-from .jsonio import Number
+from .jsonio import Number, Record
 from .models import (
     ProfitBandit,
     TreeBandit,
@@ -406,7 +406,7 @@ def _atom_payout(game: GameInstance, graph: dict[_Key, _State], atom: Atom) -> N
 
 
 @dataclass(frozen=True)
-class IndexOptimalityReport:
+class IndexOptimalityReport(Record):
     index_value: Number
     optimal_value: Number
     gap: Number
@@ -414,17 +414,6 @@ class IndexOptimalityReport:
     action_disagreements: int
     tolerance: float
     passed: bool
-
-    def to_obj(self) -> dict:
-        return {
-            "index_value": self.index_value,
-            "optimal_value": self.optimal_value,
-            "gap": self.gap,
-            "histories_compared": self.histories_compared,
-            "action_disagreements": self.action_disagreements,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
 
 
 def certify_index_optimality(
@@ -482,21 +471,12 @@ def _unique_argmax(values: Sequence[Number], exact: bool) -> bool:
 
 
 @dataclass(frozen=True)
-class GreedyDominanceReport:
+class GreedyDominanceReport(Record):
     n_policies: int
     n_atoms: int
     min_slack: Number
     tolerance: float
     passed: bool
-
-    def to_obj(self) -> dict:
-        return {
-            "n_policies": self.n_policies,
-            "n_atoms": self.n_atoms,
-            "min_slack": self.min_slack,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
 
 
 def certify_greedy_dominance(
@@ -570,7 +550,6 @@ def random_tree_bandit(
     *,
     max_depth: int = 3,
     max_branching: int = 2,
-    rational: bool = True,
 ) -> TreeBandit:
     """A small valid bandit: integer rewards in [-5, 10], halting masses from
     {1/4, 1/2, 3/4, 1}, every path halted by ``max_depth``."""
@@ -605,10 +584,6 @@ def random_tree_bandit(
 
     root = build(0)
     bandit = TreeBandit(nodes=tuple(n for n in nodes if n is not None), root=root)
-    if not rational:
-        from .models import to_float
-
-        bandit = to_float(bandit)  # type: ignore[assignment]
     # every node has up to two halting edges beside its live ones
     report = validate(bandit, max_branching=max_branching + 2)
     assert report.passed, report.codes()
@@ -634,7 +609,6 @@ def random_game(
     model: PayoutModel = PayoutModel.CP,
     max_depth: int = 3,
     max_branching: int = 2,
-    rational: bool = True,
 ) -> GameInstance:
     rng = _rng_of(seed_or_rng)
     if model is PayoutModel.TP:
@@ -644,7 +618,7 @@ def random_game(
         )
     else:
         bandits = tuple(
-            random_tree_bandit(rng, max_depth=max_depth, max_branching=max_branching, rational=rational)
+            random_tree_bandit(rng, max_depth=max_depth, max_branching=max_branching)
             for _ in range(n_bandits)
         )
     return GameInstance(bandits=bandits, model=model)

@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import PreconditionError
-from .jsonio import Number
+from .jsonio import Number, Record
 from .indices import (
     DEFAULT_RULE_CAP,
     IndexResult,
@@ -222,23 +222,13 @@ def _constant_survival(bandit: MarkovBandit) -> float:
 
 
 @dataclass(frozen=True)
-class GittinsComparison:
+class GittinsComparison(Record):
     cumulative_index: Number
     gittins: float
     ratio: float
     beta: float
     abs_error: float
     passed: bool
-
-    def to_obj(self) -> dict:
-        return {
-            "cumulative_index": self.cumulative_index,
-            "gittins": self.gittins,
-            "ratio": self.ratio,
-            "beta": self.beta,
-            "abs_error": self.abs_error,
-            "pass": self.passed,
-        }
 
 
 def gittins_compare(bandit: MarkovBandit, state: int | None = None) -> GittinsComparison:

@@ -12,10 +12,10 @@ outcome atom, as the reference for ``certify_greedy_dominance``.
 ``reference_dp_optimal`` and ``reference_policy_count`` walk the histories
 by stepping the game, as the reference for the oracle's tabulated backward
 induction.  ``normalize``, ``parent``, ``equivalent_rewards``,
-``index_times``, ``parametric_stopping_value``, ``random_markov_bandit``
-and ``activation_rounds`` are model transforms, lookups, a stopping
-solver, a seeded chain generator and a trace reading that only the tests
-use.
+``index_times``, ``parametric_stopping_value``, ``random_markov_bandit``,
+``float_game`` and ``activation_rounds`` are model transforms, lookups, a
+stopping solver, a seeded chain generator, a float copy of a game and a
+trace reading that only the tests use.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from haltbandit import (
     round_of,
     step,
     terminal_payout,
+    to_float,
     validate,
 )
 from haltbandit.game import DEFAULT_HISTORY_CAP
@@ -153,6 +154,11 @@ def random_markov_bandit(seed: int, *, n_states: int = 3, constant_halt: Fractio
     report = validate(bandit)
     assert report.passed, report.codes()
     return bandit
+
+
+def float_game(game: GameInstance) -> GameInstance:
+    """The same game with every number a machine float."""
+    return GameInstance(bandits=tuple(to_float(b) for b in game.bandits), model=game.model)
 
 
 def always(i: int) -> TablePolicy:

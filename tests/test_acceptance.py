@@ -36,6 +36,7 @@ from haltbandit import (
     solo_index_enumerate,
     solo_index_parametric,
     gittins_compare,
+    to_float,
     trace_times,
 )
 from haltbandit.errors import PreconditionError
@@ -47,6 +48,7 @@ from helpers import (
     as_table,
     enumerate_policies,
     equivalent_rewards,
+    float_game,
     make_nonincreasing,
     normalize,
     path_bandit,
@@ -79,7 +81,7 @@ def tree_corpus() -> list:
         path_bandit((0, 4, 9, 10), (HALF, HALF, ONE)),
     ]
     exact = named + [random_tree_bandit(seed) for seed in range(30)]
-    floats = [random_tree_bandit(seed, rational=False) for seed in range(30, 45)]
+    floats = [to_float(random_tree_bandit(seed)) for seed in range(30, 45)]
     return [(b, True) for b in exact] + [(b, False) for b in floats]
 
 
@@ -90,9 +92,7 @@ def test_1_index_policy_attains_the_collective_optimum():
             report = certify_index_optimality(random_game(seed, n_bandits=n))
             assert report.passed and report.gap == 0
             if seed % 2 == 0:
-                loose = certify_index_optimality(
-                    random_game(seed, n_bandits=n, rational=False)
-                )
+                loose = certify_index_optimality(float_game(random_game(seed, n_bandits=n)))
                 assert loose.passed and abs(loose.gap) <= 1e-10
 
 
@@ -302,7 +302,7 @@ def test_7_parametric_and_enumeration_solvers_agree():
 def test_8_sampling_agrees_with_exact_values_and_reruns_identically():
     with criterion(8, "seeded sampling is consistent and reproducible", 180):
         for seed in range(20):
-            game = random_game(seed, rational=False)
+            game = float_game(random_game(seed))
             policy = CyclicPolicy((0, 1))
             exact = evaluate_exact(game, policy)
             first = run_policy_sampled(game, policy, seed=seed, n_samples=100_000)

@@ -28,7 +28,16 @@ from haltbandit import (
 )
 from haltbandit.cli import main
 
-from helpers import ONE, live_last_bandit, pair_game, path_bandit, random_markov_bandit, sure_bandit
+from helpers import (
+    ONE,
+    live_last_bandit,
+    make_nonincreasing,
+    pair_game,
+    path_bandit,
+    ramp_bandit,
+    random_markov_bandit,
+    sure_bandit,
+)
 
 
 @pytest.fixture()
@@ -537,6 +546,134 @@ def test_trace_json_reports_the_halt(capsys, pair_path):
     assert [r["local_times"] for r in doc["rows"]] == [[0, 0], [1, 0]]
 
 
+@pytest.fixture()
+def falling_path(tmp_path):
+    # rewards that never increase along a live path, for the greedy certificate
+    path = tmp_path / "falling.json"
+    save_model([make_nonincreasing(ramp_bandit()), sure_bandit(5)], path)
+    return str(path)
+
+
+# Each result document, byte for byte: (argv, exit code, stdout).
+_PINNED = {
+    "trace": (
+        ("trace", "--model", "{pair}", "--rational", "--policy", "always:0", "--outcomes", "s,h"),
+        0,
+        """{
+  "schema": 1,
+  "rows": [
+    {
+      "round": 0,
+      "local_times": [
+        0,
+        0
+      ],
+      "choice": 0,
+      "reward": 0,
+      "survival_probability": "1/2"
+    },
+    {
+      "round": 1,
+      "local_times": [
+        1,
+        0
+      ],
+      "choice": 0,
+      "reward": 4,
+      "survival_probability": "1/2"
+    }
+  ],
+  "halt_round": 2,
+  "halter": 0
+}
+""",
+    ),
+    "certify-index": (
+        ("certify", "--model", "{pair}", "--rational"),
+        0,
+        """{
+  "schema": 1,
+  "kind": "index",
+  "index_value": 7,
+  "optimal_value": 7,
+  "gap": 0,
+  "histories_compared": 2,
+  "action_disagreements": 0,
+  "tolerance": 1e-10,
+  "pass": true
+}
+""",
+    ),
+    "certify-greedy": (
+        ("certify", "--model", "{falling}", "--rational", "--payout", "PSP", "--kind", "greedy"),
+        0,
+        """{
+  "schema": 1,
+  "kind": "greedy",
+  "n_policies": 3,
+  "n_atoms": 2,
+  "min_slack": 0,
+  "tolerance": 0,
+  "pass": true
+}
+""",
+    ),
+    "gittins": (
+        ("gittins", "--model", "{chain}", "--rational"),
+        0,
+        """{
+  "schema": 1,
+  "cumulative_index": "280/19",
+  "gittins": 1.4736842105485266,
+  "ratio": 9.9999999998492832,
+  "beta": 0.90000000000000002,
+  "abs_error": 2.2211121830650882e-11,
+  "pass": true
+}
+""",
+    ),
+    "simulate": (
+        ("simulate", "--model", "{pair}", "--policy", "index", "--samples", "20", "--seed", "5"),
+        0,
+        """{
+  "schema": 1,
+  "payout": "CP",
+  "policy": "index",
+  "method": "sampled",
+  "mean": 7,
+  "stderr": 0.68824720161168529,
+  "n_samples": 20,
+  "seed": 5
+}
+""",
+    ),
+    "validate-invalid": (
+        ("validate", "--model", "{short}", "--rational"),
+        1,
+        """{
+  "schema": 1,
+  "valid": false,
+  "violations": [
+    {
+      "bandit": 0,
+      "code": "edge-probability-sum",
+      "where": "node 0",
+      "detail": "outgoing probabilities sum to Fraction(3, 4)"
+    }
+  ]
+}
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_result_documents_are_pinned_byte_for_byte(capsys, pair_path, chain_path, short_path, falling_path, name):
+    argv, code, text = _PINNED[name]
+    paths = {"pair": pair_path, "chain": chain_path, "short": short_path, "falling": falling_path}
+    assert run(capsys, *(a.format(**paths) for a in argv)) == (code, text)
+
+
 def test_trace_rejects_bad_outcome_tokens(capsys, pair_path):
     code, _ = run(
         capsys, "trace", "--model", pair_path,
@@ -553,12 +690,35 @@ def test_unknown_policy_exits_two(capsys, pair_path):
 def test_cap_flag_and_environment_override(capsys, pair_path, monkeypatch):
     code, _ = run(capsys, "optimal", "--model", pair_path, "--cap", "1")
     assert code == 3
+    code, _ = run(capsys, "evaluate", "--model", pair_path, "--policy", "index", "--cap", "1")
+    assert code == 3
     monkeypatch.setenv("HB_CAP", "1")
     code, _ = run(capsys, "optimal", "--model", pair_path)
     assert code == 3
     monkeypatch.setenv("HB_CAP", "many")
     code, _ = run(capsys, "optimal", "--model", pair_path)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("validate",),
+        ("simulate", "--policy", "index", "--samples", "10"),
+        ("reduce", "--payout", "SP"),
+        ("gittins",),
+        ("trace", "--policy", "always:0", "--outcomes", "s,h"),
+    ],
+    ids=lambda c: c[0],
+)
+def test_cap_is_refused_where_no_cap_is_read(capsys, chain_path, command):
+    # argparse exits 2 on an option the subcommand does not declare
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], "--model", chain_path, "--rational", *command[1:], "--cap", "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: --cap 1" in captured.err
 
 
 def test_index_policy_is_refused_under_the_penultimate_scheme(capsys, pair_path):

@@ -46,6 +46,7 @@ from helpers import (
     as_table,
     enumerate_policies,
     equivalent_rewards,
+    float_game,
     normalize,
     oracle_value,
     pair_game,
@@ -377,7 +378,7 @@ def _float_chain_game():
             8.3052, 0.033668936892368495, id="float-chain-ccp-period-3",
         ),
         pytest.param(
-            lambda: random_game(7, n_bandits=3, rational=False), IndexPolicy(), 7,
+            lambda: float_game(random_game(7, n_bandits=3)), IndexPolicy(), 7,
             10.2786, 0.0836788912412675, id="float-tree-index",
         ),
         pytest.param(

@@ -235,7 +235,7 @@ def test_cumulative_markov_index_closed_forms():
 def test_markov_index_agrees_with_its_unrolled_tree():
     chain = geometric_markov((1, 2), Fraction(9, 10), halt_rewards="reward")
     stationary = solo_index_parametric(chain)
-    tree = unroll_markov(chain, tail=1e-10)
+    tree = unroll_markov(chain)
     assert isinstance(tree, TreeBandit)
     unrolled = solo_index_parametric(tree)
     assert abs(float(unrolled.value) - float(stationary.value)) <= 1e-8

@@ -8,12 +8,16 @@ import pytest
 
 from haltbandit import (
     GameInstance,
+    IndexOptimalityReport,
     MarkovBandit,
     MarkovState,
     ModelFormatError,
     PayoutModel,
     PreconditionError,
     ProfitBandit,
+    StoppingRule,
+    Trace,
+    TraceRow,
     TreeBandit,
     TreeEdge,
     TreeNode,
@@ -28,7 +32,7 @@ from haltbandit import (
     validate,
 )
 
-from haltbandit.jsonio import parse_number
+from haltbandit.jsonio import Record, parse_number
 
 from helpers import HALF, ONE, enumerate_policies, normalize, pair_game, path_bandit, ramp_bandit, sure_bandit
 
@@ -239,6 +243,31 @@ def test_parser_accepts_decimal_strings_and_floats():
     assert exact.nodes[0].edges[0].p == HALF
     inexact = loads_model(dumps_model([ramp_bandit()]))[0]
     assert inexact.nodes[0].edges[0].p == 0.5
+
+
+def test_a_record_writes_its_fields_in_declaration_order():
+    report = IndexOptimalityReport(
+        index_value=HALF, optimal_value=ONE, gap=HALF, histories_compared=3,
+        action_disagreements=1, tolerance=1e-10, passed=False,
+    )
+    assert isinstance(report, Record)
+    assert list(report.to_obj().items()) == [
+        ("index_value", HALF), ("optimal_value", ONE), ("gap", HALF), ("histories_compared", 3),
+        ("action_disagreements", 1), ("tolerance", 1e-10), ("pass", False),
+    ]
+
+
+def test_a_record_converts_nested_records_tuples_and_sets():
+    rows = (TraceRow(0, (0, 0), 0, 0, HALF), TraceRow(1, (1, 0), 0, 4, HALF))
+    assert Trace(rows=rows, halt_round=2, halter=0).to_obj() == {
+        "rows": [
+            {"round": 0, "local_times": [0, 0], "choice": 0, "reward": 0, "survival_probability": HALF},
+            {"round": 1, "local_times": [1, 0], "choice": 0, "reward": 4, "survival_probability": HALF},
+        ],
+        "halt_round": 2,
+        "halter": 0,
+    }
+    assert StoppingRule(anchor=0, stop_set=frozenset({7, 2, 5})).to_obj() == {"anchor": 0, "stop_set": [2, 5, 7]}
 
 
 def test_to_float_converts_probabilities_and_rewards():
