@@ -19,7 +19,9 @@ A game played under a policy compiles into one play graph over product
 positions (plus, on Markov backends, the round modulo the policy's
 declared period: the only extra state a policy may carry there).  Each
 state holds the policy's choice, the immediate payment and, per outcome,
-the probability, the successor or the halt, and the terminal payout.
+the probability, the successor or the halt, and the terminal payout.  A
+bandit's moves from a position are computed by ``step`` once per graph or
+sampler run and shared by every state that activates it there.
 Exact evaluation works backward over it on trees and solves its
 absorbing-chain linear system on chains; certification iterates it;
 policy block values and prevailing indices (``pi_values``) take one
@@ -378,11 +380,18 @@ _Key = tuple[tuple[int, ...], int]
 # Choice, immediate payment, and per outcome in ``step``'s order
 # (probability, successor or None at a halt, terminal payout).
 _State = tuple[int, Number, list[tuple[Number, _Key | None, Number]]]
+# The move cache of one run: (bandit, position) -> its moves in ``step``'s
+# order, each (probability, landing position, whether the move halts).
+_Moves = dict[tuple[int, int], list[tuple[Number, int, bool]]]
 
 
-def _compile_state(game: GameInstance, policy: Policy, key: _Key) -> _State:
+def _compile_state(game: GameInstance, policy: Policy, key: _Key, moves: _Moves) -> _State:
     """Play one product state: ask the policy once and settle every outcome.
 
+    The first state to activate a bandit at a position settles ``step``'s
+    outcomes and keeps the bandit's moves in ``moves``; later ones splice
+    each landing position into their key and settle the halts with
+    ``terminal_payout``, so ``step`` runs once per bandit position and run.
     Trees hand ``choose`` the round (a function of the positions); chains
     hand it the round modulo ``policy.period``, the only round dependence
     a policy may carry there.
@@ -396,12 +405,25 @@ def _compile_state(game: GameInstance, policy: Policy, key: _Key) -> _State:
     i = policy.choose(game, h, round_)
     if not 0 <= i < game.n:
         raise PreconditionError(f"policy chose bandit {i}, not in the game")
+    next_phase = (phase + 1) % period
     rows: list[tuple[Number, _Key | None, Number]] = []
-    for p, nxt in step(game, h, i):
-        if nxt.halter is not None:
-            rows.append((p, None, terminal_payout(game, h, i, nxt)))
-        else:
-            rows.append((p, (nxt.nodes, (phase + 1) % period), 0))
+    outcomes = moves.get((i, nodes[i]))
+    if outcomes is None:
+        stepped = step(game, h, i)
+        moves[i, nodes[i]] = [(p, nxt.nodes[i], nxt.halter is not None) for p, nxt in stepped]
+        for p, nxt in stepped:
+            if nxt.halter is not None:
+                rows.append((p, None, terminal_payout(game, h, i, nxt)))
+            else:
+                rows.append((p, (nxt.nodes, next_phase), 0))
+    else:
+        head, tail = nodes[:i], nodes[i + 1 :]
+        for p, y, halts in outcomes:
+            landed = head + (y,) + tail
+            if halts:
+                rows.append((p, None, terminal_payout(game, h, i, GlobalHistory(landed, halter=i))))
+            else:
+                rows.append((p, (landed, next_phase), 0))
     if not rows:
         raise PreconditionError(f"bandit {i} has no outcome at position {nodes[i]}; is the model valid?")
     return i, immediate_payment(game, h, i), rows
@@ -415,8 +437,9 @@ def _play_graph(game: GameInstance, policy: Policy, cap: int) -> dict[_Key, _Sta
     order = [start]
     seen = {start}
     graph: dict[_Key, _State] = {}
+    moves: _Moves = {}
     for key in order:  # grows while it is read
-        graph[key] = state = _compile_state(game, policy, key)
+        graph[key] = state = _compile_state(game, policy, key, moves)
         for _, succ, _ in state[2]:
             if succ is not None and succ not in seen:
                 seen.add(succ)
@@ -541,6 +564,7 @@ def run_policy_sampled(
 
     rng = _philox(seed)
     compiled: dict[_Key, tuple] = {}
+    moves: _Moves = {}
     start = (game.initial_history().nodes, 0)
     draws = _uniforms(rng)
     out: list[float] = []
@@ -550,7 +574,7 @@ def run_policy_sampled(
         for _ in range(_EPISODE_ROUND_CAP):
             state = compiled.get(key)
             if state is None:
-                state = compiled[key] = _float_view(_compile_state(game, policy, key))
+                state = compiled[key] = _float_view(_compile_state(game, policy, key, moves))
             pay, rows = state
             total += pay
             u = next(draws)

@@ -399,38 +399,61 @@ def _index_table(dyn: TreeBandit | MarkovBandit, gains: list[Number]) -> list[Nu
     the leaves up over the value of activating x at charge λ, F_x(λ) =
     gains[x] − λ·h(x) + Σ over live edges p_e·max(0, F_child(λ)): convex,
     piecewise linear and strictly decreasing, with the index of x as its
-    root.  max(0, F_x) is a sum of hinges w·max(0, b − λ) kept sorted by b,
-    the weights divided by a per-list scale; the hinges above the root fold
-    into the slope there, the weight of a new hinge at the root.
+    root.  max(0, F_x) is a sum of hinges w·max(0, b − λ) kept sorted by b;
+    the hinges above the root fold into the slope there, the weight of a new
+    hinge at the root.  An exact hinge keeps its weight relative to the node
+    y that pushed it; popped at x, the weight is multiplied by the path
+    probability from x down to y, read through parent links that each walk
+    compresses to x, so no weight is rescaled when lists merge.  Floats keep
+    one scale per list, folded into the weights before it underflows.  A
+    float index beyond float range raises ``PreconditionError``.
     """
     if isinstance(dyn, MarkovBandit):
         return [_gain_index(dyn, x, gains).value for x in range(len(dyn.states))]
     exact = dyn.is_exact()
-    unit: Number = Fraction(1) if exact else 1.0
     idx: list[Number | None] = [None] * len(dyn.nodes)
-    hinges: dict[int, tuple[list[tuple[Number, Number]], Number]] = {}
+    # exact weights: each node links to an ancestor, with the path probability down from it
+    up, below = list(range(len(dyn.nodes))), [1] * len(dyn.nodes)
+    hinges: dict[int, tuple[list[tuple[Number, Number, int]], Number]] = {}
     for nid in _post_order(dyn, dyn.root) + [dyn.root]:
         num, den = gains[nid], 0
-        merged: list[tuple[Number, Number]] = []
-        scale = unit
+        merged: list[tuple[Number, Number, int]] = []
+        scale: Number = 1
         for e in dyn.nodes[nid].edges:
             if e.halting:
                 den += e.p
                 continue
             part, s = hinges.pop(e.to)
-            s *= e.p
-            if not exact and s < 1e-150:  # fold the scale into the weights before it underflows
-                part, s = [(b, w * s) for b, w in part], unit
+            if exact:
+                up[e.to], below[e.to] = nid, e.p
+            else:
+                s *= e.p
+                if s < 1e-150:  # fold the scale into the weights before it underflows
+                    part, s = [(b, w * s, y) for b, w, y in part], 1.0
             if len(part) > len(merged):
                 merged, part, scale, s = part, merged, s, scale
-            for b, w in part:
-                insort(merged, (b, w * s / scale))
+            for b, w, y in part:
+                insort(merged, (b, w if exact else w * s / scale, y))
         while merged and num < merged[-1][0] * den:
-            b, w = merged.pop()
-            num += scale * w * b
-            den += scale * w
+            b, w, y = merged.pop()
+            if exact:
+                path = []
+                while y != nid:
+                    path.append(y)
+                    y = up[y]
+                p: Number = 1
+                for y in reversed(path):
+                    p = below[y] = below[y] * p
+                    up[y] = nid
+                w *= p
+            else:
+                w *= scale
+            num += w * b
+            den += w
         idx[nid] = BlockValue(num, den).ratio
-        merged.append((idx[nid], den / scale))
+        if not _finite(idx[nid]):
+            raise PreconditionError(f"the index of node {nid} lies beyond float range ({idx[nid]!r})")
+        merged.append((idx[nid], den if exact else den / scale, nid))
         hinges[nid] = (merged, scale)
     return idx
 

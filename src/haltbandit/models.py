@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -374,36 +374,29 @@ def unroll_markov(
             max_depth = 1
         else:
             max_depth = max(1, math.ceil(math.log(_UNROLL_TAIL) / math.log(1 - h_min)))
-    nodes: list[TreeNode] = []
-
-    def new_node(depth: int, reward: Number, halted: bool) -> int:
-        nodes.append(TreeNode(depth=depth, reward=reward, halted=halted))
+    # per chain state: its halting edge's probability and reward, and its
+    # survival-weighted moves (1 − h)·p to each successor
+    moves = [
+        (st.halt_prob, st.halt_reward, [(y, (1 - st.halt_prob) * p) for y, p in enumerate(row) if p != 0])
+        for st, row in zip(bandit.states, bandit.transitions)
+    ]
+    # a live node's slot is filled when it is popped, with its edges
+    nodes: list[TreeNode | None] = [None]
+    frontier = [(0, 0, bandit.initial)]
+    while frontier:
+        nid, depth, x = frontier.pop()
+        halt_prob, halt_reward, survive = moves[x]
+        cut = depth + 1 >= max_depth
+        edges = [TreeEdge(len(nodes), 1 if cut else halt_prob, True)]
+        nodes.append(TreeNode(depth + 1, halt_reward, True))
+        for y, p in () if cut else survive:
+            edges.append(TreeEdge(len(nodes), p, False))
+            frontier.append((len(nodes), depth + 1, y))
+            nodes.append(None)
         if len(nodes) > _UNROLL_NODE_CAP:
             raise ResourceCapError(f"unrolled tree exceeds {_UNROLL_NODE_CAP} nodes; lower the depth")
-        return len(nodes) - 1
-
-    root = new_node(0, bandit.states[bandit.initial].reward, False)
-    frontier = [(root, bandit.initial)]
-    while frontier:
-        nid, x = frontier.pop()
-        depth = nodes[nid].depth
-        st = bandit.states[x]
-        edges: list[TreeEdge] = []
-        if depth + 1 >= max_depth:
-            hid = new_node(depth + 1, st.halt_reward, True)
-            edges.append(TreeEdge(hid, 1, True))
-        else:
-            hid = new_node(depth + 1, st.halt_reward, True)
-            edges.append(TreeEdge(hid, st.halt_prob, True))
-            survive = 1 - st.halt_prob
-            for y, p in enumerate(bandit.transitions[x]):
-                if p == 0:
-                    continue
-                cid = new_node(depth + 1, bandit.states[y].reward, False)
-                edges.append(TreeEdge(cid, survive * p, False))
-                frontier.append((cid, y))
-        nodes[nid] = replace(nodes[nid], edges=tuple(edges))
-    return TreeBandit(nodes=tuple(nodes), root=root)
+        nodes[nid] = TreeNode(depth, bandit.states[x].reward, False, tuple(edges))
+    return TreeBandit(nodes=tuple(nodes), root=0)
 
 
 # ---------------------------------------------------------------------------

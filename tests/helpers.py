@@ -11,11 +11,12 @@ game, and ``reference_greedy_dominance`` replays each one on every joint
 outcome atom, as the reference for ``certify_greedy_dominance``.
 ``reference_dp_optimal`` and ``reference_policy_count`` walk the histories
 by stepping the game, as the reference for the oracle's tabulated backward
-induction.  ``normalize``, ``parent``, ``equivalent_rewards``,
-``index_times``, ``parametric_stopping_value``, ``random_markov_bandit``,
-``float_game`` and ``activation_rounds`` are model transforms, lookups, a
-stopping solver, a seeded chain generator, a float copy of a game and a
-trace reading that only the tests use.
+induction, and ``longhand_play_graph`` steps every product state anew, as
+the reference for the play graph's move cache.  ``normalize``, ``parent``,
+``equivalent_rewards``, ``index_times``, ``parametric_stopping_value``,
+``random_markov_bandit``, ``float_game`` and ``activation_rounds`` are
+model transforms, lookups, a stopping solver, a seeded chain generator, a
+float copy of a game and a trace reading that only the tests use.
 """
 
 from __future__ import annotations
@@ -82,23 +83,16 @@ def path_bandit(rewards, halt_masses, halt_rewards=None) -> TreeBandit:
     assert halt_masses[-1] == 1, "the spine must end in a sure halt"
     if halt_rewards is None:
         halt_rewards = rewards[1:]
-    nodes: list[TreeNode | None] = []
-
-    def build(t: int) -> int:
-        nid = len(nodes)
-        nodes.append(None)
-        mass = halt_masses[t]
-        hid = len(nodes)
-        nodes.append(TreeNode(depth=t + 1, reward=halt_rewards[t], halted=True, edges=()))
-        edges = [TreeEdge(to=hid, p=mass, halting=True)]
+    nodes: list[TreeNode] = []
+    for t, mass in enumerate(halt_masses):
+        edges = [TreeEdge(to=2 * t + 1, p=mass, halting=True)]
         if mass != 1:
-            cid = build(t + 1)
-            edges.append(TreeEdge(to=cid, p=1 - mass, halting=False))
-        nodes[nid] = TreeNode(depth=t, reward=rewards[t], halted=False, edges=tuple(edges))
-        return nid
-
-    build(0)
-    return TreeBandit(nodes=tuple(n for n in nodes if n is not None), root=0)
+            edges.append(TreeEdge(to=2 * t + 2, p=1 - mass, halting=False))
+        nodes.append(TreeNode(depth=t, reward=rewards[t], halted=False, edges=tuple(edges)))
+        nodes.append(TreeNode(depth=t + 1, reward=halt_rewards[t], halted=True, edges=()))
+        if mass == 1:
+            break
+    return TreeBandit(nodes=tuple(nodes), root=0)
 
 
 def ramp_bandit() -> TreeBandit:
@@ -208,6 +202,29 @@ def reachable_histories(game: GameInstance, policy: Policy) -> list[tuple[Global
 
     visit(game.initial_history(), 0)
     return out
+
+
+def longhand_play_graph(game: GameInstance, policy: Policy) -> dict:
+    """The play graph built with one ``step`` per product state, in
+    breadth-first order: per (positions, round mod the policy's period, 0
+    on trees), the choice, the immediate payment and, per outcome, the
+    probability, the successor (None at a halt) and the terminal payout."""
+    period = policy.period if game.backend == "markov" else 1
+    start = (game.initial_history().nodes, 0)
+    order, seen, graph = [start], {start}, {}
+    for key in order:  # grows while it is read
+        nodes, phase = key
+        h = GlobalHistory(nodes)
+        i = policy.choose(game, h, phase if game.backend == "markov" else round_of(game, h))
+        rows = []
+        for p, nxt in step(game, h, i):
+            succ = None if nxt.halter is not None else (nxt.nodes, (phase + 1) % period)
+            rows.append((p, succ, 0 if succ else terminal_payout(game, h, i, nxt)))
+            if succ and succ not in seen:
+                seen.add(succ)
+                order.append(succ)
+        graph[key] = (i, immediate_payment(game, h, i), rows)
+    return graph
 
 
 def make_nonincreasing(tree: TreeBandit) -> TreeBandit:

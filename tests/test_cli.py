@@ -29,6 +29,7 @@ from haltbandit import (
 from haltbandit.cli import main
 
 from helpers import (
+    HALF,
     ONE,
     live_last_bandit,
     make_nonincreasing,
@@ -243,6 +244,24 @@ def test_float_values_beyond_float_range_exit_four(capsys, tmp_path, command, si
 def test_float_indices_beyond_float_range_exit_four(capsys, tmp_path, signs, bandit, payout):
     # the ratio iteration's charge reaches inf, and its adjusted value -inf or NaN
     exits_four_beyond_float_range(capsys, tmp_path, signs, ("index", "--bandit", bandit, "--payout", payout))
+
+
+@pytest.mark.parametrize("huge_first", [False, True], ids=["huge-second", "huge-first"])
+def test_a_tree_index_beyond_float_range_exits_four_in_either_bandit_order(capsys, tmp_path, huge_first):
+    # the huge tree's live child has index inf and its root NaN; `max` skips
+    # a NaN that comes last, so only the table's own check refuses both orders
+    huge = to_float(path_bandit((1.7e308, -1.7e308, 1.7e308), (HALF, ONE)))
+    bandits = [huge, to_float(sure_bandit(1))]
+    path = tmp_path / "huge.json"
+    save_model(bandits if huge_first else bandits[::-1], path)
+    assert main(["validate", "--model", str(path)]) == 0
+    capsys.readouterr()
+    code = main(["evaluate", "--model", str(path), "--policy", "index"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "float range" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_missing_model_file_exits_two(capsys, tmp_path):

@@ -35,7 +35,8 @@ from haltbandit import (
     unroll_markov,
 )
 
-from haltbandit.game import _DRAW_CHUNK, immediate_payment, terminal_payout
+from haltbandit import game as game_module
+from haltbandit.game import _DRAW_CHUNK, _play_graph, immediate_payment, terminal_payout
 
 from helpers import (
     HALF,
@@ -47,6 +48,7 @@ from helpers import (
     enumerate_policies,
     equivalent_rewards,
     float_game,
+    longhand_play_graph,
     normalize,
     oracle_value,
     pair_game,
@@ -180,6 +182,46 @@ def test_exact_chain_evaluation_matches_a_longhand_solve(seeds, model, policy):
     chains = (random_markov_bandit(seeds[0], n_states=3), random_markov_bandit(seeds[1], n_states=4))
     game = GameInstance(bandits=chains, model=model)
     assert evaluate_exact(game, policy) == _longhand_chain_value(game, policy)
+
+
+# chains under periodic policies and five schemes; exact and float trees of
+# depth 6 under every scheme but NH, whose seeded trees reach few states
+_GRAPH_CASES = [
+    (GameInstance((random_markov_bandit(4, n_states=3), random_markov_bandit(9, n_states=4)), model), CyclicPolicy(order))
+    for model in (PayoutModel.CP, PayoutModel.CCP, PayoutModel.SP, PayoutModel.NH, PayoutModel.PSP)
+    for order in ((0, 1), (0, 0, 1), (1, 0, 1))
+] + [
+    (make(random_game(seed, model=list(PayoutModel)[seed % 6], max_depth=6)), policy)
+    for seed in (1, 2, 4, 5, 6)
+    for make in (lambda g: g, float_game)
+    for policy in (CyclicPolicy((1, 0)), GreedyRewardPolicy())
+]
+
+
+@pytest.mark.parametrize("game, policy", _GRAPH_CASES)
+def test_play_graph_equals_a_longhand_step_per_state(game, policy):
+    graph = _play_graph(game, policy, 10**5)
+    want = longhand_play_graph(game, policy)
+    assert list(graph) == list(want)  # the same states in the same order
+    assert graph == want
+
+
+@pytest.mark.parametrize("game, policy", _GRAPH_CASES[:15:2] + _GRAPH_CASES[15::4])
+def test_step_runs_once_per_bandit_position(monkeypatch, game, policy):
+    calls: list[tuple[int, int]] = []
+
+    def counting_step(game, history, choice):
+        calls.append((choice, history.nodes[choice]))
+        return step(game, history, choice)
+
+    monkeypatch.setattr(game_module, "step", counting_step)
+    graph = _play_graph(game, policy, 10**5)
+    reached = {(i, key[0][i]) for key, (i, _, _) in graph.items()}
+    assert sorted(calls) == sorted(reached)
+    assert len(reached) < len(graph)  # states share the moves of a bandit position
+    calls.clear()
+    run_policy_sampled(float_game(game), policy, seed=3, n_samples=200)
+    assert len(calls) == len(set(calls))
 
 
 def test_payout_models_disagree_on_the_same_play():

@@ -297,6 +297,31 @@ def test_the_enumeration_oracle_needs_no_recursion():
     assert enum.value == pytest.approx(_index_table(tree, _gains(tree))[tree.root], rel=1e-12)
 
 
+def test_exact_tree_table_on_a_deep_path_whose_root_block_takes_in_every_node():
+    # the halting rewards fall with depth below a root that halts badly, so
+    # every hinge is popped at the root, shallowest first: each pop's walk up
+    # the parent links meets the links the previous pop compressed, where an
+    # uncompressed walk would climb the whole path every time
+    n = 2000
+    halt_rewards = (-(n * n),) + tuple(range(n - 1, 0, -1))
+    tree = path_bandit((0,) * (n + 1), (HALF,) * (n - 1) + (ONE,), halt_rewards)
+    gains = _gains(tree)
+    table = _index_table(tree, gains)
+    assert len(index_decomposition(tree).blocks) == 1
+    for anchor in (0, 2, n, 2 * n - 2):
+        assert table[anchor] == _gain_index(tree, anchor, gains).value
+
+
+def test_exact_tree_table_on_the_depth_2292_unrolled_chain():
+    tree = unroll_markov(geometric_markov([1, 3, 0], Fraction(99, 100)))
+    assert max(node.depth for node in tree.nodes) == 2292
+    gains = _gains(tree)
+    table = _index_table(tree, gains)
+    live = [nid for nid, node in enumerate(tree.nodes) if not node.halted]
+    for anchor in live[::500]:
+        assert table[anchor] == _gain_index(tree, anchor, gains).value
+
+
 def _blocks(dec):
     return [(b.anchor, b.level, b.parent, b.rule.stop_set) for b in dec.blocks]
 

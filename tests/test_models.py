@@ -1,5 +1,6 @@
 """Model representations: validation, normalization, builders, serialization."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -34,7 +35,17 @@ from haltbandit import (
 
 from haltbandit.jsonio import Record, parse_number
 
-from helpers import HALF, ONE, enumerate_policies, normalize, pair_game, path_bandit, ramp_bandit, sure_bandit
+from helpers import (
+    HALF,
+    ONE,
+    enumerate_policies,
+    normalize,
+    pair_game,
+    path_bandit,
+    ramp_bandit,
+    random_markov_bandit,
+    sure_bandit,
+)
 
 
 def test_ramp_bandit_validates_cleanly():
@@ -183,6 +194,17 @@ def test_unroll_markov_is_valid_and_halts_at_the_cut():
     for n in tree.nodes:
         if not n.halted and n.depth == deepest - 1:
             assert len(n.edges) == 1 and n.edges[0].halting
+
+
+def test_unrolled_trees_are_pinned():
+    # SHA-256 of the model document of these unrolled chains, recorded with
+    # the builder that numbered every node before it knew the node's edges
+    trees = [unroll_markov(random_markov_bandit(seed, n_states=3), max_depth=4) for seed in range(5)]
+    trees.append(unroll_markov(geometric_markov([1, 3, 0], Fraction(9, 10))))
+    trees.append(unroll_markov(to_float(random_markov_bandit(7, n_states=2)), max_depth=5))
+    assert sum(len(t.nodes) for t in trees) == 710
+    digest = hashlib.sha256(dumps_model(trees).encode()).hexdigest()
+    assert digest == "b49c706f901477237ce42dbdeacb0c90cc17b83654a4bdccdaf59c3953e02826"
 
 
 def test_model_document_round_trip_is_byte_identical():
