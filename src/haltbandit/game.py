@@ -19,16 +19,19 @@ A game played under a policy compiles into one play graph over product
 positions (plus, on Markov backends, the round modulo the policy's
 declared period: the only extra state a policy may carry there).  Each
 state holds the policy's choice, the immediate payment and, per outcome,
-the probability, the successor or the halt, and the terminal payout.  A
-bandit's moves from a position are computed by ``step`` once per graph or
-sampler run and shared by every state that activates it there.
-Exact evaluation works backward over it on trees and solves its
+the probability, the chosen bandit's landing position, the successor or
+the halt, and the terminal payout.  A move is a function of the bandit
+and its position alone: ``_moves`` defines it, ``step`` splices it into
+histories, and a graph or sampler run computes a bandit's moves from a
+position once and shares them among every state that activates it there.
+Exact evaluation works backward over the graph on trees and solves its
 absorbing-chain linear system on chains; certification iterates it;
-policy block values and prevailing indices (``pi_values``) take one
-reverse pass per bandit over it; and sampling walks its states, compiled
-as episodes reach them, with a counter-based generator (Philox, 64-bit)
-keyed by the seed, so a (seed, game, policy) triple reproduces its stream
-bit for bit on any platform.
+traces replay outcomes through its states; policy block values and
+prevailing indices (``pi_values``) take one reverse pass per bandit over
+it; and sampling walks its states, compiled as episodes reach them, with
+a counter-based generator (Philox, 64-bit) keyed by the seed, so a
+(seed, game, policy) triple reproduces its stream bit for bit on any
+platform.
 """
 
 from __future__ import annotations
@@ -65,6 +68,10 @@ class GlobalHistory:
 
 @dataclass(frozen=True)
 class GameInstance:
+    """Bandits played under one payout scheme.  Neither this nor any other
+    library entry point validates them: ``models.validate`` bandits read
+    from outside the program first, as the CLI and the benchmark do."""
+
     bandits: tuple[AnyBandit, ...]
     model: PayoutModel = PayoutModel.CP
 
@@ -134,6 +141,24 @@ def round_of(game: GameInstance, history: GlobalHistory) -> int:
     return sum(local_times(game, history))
 
 
+def _moves(game: GameInstance, i: int, x: int) -> list[tuple[Number, int, bool]]:
+    """Bandit ``i``'s moves from position ``x``: per outcome (probability,
+    landing position, whether the move halts).  A tree moves along the
+    node's edges in their order; a chain halts first, landing on the state
+    it leaves, then survives to each state its transition row reaches."""
+    dyn = game.dynamics(i)
+    if isinstance(dyn, TreeBandit):
+        node = dyn.nodes[x]
+        if node.halted:
+            raise PreconditionError(f"bandit {i} is already halted")
+        return [(e.p, e.to, e.halting) for e in node.edges]
+    st = dyn.states[x]
+    out = [(st.halt_prob, x, True)] if st.halt_prob != 0 else []
+    survive = 1 - st.halt_prob
+    out.extend((survive * p, y, False) for y, p in enumerate(dyn.transitions[x]) if p != 0)
+    return out
+
+
 def step(
     game: GameInstance, history: GlobalHistory, choice: int
 ) -> tuple[tuple[Number, GlobalHistory], ...]:
@@ -142,27 +167,11 @@ def step(
         raise PreconditionError("the game is over; nothing can be activated")
     if not 0 <= choice < game.n:
         raise PreconditionError(f"no bandit {choice} in a {game.n}-bandit game")
-    dyn = game.dynamics(choice)
-    pos = history.nodes[choice]
-    out: list[tuple[Number, GlobalHistory]] = []
-    if isinstance(dyn, TreeBandit):
-        node = dyn.nodes[pos]
-        if node.halted:
-            raise PreconditionError(f"bandit {choice} is already halted")
-        for e in node.edges:
-            nxt = history.nodes[:choice] + (e.to,) + history.nodes[choice + 1 :]
-            out.append((e.p, GlobalHistory(nxt, halter=choice if e.halting else None)))
-    else:
-        st = dyn.states[pos]
-        if st.halt_prob != 0:
-            out.append((st.halt_prob, GlobalHistory(history.nodes, halter=choice)))
-        survive = 1 - st.halt_prob
-        for y, p in enumerate(dyn.transitions[pos]):
-            if p == 0:
-                continue
-            nxt = history.nodes[:choice] + (y,) + history.nodes[choice + 1 :]
-            out.append((survive * p, GlobalHistory(nxt)))
-    return tuple(out)
+    head, tail = history.nodes[:choice], history.nodes[choice + 1 :]
+    return tuple(
+        (p, GlobalHistory(head + (y,) + tail, halter=choice if halts else None))
+        for p, y, halts in _moves(game, choice, history.nodes[choice])
+    )
 
 
 def immediate_payment(game: GameInstance, history: GlobalHistory, choice: int) -> Number:
@@ -377,24 +386,23 @@ class TablePolicy(Policy):
 
 # A product state: positions and round mod the policy's period (always 0 on trees).
 _Key = tuple[tuple[int, ...], int]
-# Choice, immediate payment, and per outcome in ``step``'s order
-# (probability, successor or None at a halt, terminal payout).
-_State = tuple[int, Number, list[tuple[Number, _Key | None, Number]]]
-# The move cache of one run: (bandit, position) -> its moves in ``step``'s
-# order, each (probability, landing position, whether the move halts).
+# Choice, immediate payment, and per outcome in ``_moves``' order (probability,
+# the chosen bandit's landing position, successor or None at a halt,
+# terminal payout).
+_State = tuple[int, Number, list[tuple[Number, int, _Key | None, Number]]]
+# The move cache of one run: (bandit, position) -> ``_moves`` there.
 _Moves = dict[tuple[int, int], list[tuple[Number, int, bool]]]
 
 
 def _compile_state(game: GameInstance, policy: Policy, key: _Key, moves: _Moves) -> _State:
     """Play one product state: ask the policy once and settle every outcome.
 
-    The first state to activate a bandit at a position settles ``step``'s
-    outcomes and keeps the bandit's moves in ``moves``; later ones splice
-    each landing position into their key and settle the halts with
-    ``terminal_payout``, so ``step`` runs once per bandit position and run.
-    Trees hand ``choose`` the round (a function of the positions); chains
-    hand it the round modulo ``policy.period``, the only round dependence
-    a policy may carry there.
+    The chosen bandit's moves come from ``moves``, filled from ``_moves``
+    the first time a run activates that bandit at that position; each
+    landing position is spliced into the key, and each halt settled with
+    ``terminal_payout``.  Trees hand ``choose`` the round (a function of
+    the positions); chains hand it the round modulo ``policy.period``, the
+    only round dependence a policy may carry there.
     """
     nodes, phase = key
     h = GlobalHistory(nodes)
@@ -406,24 +414,17 @@ def _compile_state(game: GameInstance, policy: Policy, key: _Key, moves: _Moves)
     if not 0 <= i < game.n:
         raise PreconditionError(f"policy chose bandit {i}, not in the game")
     next_phase = (phase + 1) % period
-    rows: list[tuple[Number, _Key | None, Number]] = []
     outcomes = moves.get((i, nodes[i]))
     if outcomes is None:
-        stepped = step(game, h, i)
-        moves[i, nodes[i]] = [(p, nxt.nodes[i], nxt.halter is not None) for p, nxt in stepped]
-        for p, nxt in stepped:
-            if nxt.halter is not None:
-                rows.append((p, None, terminal_payout(game, h, i, nxt)))
-            else:
-                rows.append((p, (nxt.nodes, next_phase), 0))
-    else:
-        head, tail = nodes[:i], nodes[i + 1 :]
-        for p, y, halts in outcomes:
-            landed = head + (y,) + tail
-            if halts:
-                rows.append((p, None, terminal_payout(game, h, i, GlobalHistory(landed, halter=i))))
-            else:
-                rows.append((p, (landed, next_phase), 0))
+        outcomes = moves[i, nodes[i]] = _moves(game, i, nodes[i])
+    head, tail = nodes[:i], nodes[i + 1 :]
+    rows: list[tuple[Number, int, _Key | None, Number]] = []
+    for p, y, halts in outcomes:
+        landed = head + (y,) + tail
+        if halts:
+            rows.append((p, y, None, terminal_payout(game, h, i, GlobalHistory(landed, halter=i))))
+        else:
+            rows.append((p, y, (landed, next_phase), 0))
     if not rows:
         raise PreconditionError(f"bandit {i} has no outcome at position {nodes[i]}; is the model valid?")
     return i, immediate_payment(game, h, i), rows
@@ -440,7 +441,7 @@ def _play_graph(game: GameInstance, policy: Policy, cap: int) -> dict[_Key, _Sta
     moves: _Moves = {}
     for key in order:  # grows while it is read
         graph[key] = state = _compile_state(game, policy, key, moves)
-        for _, succ, _ in state[2]:
+        for _, _, succ, _ in state[2]:
             if succ is not None and succ not in seen:
                 seen.add(succ)
                 order.append(succ)
@@ -456,7 +457,7 @@ def _tree_value(graph: dict[_Key, _State]) -> Number:
     values: dict[_Key, Number] = {}
     for key in reversed(graph):
         _, v, rows = graph[key]
-        for p, succ, term in rows:
+        for p, _, succ, term in rows:
             v = v + p * (term if succ is None else values[succ])
         values[key] = v
     return v
@@ -487,7 +488,7 @@ def evaluate_exact(
     rhs: list[Number] = []
     for k, (_, pay, outcomes) in enumerate(graph.values()):
         row: dict[int, Number] = {k: 1}
-        for p, succ, term in outcomes:
+        for p, _, succ, term in outcomes:
             if succ is None:
                 pay = pay + p * term
             else:
@@ -519,8 +520,8 @@ def _float_view(state: _State) -> tuple[float, list[tuple[float, _Key | None, fl
     (cumulative float probability, successor, float terminal payout)."""
     _, pay, rows = state
     try:
-        cums = accumulate(float(p) for p, _, _ in rows)
-        return float(pay), [(cum, succ, float(term)) for cum, (_, succ, term) in zip(cums, rows)]
+        cums = accumulate(float(p) for p, _, _, _ in rows)
+        return float(pay), [(cum, succ, float(term)) for cum, (_, _, succ, term) in zip(cums, rows)]
     except OverflowError as exc:
         raise PreconditionError(f"a payout beyond float range cannot be sampled: {exc}") from exc
 
@@ -636,26 +637,25 @@ def trace_times(
 
     Each outcome is ``"survive"`` or ``"halt"``, optionally ``(kind, id)``
     naming the landing node/state when several edges of that kind exist;
-    a bare descriptor with several matches is rejected as ambiguous.
+    a bare descriptor with several matches is rejected as ambiguous.  The
+    replay walks the play graph's states, as evaluation does.
     """
-    nodes = game.initial_history().nodes
+    key: _Key | None = (game.initial_history().nodes, 0)
+    moves: _Moves = {}
     times = [0] * game.n
     rows: list[TraceRow] = []
     survival: Number = 1
-    halter: int | None = None
     for s, outcome in enumerate(outcomes):
-        if halter is not None:
+        if key is None:
             raise PreconditionError("outcomes continue past the halt")
         kind, target = (outcome, None) if isinstance(outcome, str) else outcome
         if kind not in ("survive", "halt"):
             raise PreconditionError(f"unknown outcome {outcome!r}")
-        h = GlobalHistory(nodes)
-        i = policy.choose(game, h, s)
+        i, _, state_rows = _compile_state(game, policy, key, moves)
         matches = [
-            (p, nxt)
-            for p, nxt in step(game, h, i)
-            if (nxt.halter is not None) == (kind == "halt")
-            and (target is None or nxt.nodes[i] == target)
+            (p, succ)
+            for p, y, succ, _ in state_rows
+            if (succ is None) == (kind == "halt") and (target is None or y == target)
         ]
         if not matches:
             raise PreconditionError(f"round {s}: no {outcome!r} outcome for bandit {i}")
@@ -663,22 +663,21 @@ def trace_times(
             raise PreconditionError(
                 f"round {s}: {outcome!r} is ambiguous for bandit {i}; name the landing id"
             )
-        p, nxt = matches[0]
+        p, succ = matches[0]
         survival = survival * p
         rows.append(
             TraceRow(
                 round=s,
                 local_times=tuple(times),
                 choice=i,
-                reward=current_reward(game, i, nodes[i]),
+                reward=current_reward(game, i, key[0][i]),
                 survival_probability=survival,
             )
         )
         times[i] += 1
-        nodes = nxt.nodes
-        halter = nxt.halter
+        key = succ
     return Trace(
         rows=tuple(rows),
-        halt_round=len(rows) if halter is not None else None,
-        halter=halter,
+        halt_round=len(rows) if key is None else None,
+        halter=rows[-1].choice if key is None else None,
     )

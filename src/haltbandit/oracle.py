@@ -4,7 +4,7 @@
 backward induction over every reachable history, each a tuple of node
 ids.  It tabulates each bandit once (rewards, costs, and edges as plain
 tuples) and writes out each scheme's settlement at the halt itself, so it
-shares no code with ``game.step``, the payout functions, the play graph
+shares no code with ``game._moves``, the payout functions, the play graph
 or the index solvers: a fault in any of them cannot show on both sides of
 the index certificate.  On a game of ints and Fractions it runs over
 integers, each history's values scaled by one integer fixed per node
@@ -177,8 +177,8 @@ def dp_optimal(game: GameInstance, *, history_cap: int = DEFAULT_HISTORY_CAP) ->
     (i's reward under the cumulative scheme, else 0) plus p · (the halt's
     settlement or the successor's value) per edge.  Each bandit is
     tabulated once and each scheme's settlement is read off
-    ``_SETTLEMENT``, so the oracle shares no code with ``step``, the payout
-    functions, the play graph or the indices that it certifies.
+    ``_SETTLEMENT``, so the oracle shares no code with the game's moves, the
+    payout functions, the play graph or the indices that it certifies.
 
     A game whose probabilities, rewards and costs are all ints and
     ``Fraction``s is solved over integers (``_integer_induction``); any
@@ -388,15 +388,14 @@ def atoms(game: GameInstance, *, cap: int = DEFAULT_HISTORY_CAP) -> list[Atom]:
 
 def _atom_payout(game: GameInstance, graph: dict[_Key, _State], atom: Atom) -> Number:
     """The payout of the policy compiled in ``graph`` on one atom: walk its
-    states, taking the row of the edge to the activated bandit's next node
-    on its path (rows pair one-to-one with that node's edges)."""
+    states, taking the row that lands the activated bandit on its path's
+    next node."""
     pos, key, total = [0] * game.n, next(iter(graph)), 0
     while key is not None:
         i, pay, rows = graph[key]
         pos[i] += 1
         nid = atom.paths[i][pos[i]]
-        edges = game.dynamics(i).nodes[key[0][i]].edges  # type: ignore[union-attr]
-        _, key, term = rows[next(k for k, e in enumerate(edges) if e.to == nid)]
+        _, _, key, term = next(row for row in rows if row[1] == nid)
         total = total + pay
     return total + term
 
@@ -585,7 +584,7 @@ def random_tree_bandit(
     root = build(0)
     bandit = TreeBandit(nodes=tuple(n for n in nodes if n is not None), root=root)
     # every node has up to two halting edges beside its live ones
-    report = validate(bandit, max_branching=max_branching + 2)
+    report = validate(bandit, max_depth=max_depth, max_branching=max_branching + 2)
     assert report.passed, report.codes()
     return bandit
 

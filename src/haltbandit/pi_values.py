@@ -53,19 +53,20 @@ def _block_pass(
 
     ``ends(x, y)`` says whether moving ``i`` from node x to the live node y
     ends the block; such a move pays the reward it lands on.  On ``i``'s
-    own move the rows pair one-to-one with its node's edges (both follow
-    ``step``'s order), so a halt pays the halted label and counts toward
-    the probability; another bandit's halt pays ``i``'s current reward.
-    The reverse search order is topological on trees.
+    own move a halt pays the halted label it lands on and counts toward
+    the probability; another bandit's move leaves ``i`` at x, so its halt
+    pays ``i``'s current reward.  The reverse search order is topological
+    on trees.
     """
     out: dict[_Key, tuple[Number, Number]] = {}
     for key in reversed(graph):
         j, _, rows = graph[key]
         x = key[0][i]
-        lands = [e.to for e in tree.nodes[x].edges] if j == i else [x] * len(rows)
         reward: Number = 0
         halt: Number = 0
-        for (p, succ, _), y in zip(rows, lands):
+        for p, y, succ, _ in rows:
+            if j != i:
+                y = x
             if succ is None or (j == i and ends(x, y)):
                 reward += p * tree.nodes[y].reward
                 if succ is None and j == i:
@@ -128,7 +129,7 @@ def _prevailing(graph: _Graph, tree: TreeBandit, i: int, dec: IndexDecomposition
         value = carried[key]
         if value is not None:
             out[GlobalHistory(key[0])] = value
-        for _, succ, _ in rows:
+        for _, _, succ, _ in rows:
             if succ is not None:
                 crossed = block_of[succ[0][i]] != block_of[key[0][i]]
                 carried[succ] = nu(succ) if crossed else value
@@ -168,7 +169,7 @@ def psp_value_with_policy_indices(game: GameInstance, policy: Policy) -> Number:
     paid: _Graph = {}
     for key, (j, _, rows) in graph.items():
         value = maps[j].get(GlobalHistory(key[0]))
-        if value is None and any(succ is None for _, succ, _ in rows):
+        if value is None and any(succ is None for _, _, succ, _ in rows):
             raise PreconditionError(f"no prevailing value for bandit {j} at a history it is activated from")
-        paid[key] = (j, 0, [(p, succ, value) for p, succ, _ in rows])
+        paid[key] = (j, 0, [(p, y, succ, value) for p, y, succ, _ in rows])
     return _tree_value(paid)

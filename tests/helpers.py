@@ -208,7 +208,8 @@ def longhand_play_graph(game: GameInstance, policy: Policy) -> dict:
     """The play graph built with one ``step`` per product state, in
     breadth-first order: per (positions, round mod the policy's period, 0
     on trees), the choice, the immediate payment and, per outcome, the
-    probability, the successor (None at a halt) and the terminal payout."""
+    probability, the chosen bandit's landing position, the successor (None
+    at a halt) and the terminal payout."""
     period = policy.period if game.backend == "markov" else 1
     start = (game.initial_history().nodes, 0)
     order, seen, graph = [start], {start}, {}
@@ -219,7 +220,7 @@ def longhand_play_graph(game: GameInstance, policy: Policy) -> dict:
         rows = []
         for p, nxt in step(game, h, i):
             succ = None if nxt.halter is not None else (nxt.nodes, (phase + 1) % period)
-            rows.append((p, succ, 0 if succ else terminal_payout(game, h, i, nxt)))
+            rows.append((p, nxt.nodes[i], succ, 0 if succ else terminal_payout(game, h, i, nxt)))
             if succ and succ not in seen:
                 seen.add(succ)
                 order.append(succ)

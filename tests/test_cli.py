@@ -395,6 +395,16 @@ def test_non_halting_optimum_is_the_smallest_cost(capsys, tmp_path):
     assert json.loads(out)["pass"] is True
 
 
+@pytest.mark.parametrize("depth", ["13", "20"])
+def test_certify_sweep_deeper_than_the_default_depth_limit(capsys, depth):
+    # the drawn trees are validated against the sweep's own depth
+    code, out = run(capsys, "certify", "--sweep", "2", "--depth", depth, "--branching", "1")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["pass"] is True
+    assert [r["seed"] for r in doc["results"]] == [0, 1]
+
+
 def test_certify_sweep_with_wide_branching_exits_cleanly(capsys):
     code, out = run(capsys, "certify", "--sweep", "20", "--branching", "3", "--depth", "5")
     assert code in (0, 1)

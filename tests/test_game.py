@@ -1,5 +1,6 @@
 """Product game mechanics: stepping, exact evaluation, sampling, traces."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -209,12 +210,13 @@ def test_play_graph_equals_a_longhand_step_per_state(game, policy):
 @pytest.mark.parametrize("game, policy", _GRAPH_CASES[:15:2] + _GRAPH_CASES[15::4])
 def test_step_runs_once_per_bandit_position(monkeypatch, game, policy):
     calls: list[tuple[int, int]] = []
+    moves = game_module._moves
 
-    def counting_step(game, history, choice):
-        calls.append((choice, history.nodes[choice]))
-        return step(game, history, choice)
+    def counting_moves(game, i, x):
+        calls.append((i, x))
+        return moves(game, i, x)
 
-    monkeypatch.setattr(game_module, "step", counting_step)
+    monkeypatch.setattr(game_module, "_moves", counting_moves)
     graph = _play_graph(game, policy, 10**5)
     reached = {(i, key[0][i]) for key, (i, _, _) in graph.items()}
     assert sorted(calls) == sorted(reached)
@@ -599,3 +601,64 @@ def test_trace_demands_unambiguous_outcomes():
         trace_times(forked, always(0), ["halt"])
     named = trace_times(forked, always(0), [("halt", 2)])
     assert named.halter == 0 and named.rows[0].survival_probability == HALF
+
+
+def _trace_chains() -> GameInstance:
+    # bandit 0 survives from state 0 to either state; bandit 1 only to state 1
+    first = MarkovBandit(
+        states=(MarkovState(1, HALF, 3), MarkovState(4, Fraction(1, 4), 6)),
+        transitions=((HALF, HALF), (ONE, 0)),
+    )
+    second = MarkovBandit(
+        states=(MarkovState(2, Fraction(1, 3), 0), MarkovState(5, Fraction(1, 5), 7)),
+        transitions=((0, ONE), (0, ONE)),
+    )
+    return GameInstance(bandits=(first, second), model=PayoutModel.CP)
+
+
+@pytest.mark.parametrize(
+    "order, outcomes, choices, times, rewards, survival",
+    [
+        (
+            (0, 1),
+            [("survive", 1), "survive", "survive", ("halt", 1)],
+            [0, 1, 0, 1],
+            [(0, 0), (1, 0), (1, 1), (2, 1)],
+            [1, 2, 4, 5],
+            [Fraction(1, 4), Fraction(1, 6), Fraction(1, 8), Fraction(1, 40)],
+        ),
+        (
+            (1, 1, 0),
+            ["survive", "survive", ("survive", 0), ("halt", 1)],
+            [1, 1, 0, 1],
+            [(0, 0), (0, 1), (0, 2), (1, 2)],
+            [2, 5, 1, 5],
+            [Fraction(2, 3), Fraction(8, 15), Fraction(2, 15), Fraction(2, 75)],
+        ),
+    ],
+)
+def test_trace_replays_chain_games(order, outcomes, choices, times, rewards, survival):
+    game = _trace_chains()
+    trace = trace_times(game, CyclicPolicy(order), outcomes)
+    assert [r.round for r in trace.rows] == [0, 1, 2, 3]
+    assert [r.choice for r in trace.rows] == choices
+    assert [r.local_times for r in trace.rows] == times
+    assert [r.reward for r in trace.rows] == rewards
+    assert [r.survival_probability for r in trace.rows] == survival
+    assert trace.halt_round == 4 and trace.halter == 1
+    unfinished = trace_times(game, CyclicPolicy(order), outcomes[:3])
+    assert unfinished.rows == trace.rows[:3]
+    assert unfinished.halt_round is None and unfinished.halter is None
+
+
+def test_trace_on_chains_refuses_unmatched_and_ambiguous_outcomes():
+    game = _trace_chains()
+    alternate = CyclicPolicy((0, 1))
+    # a halt lands on the state it leaves: bandit 0 halts from state 0
+    assert trace_times(game, alternate, [("halt", 0)]).halter == 0
+    with pytest.raises(PreconditionError, match=re.escape("round 0: no ('halt', 1) outcome for bandit 0")):
+        trace_times(game, alternate, [("halt", 1)])
+    with pytest.raises(PreconditionError, match=re.escape("round 1: no ('survive', 0) outcome for bandit 1")):
+        trace_times(game, alternate, [("survive", 0), ("survive", 0)])
+    with pytest.raises(PreconditionError, match="round 0: 'survive' is ambiguous for bandit 0; name the landing id"):
+        trace_times(game, alternate, ["survive"])

@@ -193,6 +193,7 @@ def test_dp_optimal_shares_no_code_with_the_game_or_the_indices(monkeypatch):
     counts = [reference_policy_count(g) for g in games]
     shared = [
         game_module.step,
+        game_module._moves,
         game_module.terminal_payout,
         game_module.immediate_payment,
         game_module.current_reward,
