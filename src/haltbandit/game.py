@@ -144,19 +144,14 @@ def round_of(game: GameInstance, history: GlobalHistory) -> int:
 def _moves(game: GameInstance, i: int, x: int) -> list[tuple[Number, int, bool]]:
     """Bandit ``i``'s moves from position ``x``: per outcome (probability,
     landing position, whether the move halts).  A tree moves along the
-    node's edges in their order; a chain halts first, landing on the state
-    it leaves, then survives to each state its transition row reaches."""
+    node's edges in their order; a chain's moves are ``MarkovBandit.moves``."""
     dyn = game.dynamics(i)
     if isinstance(dyn, TreeBandit):
         node = dyn.nodes[x]
         if node.halted:
             raise PreconditionError(f"bandit {i} is already halted")
         return [(e.p, e.to, e.halting) for e in node.edges]
-    st = dyn.states[x]
-    out = [(st.halt_prob, x, True)] if st.halt_prob != 0 else []
-    survive = 1 - st.halt_prob
-    out.extend((survive * p, y, False) for y, p in enumerate(dyn.transitions[x]) if p != 0)
-    return out
+    return dyn.moves(x)
 
 
 def step(

@@ -261,13 +261,13 @@ def _first_below(
 
 def _tree_pass(
     tree: TreeBandit, gains: list[Number], anchor: int, charge: Number | None, tol: Number
-) -> tuple[Number | None, frozenset[int], Number, Number]:
+) -> tuple[Number | None, StoppingRule, Number, Number]:
     """One backward pass of the charge-adjusted problem below an anchor.
 
     Each activation of x collects gains[x] − charge·h(x); a live node stops
     when continuing there is worth at most ``tol``, and with no charge
     nothing stops (the never-stop rule).  Returns N − charge·D at the
-    anchor, the stop set, and the rule's summed gain N and summed halting
+    anchor, the rule, and its summed gain N and summed halting
     probability D.
     """
     sums: dict[int, tuple[Number, Number]] = {}
@@ -288,7 +288,7 @@ def _tree_pass(
         sums[nid] = (num, den)
     num, den = sums[anchor]
     value = None if charge is None else num - charge * den
-    return value, _first_below(tree, anchor, stopped.__contains__)[1], num, den
+    return value, StoppingRule(anchor, _first_below(tree, anchor, stopped.__contains__)[1]), num, den
 
 
 def _chain_continue(chain: MarkovBandit, pay: list[Number], stop_set: frozenset[int]) -> list[Number]:
@@ -319,7 +319,7 @@ def _chain_round(
 ) -> tuple[Number | None, frozenset[int], Number, Number]:
     """The chain counterpart of ``_tree_pass``: policy iteration over
     stationary stop sets, one solve per improvement step, then one solve
-    each for the settled rule's N and D."""
+    each for the settled rule's N and D.  The rule is its stop set."""
     halts = [st.halt_prob for st in chain.states]
     stop_set: frozenset[int] = frozenset()
     value = None
@@ -360,24 +360,17 @@ def _gain_index(
             raise PreconditionError(f"anchor {anchor} is not a node")
         if bandit.nodes[anchor].halted:
             raise PreconditionError(f"anchor {anchor} is halted; it has no index")
-
-        def solve_round(charge: Number | None) -> tuple:
-            value, stops, num, den = _tree_pass(bandit, gains, anchor, charge, tol)
-            return value, StoppingRule(anchor, stops), num, den
-
+        solve_round: Callable[..., tuple] = _tree_pass
     else:
         anchor = bandit.initial if anchor is None else anchor
         if not 0 <= anchor < len(bandit.states):
             raise PreconditionError(f"anchor state {anchor} out of range")
-
-        def solve_round(charge: Number | None) -> tuple:
-            return _chain_round(bandit, gains, anchor, charge, tol)
-
-    _, _, num, den = solve_round(None)
+        solve_round = _chain_round
+    _, _, num, den = solve_round(bandit, gains, anchor, None, tol)
     trace: list[tuple[Number, Number]] = []
     for it in range(1, DEFAULT_ITER_CAP + 1):
         charge = BlockValue(num, den).ratio
-        value, rule, num, den = solve_round(charge)
+        value, rule, num, den = solve_round(bandit, gains, anchor, charge, tol)
         if not (_finite(charge) and _finite(value)):
             raise PreconditionError(f"the ratio iteration left float range (charge {charge!r}, value {value!r})")
         trace.append((charge, value))
@@ -401,60 +394,50 @@ def _index_table(dyn: TreeBandit | MarkovBandit, gains: list[Number]) -> list[Nu
     piecewise linear and strictly decreasing, with the index of x as its
     root.  max(0, F_x) is a sum of hinges w·max(0, b − λ) kept sorted by b;
     the hinges above the root fold into the slope there, the weight of a new
-    hinge at the root.  An exact hinge keeps its weight relative to the node
-    y that pushed it; popped at x, the weight is multiplied by the path
-    probability from x down to y, read through parent links that each walk
-    compresses to x, so no weight is rescaled when lists merge.  Floats keep
-    one scale per list, folded into the weights before it underflows.  A
-    float index beyond float range raises ``PreconditionError``.
+    hinge at the root.  A hinge keeps its weight relative to the node y that
+    pushed it; popped at x, the weight is multiplied by the path probability
+    from x down to y, read through parent links that each walk compresses to
+    x, so no weight is rescaled when lists merge.  Exact and float tables
+    run this one scheme.  A float index beyond float range raises
+    ``PreconditionError``.
     """
     if isinstance(dyn, MarkovBandit):
         return [_gain_index(dyn, x, gains).value for x in range(len(dyn.states))]
-    exact = dyn.is_exact()
     idx: list[Number | None] = [None] * len(dyn.nodes)
-    # exact weights: each node links to an ancestor, with the path probability down from it
+    # each node links to an ancestor, with the path probability down from it
     up, below = list(range(len(dyn.nodes))), [1] * len(dyn.nodes)
-    hinges: dict[int, tuple[list[tuple[Number, Number, int]], Number]] = {}
+    hinges: dict[int, list[tuple[Number, Number, int]]] = {}
     for nid in _post_order(dyn, dyn.root) + [dyn.root]:
         num, den = gains[nid], 0
         merged: list[tuple[Number, Number, int]] = []
-        scale: Number = 1
         for e in dyn.nodes[nid].edges:
             if e.halting:
                 den += e.p
                 continue
-            part, s = hinges.pop(e.to)
-            if exact:
-                up[e.to], below[e.to] = nid, e.p
-            else:
-                s *= e.p
-                if s < 1e-150:  # fold the scale into the weights before it underflows
-                    part, s = [(b, w * s, y) for b, w, y in part], 1.0
+            part = hinges.pop(e.to)
+            up[e.to], below[e.to] = nid, e.p
             if len(part) > len(merged):
-                merged, part, scale, s = part, merged, s, scale
-            for b, w, y in part:
-                insort(merged, (b, w if exact else w * s / scale, y))
+                merged, part = part, merged
+            for hinge in part:
+                insort(merged, hinge)
         while merged and num < merged[-1][0] * den:
             b, w, y = merged.pop()
-            if exact:
-                path = []
-                while y != nid:
-                    path.append(y)
-                    y = up[y]
-                p: Number = 1
-                for y in reversed(path):
-                    p = below[y] = below[y] * p
-                    up[y] = nid
-                w *= p
-            else:
-                w *= scale
+            path = []
+            while y != nid:
+                path.append(y)
+                y = up[y]
+            p: Number = 1
+            for y in reversed(path):
+                p = below[y] = below[y] * p
+                up[y] = nid
+            w *= p
             num += w * b
             den += w
         idx[nid] = BlockValue(num, den).ratio
         if not _finite(idx[nid]):
             raise PreconditionError(f"the index of node {nid} lies beyond float range ({idx[nid]!r})")
-        merged.append((idx[nid], den if exact else den / scale, nid))
-        hinges[nid] = (merged, scale)
+        merged.append((idx[nid], den, nid))
+        hinges[nid] = merged
     return idx
 
 

@@ -125,6 +125,16 @@ class MarkovBandit:
                 return False
         return not any(isinstance(p, float) for row in self.transitions for p in row)
 
+    def moves(self, x: int) -> list[tuple[Number, int, bool]]:
+        """State x's moves of positive probability, per outcome (probability,
+        landing state, whether it halts): the halt first, landing on x, then
+        a survive to each state the transition row reaches."""
+        st = self.states[x]
+        out = [(st.halt_prob, x, True)] if st.halt_prob != 0 else []
+        survive = 1 - st.halt_prob
+        out.extend((q, y, False) for y, p in enumerate(self.transitions[x]) if (q := survive * p) != 0)
+        return out
+
 
 @dataclass(frozen=True)
 class ProfitBandit:
@@ -374,25 +384,21 @@ def unroll_markov(
             max_depth = 1
         else:
             max_depth = max(1, math.ceil(math.log(_UNROLL_TAIL) / math.log(1 - h_min)))
-    # per chain state: its halting edge's probability and reward, and its
-    # survival-weighted moves (1 − h)·p to each successor
-    moves = [
-        (st.halt_prob, st.halt_reward, [(y, (1 - st.halt_prob) * p) for y, p in enumerate(row) if p != 0])
-        for st, row in zip(bandit.states, bandit.transitions)
-    ]
+    moves = [bandit.moves(x) for x in range(len(bandit.states))]
     # a live node's slot is filled when it is popped, with its edges
     nodes: list[TreeNode | None] = [None]
     frontier = [(0, 0, bandit.initial)]
     while frontier:
         nid, depth, x = frontier.pop()
-        halt_prob, halt_reward, survive = moves[x]
-        cut = depth + 1 >= max_depth
-        edges = [TreeEdge(len(nodes), 1 if cut else halt_prob, True)]
-        nodes.append(TreeNode(depth + 1, halt_reward, True))
-        for y, p in () if cut else survive:
-            edges.append(TreeEdge(len(nodes), p, False))
-            frontier.append((len(nodes), depth + 1, y))
-            nodes.append(None)
+        edges = []
+        # at the cut the whole remaining mass halts
+        for p, y, halts in [(1, x, True)] if depth + 1 >= max_depth else moves[x]:
+            edges.append(TreeEdge(len(nodes), p, halts))
+            if halts:
+                nodes.append(TreeNode(depth + 1, bandit.states[x].halt_reward, True))
+            else:
+                frontier.append((len(nodes), depth + 1, y))
+                nodes.append(None)
         if len(nodes) > _UNROLL_NODE_CAP:
             raise ResourceCapError(f"unrolled tree exceeds {_UNROLL_NODE_CAP} nodes; lower the depth")
         nodes[nid] = TreeNode(depth, bandit.states[x].reward, False, tuple(edges))

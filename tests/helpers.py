@@ -304,8 +304,7 @@ def parametric_stopping_value(bandit: TreeBandit, anchor: int, charge):
     continuing is not worth more than stopping (not more than ``ZERO_TOL``
     more in float arithmetic).
     """
-    value, stops, _, _ = _tree_pass(bandit, _gains(bandit), anchor, charge, _tie_tol(bandit))
-    return value, StoppingRule(anchor, stops)
+    return _tree_pass(bandit, _gains(bandit), anchor, charge, _tie_tol(bandit))[:2]
 
 
 # ---------------------------------------------------------------------------

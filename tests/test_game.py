@@ -662,3 +662,20 @@ def test_trace_on_chains_refuses_unmatched_and_ambiguous_outcomes():
         trace_times(game, alternate, [("survive", 0), ("survive", 0)])
     with pytest.raises(PreconditionError, match="round 0: 'survive' is ambiguous for bandit 0; name the landing id"):
         trace_times(game, alternate, ["survive"])
+
+
+def test_a_chain_state_that_halts_for_sure_has_no_survive_move():
+    # state 1 halts with probability 1, so its transition to state 0 carries no mass
+    chain = MarkovBandit(
+        states=(MarkovState(1, HALF, 0), MarkovState(2, ONE, 5)),
+        transitions=((0, ONE), (ONE, 0)),
+    )
+    game = GameInstance(bandits=(chain,), model=PayoutModel.CP)
+    graph = _play_graph(game, CyclicPolicy((0,)), 100)
+    assert list(graph) == [((0,), 0), ((1,), 0)]
+    assert all(p > 0 for _, _, rows in graph.values() for p, _, _, _ in rows)
+    assert evaluate_exact(game, CyclicPolicy((0,))) == Fraction(5, 2)
+    trace = trace_times(game, CyclicPolicy((0,)), ["survive", "halt"])
+    assert [r.survival_probability for r in trace.rows] == [HALF, HALF]
+    with pytest.raises(PreconditionError, match=re.escape("round 1: no 'survive' outcome for bandit 0")):
+        trace_times(game, CyclicPolicy((0,)), ["survive"] * 3)

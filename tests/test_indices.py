@@ -297,14 +297,25 @@ def test_the_enumeration_oracle_needs_no_recursion():
     assert enum.value == pytest.approx(_index_table(tree, _gains(tree))[tree.root], rel=1e-12)
 
 
-def test_exact_tree_table_on_a_deep_path_whose_root_block_takes_in_every_node():
+def _root_block_path(n):
     # the halting rewards fall with depth below a root that halts badly, so
-    # every hinge is popped at the root, shallowest first: each pop's walk up
-    # the parent links meets the links the previous pop compressed, where an
-    # uncompressed walk would climb the whole path every time
-    n = 2000
+    # every hinge is popped at the root, shallowest first; the path
+    # probabilities fall to 2^-n
     halt_rewards = (-(n * n),) + tuple(range(n - 1, 0, -1))
-    tree = path_bandit((0,) * (n + 1), (HALF,) * (n - 1) + (ONE,), halt_rewards)
+    return path_bandit((0,) * (n + 1), (HALF,) * (n - 1) + (ONE,), halt_rewards)
+
+
+def _depth_2292_chain():
+    tree = unroll_markov(geometric_markov([1, 3, 0], Fraction(99, 100)))
+    assert max(node.depth for node in tree.nodes) == 2292
+    return tree
+
+
+def test_exact_tree_table_on_a_deep_path_whose_root_block_takes_in_every_node():
+    # each pop's walk up the parent links meets the links the previous pop
+    # compressed, where an uncompressed walk would climb the whole path every time
+    n = 2000
+    tree = _root_block_path(n)
     gains = _gains(tree)
     table = _index_table(tree, gains)
     assert len(index_decomposition(tree).blocks) == 1
@@ -313,13 +324,26 @@ def test_exact_tree_table_on_a_deep_path_whose_root_block_takes_in_every_node():
 
 
 def test_exact_tree_table_on_the_depth_2292_unrolled_chain():
-    tree = unroll_markov(geometric_markov([1, 3, 0], Fraction(99, 100)))
-    assert max(node.depth for node in tree.nodes) == 2292
+    tree = _depth_2292_chain()
     gains = _gains(tree)
     table = _index_table(tree, gains)
     live = [nid for nid, node in enumerate(tree.nodes) if not node.halted]
     for anchor in live[::500]:
         assert table[anchor] == _gain_index(tree, anchor, gains).value
+
+
+@pytest.mark.parametrize("build", [lambda: _root_block_path(2000), _depth_2292_chain], ids=["path", "chain"])
+def test_deep_float_tree_tables_match_the_exact_ones_at_every_live_node(build):
+    tree = build()
+    exact = _index_table(tree, _gains(tree))
+    floats = to_float(tree)
+    approx = _index_table(floats, _gains(floats))
+    for nid, node in enumerate(tree.nodes):
+        if node.halted:
+            assert exact[nid] is None and approx[nid] is None
+        else:
+            assert isinstance(approx[nid], float)
+            assert abs(approx[nid] - exact[nid]) <= 1e-12 * abs(exact[nid]), nid
 
 
 def _blocks(dec):

@@ -196,6 +196,17 @@ def test_unroll_markov_is_valid_and_halts_at_the_cut():
             assert len(n.edges) == 1 and n.edges[0].halting
 
 
+def test_unrolling_a_chain_state_that_halts_for_sure_keeps_no_zero_edge():
+    chain = MarkovBandit(
+        states=(MarkovState(1, HALF, 0), MarkovState(2, ONE, 5)),
+        transitions=((0, ONE), (ONE, 0)),
+    )
+    assert validate(chain).passed
+    tree = unroll_markov(chain)
+    assert validate(tree, max_depth=None).passed
+    assert [len(n.edges) for n in tree.nodes if not n.halted] == [2, 1]
+
+
 def test_unrolled_trees_are_pinned():
     # SHA-256 of the model document of these unrolled chains, recorded with
     # the builder that numbered every node before it knew the node's edges
