@@ -316,25 +316,22 @@ def _cmd_gittins(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from .game import trace_times
+    from .game import TraceRow, trace_times
 
     game = _load_game(args)
     policy = _parse_policy(args.policy)
     trace = trace_times(game, policy, _parse_outcomes(args.outcomes))
     if args.format == "csv":
+        # one column per field of a row, local_times as one per bandit
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["round"]
-            + [f"T{i}" for i in range(game.n)]
-            + ["choice", "reward", "survival_probability"]
-        )
+        columns = {"local_times": [f"T{i}" for i in range(game.n)]}
+        writer.writerow([col for name in TraceRow.__dataclass_fields__ for col in columns.get(name, [name])])
         for row in trace.rows:
-            writer.writerow(
-                [row.round]
-                + list(row.local_times)
-                + [row.choice, _csv_number(row.reward), _csv_number(row.survival_probability)]
-            )
+            writer.writerow([
+                cell for value in row.to_obj().values()
+                for cell in (value if isinstance(value, list) else [_csv_number(value)])
+            ])
         sys.stdout.write(buf.getvalue())
         return 0
     _emit({"schema": 1, **trace.to_obj()})

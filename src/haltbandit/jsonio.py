@@ -36,22 +36,41 @@ def parse_number(value: Any, *, rational: bool = False) -> Number:
     every literal becomes a float, integers included, so a float model
     whose numbers happen to be integral is still solved in floats, and a
     literal beyond float range is refused as non-finite.
+
+    Model documents hold mostly integer and ratio literals, so those skip
+    ``Fraction(str)``'s regular expression: digits (``str.isdecimal``: any
+    Unicode ``Nd`` digit, as ``Fraction``'s ``\\d`` accepts) after at most one
+    leading ``-``, optionally followed by ``/`` and unsigned digits, are read
+    with ``int``.  This gives what ``Fraction(str)`` gives: exact mode builds
+    the ``Fraction`` from the two integers, which normalizes them alike, and
+    float mode divides them, since integer true division is correctly rounded
+    as ``float(Fraction)`` is.  A zero denominator or a numeral past ``int``'s
+    digit limit gets the same refusal.  Every other string (decimals,
+    exponents, ``+``, whitespace, underscores, malformed text) still goes
+    through ``Fraction(str)``.
     """
-    if isinstance(value, bool):
-        raise ModelFormatError(f"expected a number, got boolean {value!r}")
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ModelFormatError(f"non-finite number {value!r}")
-        return Fraction(str(value)) if rational else value
-    if isinstance(value, str):
+    kind = type(value)
+    if kind is str:
+        num, slash, den = value.partition("/")
         try:
+            if (num[1:] if num[:1] == "-" else num).isdecimal() and (den.isdecimal() or not slash):
+                n, d = int(num), int(den or 1)
+                return Fraction(n, d) if rational else n / d
             number: int | Fraction = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ModelFormatError(f"cannot parse number literal {value!r}") from exc
-    elif isinstance(value, int):
+        except OverflowError as exc:
+            raise ModelFormatError(f"non-finite number {value!r} in float mode") from exc
+    elif kind is int:
         number = value
+    elif kind is float:
+        if not math.isfinite(value):
+            raise ModelFormatError(f"non-finite number {value!r}")
+        return Fraction(str(value)) if rational else value
+    elif kind is bool:
+        raise ModelFormatError(f"expected a number, got boolean {value!r}")
     else:
-        raise ModelFormatError(f"expected a number, got {type(value).__name__}")
+        raise ModelFormatError(f"expected a number, got {kind.__name__}")
     if rational:
         return number
     try:

@@ -484,7 +484,7 @@ def _obj_to_tree(obj: dict, where: str, rational: bool) -> TreeBandit:
             raw_edges = item.get("edges", [])
         except KeyError as exc:
             raise ModelFormatError(f"{where}: node missing field {exc}") from exc
-        if not isinstance(nid, int) or not 0 <= nid < len(raw_nodes):
+        if type(nid) is not int or not 0 <= nid < len(raw_nodes):
             raise ModelFormatError(f"{where}: node id {nid!r} must index the node list")
         if nodes[nid] is not None:
             raise ModelFormatError(f"{where}: duplicate node id {nid}")
@@ -508,8 +508,8 @@ def _obj_to_tree(obj: dict, where: str, rational: bool) -> TreeBandit:
                 raise ModelFormatError(f"{where}: node {nid} edge target must be an integer")
             if not isinstance(halting, bool):
                 raise ModelFormatError(f"{where}: node {nid} edge halting flag must be boolean")
-            edges.append(TreeEdge(to=to, p=p, halting=halting))
-        nodes[nid] = TreeNode(depth=depth, reward=reward, halted=halted, edges=tuple(edges))
+            edges.append(TreeEdge(to, p, halting))
+        nodes[nid] = TreeNode(depth, reward, halted, tuple(edges))
     root = obj.get("root", 0)
     if not isinstance(root, int) or isinstance(root, bool):
         raise ModelFormatError(f"{where}: root must be an integer node id")

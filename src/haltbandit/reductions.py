@@ -38,7 +38,7 @@ solver based on retirement-value calibration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import PreconditionError
@@ -56,6 +56,7 @@ from .models import (
     MarkovState,
     ProfitBandit,
     TreeBandit,
+    TreeNode,
     dynamics_of,
 )
 
@@ -117,7 +118,8 @@ def reduced_bandit(model: PayoutModel, bandit: AnyBandit) -> TreeBandit | Markov
         labels = [n.reward if n.halted else -bandit.cost(nid) for nid, n in enumerate(dyn.nodes)]  # type: ignore[union-attr]
     else:  # CCP
         labels = [dyn.prefix_reward(nid) for nid in range(len(dyn.nodes))]
-    return TreeBandit(nodes=tuple(replace(n, reward=r) for n, r in zip(dyn.nodes, labels)), root=dyn.root)
+    nodes = tuple(TreeNode(n.depth, r, n.halted, n.edges) for n, r in zip(dyn.nodes, labels))
+    return TreeBandit(nodes=nodes, root=dyn.root)
 
 
 def _index_form(model: PayoutModel, bandit: AnyBandit) -> tuple[TreeBandit | MarkovBandit, list[Number]]:

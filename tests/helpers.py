@@ -17,6 +17,8 @@ the reference for the play graph's move cache.  ``normalize``, ``parent``,
 ``random_markov_bandit``, ``float_game`` and ``activation_rounds`` are
 model transforms, lookups, a stopping solver, a seeded chain generator, a
 float copy of a game and a trace reading that only the tests use.
+``reference_parse_number`` reads every string literal through
+``Fraction(str)``, as the reference for ``parse_number``'s direct path.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from haltbandit import (
     IndexDecomposition,
     MarkovBandit,
     MarkovState,
+    ModelFormatError,
     OptimalSolution,
     PayoutModel,
     Policy,
@@ -66,6 +69,31 @@ from haltbandit.oracle import _HALT_MASSES, DEFAULT_POLICY_CAP, _rng_of
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
+
+
+def reference_parse_number(value, *, rational: bool = False):
+    """``jsonio.parse_number`` with every string read by ``Fraction(str)``."""
+    if isinstance(value, bool):
+        raise ModelFormatError(f"expected a number, got boolean {value!r}")
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ModelFormatError(f"non-finite number {value!r}")
+        return Fraction(str(value)) if rational else value
+    if isinstance(value, str):
+        try:
+            number: int | Fraction = Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ModelFormatError(f"cannot parse number literal {value!r}") from exc
+    elif isinstance(value, int):
+        number = value
+    else:
+        raise ModelFormatError(f"expected a number, got {type(value).__name__}")
+    if rational:
+        return number
+    try:
+        return float(number)
+    except OverflowError as exc:
+        raise ModelFormatError(f"non-finite number {value!r} in float mode") from exc
 
 
 def path_bandit(rewards, halt_masses, halt_rewards=None) -> TreeBandit:

@@ -181,6 +181,19 @@ def test_malformed_documents_exit_two(capsys, tmp_path, command, fault):
     assert "Traceback" not in captured.err
 
 
+def test_a_boolean_node_id_exits_two(capsys, tmp_path):
+    # a JSON true is an int to isinstance, so it once loaded as node 1
+    doc = json.loads(dumps_model(list(pair_game().bandits)))
+    doc["bandits"][0]["nodes"][1]["id"] = True
+    path = tmp_path / "boolean-id.json"
+    path.write_text(json.dumps(doc))
+    code = main(["validate", "--model", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "bandit 0: node id True must index the node list" in captured.err
+
+
 @pytest.mark.parametrize(
     "command, bandits",
     [
@@ -560,6 +573,21 @@ def test_trace_csv_is_exact(capsys, pair_path):
         "round,T0,T1,choice,reward,survival_probability\n"
         "0,0,0,0,0,1/2\n"
         "1,1,0,0,4,1/2\n"
+    )
+
+
+def test_trace_csv_prints_float_models_to_17_digits(capsys, chain_path):
+    code, out = run(
+        capsys, "trace", "--model", chain_path,
+        "--policy", "always:0", "--outcomes", "s,s,s,h", "--format", "csv",
+    )
+    assert code == 0
+    assert out == (
+        "round,T0,choice,reward,survival_probability\n"
+        "0,0,0,1,0.90000000000000002\n"
+        "1,1,0,2,0.81000000000000005\n"
+        "2,2,0,1,0.72900000000000009\n"
+        "3,3,0,2,0.072900000000000006\n"
     )
 
 

@@ -6,6 +6,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from haltbandit import (
     GameInstance,
@@ -44,6 +46,7 @@ from helpers import (
     path_bandit,
     ramp_bandit,
     random_markov_bandit,
+    reference_parse_number,
     sure_bandit,
 )
 
@@ -268,6 +271,63 @@ def test_float_mode_refuses_a_literal_beyond_float_range(literal):
     with pytest.raises(ModelFormatError, match="non-finite number"):
         parse_number(literal)
     assert parse_number(literal, rational=True) == Fraction(literal)
+
+
+def _parse_outcome(parse, value, rational):
+    try:
+        out = parse(value, rational=rational)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(out), repr(out), out
+
+
+_ASCII_NUMERALS = st.text("0123456789", min_size=1, max_size=30)
+_NUMERALS = st.one_of(
+    _ASCII_NUMERALS,
+    st.builds(lambda zeros, digits: "0" * zeros + digits, st.integers(1, 3), _ASCII_NUMERALS),
+    st.text(st.characters(categories=("Nd",)), min_size=1, max_size=4),
+)
+# the shapes the direct path reads: optional "-", digits, optional "/digits"
+_RATIOS = st.builds(
+    lambda sign, numerator, denominator: sign + numerator + denominator,
+    st.sampled_from(["", "-"]),
+    _NUMERALS,
+    st.one_of(st.just(""), st.builds("/{}".format, _NUMERALS)),
+)
+_TAILS = st.one_of(
+    st.just(""),
+    st.builds("/{}".format, _NUMERALS | st.sampled_from(["0", "000", "-3", "+2", "", "1/2", " 2"])),
+    st.builds(".{}".format, _NUMERALS | st.just("")),
+    st.builds("e{}".format, st.integers(-400, 400)),
+    st.sampled_from(["_1", "__1", "E+2", "/1_0", "/2 "]),
+)
+_LITERALS = st.builds(
+    lambda pre, sign, numeral, tail, post: pre + sign + numeral + tail + post,
+    st.sampled_from(["", "", "", " ", "\t"]),
+    st.sampled_from(["", "", "-", "+", "--", "-+"]),
+    _NUMERALS | st.just(""),
+    _TAILS,
+    st.sampled_from(["", "", "", " ", "\n"]),
+)
+_BEYOND_FLOAT_INTS = st.integers(10**308, 10**400).flatmap(lambda n: st.sampled_from([n, -n]))
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["float", "exact"])
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    _RATIOS,
+    _LITERALS,
+    st.sampled_from(["", "-", "/", "1/", "/2", "-0", "-0/7", "4/-2", "0/0", "1/0", "-1/0", "1e400", "-1e400"]),
+    st.text(max_size=12),
+    st.integers() | _BEYOND_FLOAT_INTS,
+    _BEYOND_FLOAT_INTS.map(str),
+    st.floats() | st.booleans() | st.none(),
+))
+@example("1" * 4301)
+@example("1/" + "1" * 4301)
+def test_the_literal_path_matches_fraction_parsing(rational, value):
+    # same value, type and repr, or the same exception class and message
+    assert _parse_outcome(parse_number, value, rational) == _parse_outcome(reference_parse_number, value, rational)
 
 
 def test_parser_accepts_decimal_strings_and_floats():
