@@ -30,33 +30,27 @@ the relabeled bandit, and the cumulative scheme pays c(x) = r(x) itself:
 Sonin's generalised index with termination (Stat. Probab. Lett. 2008).
 
 Two solvers are kept deliberately independent: a brute-force enumeration
-over every stopping rule (the oracle, which reads rewards directly) and a
-parametric ratio iteration (Dinkelbach).  For a charge lambda the inner
-problem "collect c - lambda h per activation" is solved by one backward
-pass (trees) or by policy iteration over stationary stop sets (chains);
-each round returns the adjusted value N - lambda D at the anchor, the
-earliest optimal stop set, and that rule's summed gain N and summed
-halting probability D.  The value is zero exactly at the index, and the
-next charge is N / D.  The earliest optimal rule stops wherever
-continuing is worth at most 0 (at most ``ZERO_TOL`` in float arithmetic,
-so that rounding noise does not flip a tie), the canonical choice used
-throughout.
+over every stopping rule (the oracle, which reads rewards directly), and
+one index table per bandit and scheme (``_index_table``) that answers
+every other index question.  On a tree the table is one pass from the
+leaves up; on a chain it is Sonin's state elimination, the
+largest-remaining-index ranking of Varaiya, Walrand & Buyukkoc (IEEE TAC
+1985).  Neither solves a linear system.
 
-The ratio iteration solves one anchor at a time; it backs the ``index``
-report (``solo_index_parametric``, ``reductions.model_index_result``),
-whose iterations and charge trace it supplies.  Everything else reads
-one table per bandit and scheme (``_index_table``, read by
-``game.IndexPolicy`` and its block-committed subclass and by
-``index_decomposition``, and through them by certification and
-``pi_values``): one pass from the leaves up on a tree, the ratio
-iteration per state on a chain.  The charge-adjusted value at a
-node crosses zero at its index, so the earliest optimal rule stops at the
-first nodes below the anchor whose index is no larger than the anchor's,
-the block structure of the Gittins index (Varaiya, Walrand & Buyukkoc,
-IEEE TAC 1985).  Iterating it from the root partitions every path into
-index blocks whose values never increase; the per-node "prevailing
-index" (the value of the block a node sits in) is the non-increasing
-equivalent reward process used by the greedy reduction of the full game.
+The table gives the earliest optimal rule as well as the value: the rule
+anchored at a node stops at the first nodes below it whose index is no
+larger than the anchor's, and the rule anchored at a state stops at every
+state whose index is no larger (within ``ZERO_TOL`` in float arithmetic,
+so that rounding noise does not flip a tie).  That is the block structure
+of the Gittins index.  ``solo_index_parametric`` and
+``reductions.model_index_result`` read one anchor's value and rule off the
+table; ``game.IndexPolicy`` and its block-committed subclass, and through
+them certification and ``pi_values``, read whole tables; and
+``index_decomposition`` iterates the rule from the root, partitioning
+every path into index blocks whose values never increase.  The per-node
+"prevailing index" (the value of the block a node sits in) is the
+non-increasing equivalent reward process used by the greedy reduction of
+the full game.
 """
 
 from __future__ import annotations
@@ -70,11 +64,9 @@ from typing import Callable, Mapping
 
 from .errors import InvalidRuleError, PreconditionError, ResourceCapError, SolverError
 from .jsonio import Number, Record
-from .linear import solve_linear
 from .models import MarkovBandit, TreeBandit, _finite
 
 DEFAULT_RULE_CAP = 10**6
-DEFAULT_ITER_CAP = 10**4
 ZERO_TOL = 1e-10
 
 
@@ -100,12 +92,13 @@ class BlockValue:
 
 @dataclass(frozen=True)
 class IndexResult:
-    """Solver output: the index value and a rule realizing it."""
+    """Solver output: the index value, a rule realizing it, and a count:
+    the rules scanned by enumeration, the size of the anchor's block when
+    read off the table (``_index_at``)."""
 
     value: Number
     rule: StoppingRule | frozenset[int]
     iterations: int
-    trace: tuple[tuple[Number, Number], ...] = ()
 
 
 def check_rule(bandit: TreeBandit, anchor: int, rule: StoppingRule) -> None:
@@ -259,137 +252,96 @@ def _first_below(
     return members, frozenset(stops)
 
 
-def _tree_pass(
-    tree: TreeBandit, gains: list[Number], anchor: int, charge: Number | None, tol: Number
-) -> tuple[Number | None, StoppingRule, Number, Number]:
-    """One backward pass of the charge-adjusted problem below an anchor.
-
-    Each activation of x collects gains[x] − charge·h(x); a live node stops
-    when continuing there is worth at most ``tol``, and with no charge
-    nothing stops (the never-stop rule).  Returns N − charge·D at the
-    anchor, the rule, and its summed gain N and summed halting
-    probability D.
-    """
-    sums: dict[int, tuple[Number, Number]] = {}
-    stopped: set[int] = set()
-    for nid in _post_order(tree, anchor) + [anchor]:
-        num: Number = gains[nid]
-        den: Number = 0
-        for e in tree.nodes[nid].edges:
-            if e.halting:
-                den += e.p
-                continue
-            n, d = sums.pop(e.to)
-            if charge is not None and n - charge * d <= tol:
-                stopped.add(e.to)
-            else:
-                num += e.p * n
-                den += e.p * d
-        sums[nid] = (num, den)
-    num, den = sums[anchor]
-    value = None if charge is None else num - charge * den
-    return value, StoppingRule(anchor, _first_below(tree, anchor, stopped.__contains__)[1]), num, den
-
-
-def _chain_continue(chain: MarkovBandit, pay: list[Number], stop_set: frozenset[int]) -> list[Number]:
-    """Value of activating each state now and then following the stop set,
-    every activation of x paying pay[x] and stopping paying nothing."""
-    n = len(chain.states)
-    live = [x for x in range(n) if x not in stop_set]
-    pos = {x: i for i, x in enumerate(live)}
-    rows = []
-    for x in live:
-        # h - 1 is minus the survival mass, so the diagonal 1 + (h - 1)·p is 1 - (1 - h)·p
-        loss = chain.states[x].halt_prob - 1
-        row = {pos[y]: loss * p for y, p in enumerate(chain.transitions[x]) if p and y in pos}
-        row[pos[x]] = 1 + row.get(pos[x], 0)
-        rows.append(row)
-    entered = dict(zip(live, solve_linear(rows, [pay[x] for x in live])))
-    # a live state's value is the solved one; a stop state's is one step of the same equation
-    return [
-        entered[x]
-        if x in entered
-        else pay[x] + (1 - st.halt_prob) * sum((p * entered[y] for y, p in enumerate(row) if p != 0 and y in entered), 0)
-        for x, (st, row) in enumerate(zip(chain.states, chain.transitions))
-    ]
-
-
-def _chain_round(
-    chain: MarkovBandit, gains: list[Number], anchor: int, charge: Number | None, tol: Number
-) -> tuple[Number | None, frozenset[int], Number, Number]:
-    """The chain counterpart of ``_tree_pass``: policy iteration over
-    stationary stop sets, one solve per improvement step, then one solve
-    each for the settled rule's N and D.  The rule is its stop set."""
-    halts = [st.halt_prob for st in chain.states]
-    stop_set: frozenset[int] = frozenset()
-    value = None
-    if charge is not None:
-        pay = [c - charge * h for c, h in zip(gains, halts)]
-        for _ in range(DEFAULT_ITER_CAP):
-            cont = _chain_continue(chain, pay, stop_set)
-            improved = frozenset(x for x, v in enumerate(cont) if v <= tol)
-            if improved == stop_set:
-                break
-            stop_set = improved
-        else:
-            raise SolverError("stop-set iteration did not settle")
-        value = cont[anchor]
-    num = _chain_continue(chain, gains, stop_set)[anchor]
-    den = _chain_continue(chain, halts, stop_set)[anchor]
-    return value, stop_set, num, den
-
-
-def _gain_index(
-    bandit: TreeBandit | MarkovBandit,
-    anchor: int | None,
-    gains: list[Number],
-) -> IndexResult:
-    """Parametric ratio iteration for max over rules of E Σ c / E Σ h.
-
-    Starting from the never-stop rule's ratio, each round solves the
-    charge-adjusted problem and resets the charge to the maximizing rule's
-    exact ratio N / D.  The charge increases strictly while the adjusted
-    value stays positive and can only take finitely many rule ratios, so
-    termination needs at most one round per distinct rule.  A float charge
-    or adjusted value beyond float range raises ``PreconditionError``.
-    """
-    tol = _tie_tol(bandit)
-    if isinstance(bandit, TreeBandit):
-        anchor = bandit.root if anchor is None else anchor
-        if not 0 <= anchor < len(bandit.nodes):
+def _index_at(dyn: TreeBandit | MarkovBandit, anchor: int | None, gains: list[Number]) -> IndexResult:
+    """The index at an anchor, read off the table with its earliest optimal
+    rule (see the module docstring).  ``iterations`` is the size of the
+    anchor's block: the anchor and every node or state at which the rule
+    continues (on a tree the live nodes it reaches before a stop, on a chain
+    the states outside its stop set)."""
+    tree = isinstance(dyn, TreeBandit)
+    if tree:
+        anchor = dyn.root if anchor is None else anchor
+        if not 0 <= anchor < len(dyn.nodes):
             raise PreconditionError(f"anchor {anchor} is not a node")
-        if bandit.nodes[anchor].halted:
+        if dyn.nodes[anchor].halted:
             raise PreconditionError(f"anchor {anchor} is halted; it has no index")
-        solve_round: Callable[..., tuple] = _tree_pass
     else:
-        anchor = bandit.initial if anchor is None else anchor
-        if not 0 <= anchor < len(bandit.states):
+        anchor = dyn.initial if anchor is None else anchor
+        if not 0 <= anchor < len(dyn.states):
             raise PreconditionError(f"anchor state {anchor} out of range")
-        solve_round = _chain_round
-    _, _, num, den = solve_round(bandit, gains, anchor, None, tol)
-    trace: list[tuple[Number, Number]] = []
-    for it in range(1, DEFAULT_ITER_CAP + 1):
-        charge = BlockValue(num, den).ratio
-        value, rule, num, den = solve_round(bandit, gains, anchor, charge, tol)
-        if not (_finite(charge) and _finite(value)):
-            raise PreconditionError(f"the ratio iteration left float range (charge {charge!r}, value {value!r})")
-        trace.append((charge, value))
-        if abs(value) <= tol:
-            return IndexResult(value=charge, rule=rule, iterations=it, trace=tuple(trace))
-    raise SolverError(f"ratio iteration did not settle within {DEFAULT_ITER_CAP} rounds")
+    idx = _index_table(dyn, gains)
+    top = idx[anchor] + _tie_tol(dyn)
+    if tree:
+        members, stops = _first_below(dyn, anchor, lambda y: idx[y] <= top)
+        return IndexResult(value=idx[anchor], rule=StoppingRule(anchor, stops), iterations=len(members))
+    stop_set = frozenset(y for y, v in enumerate(idx) if v <= top)
+    return IndexResult(value=idx[anchor], rule=stop_set, iterations=len(idx) - len(stop_set) + 1)
 
 
 def solo_index_parametric(bandit: TreeBandit | MarkovBandit, anchor: int | None = None) -> IndexResult:
-    """Parametric ratio iteration for the solo-payout index, with each
-    activation's expected reward movement as its gain."""
-    return _gain_index(bandit, anchor, _gains(bandit))
+    """The solo-payout index at an anchor (the root or initial state by
+    default), with each activation's expected reward movement as its gain."""
+    return _index_at(bandit, anchor, _gains(bandit))
+
+
+def _chain_table(chain: MarkovBandit, gains: list[Number]) -> list[Number]:
+    """The index of every state, by state elimination.
+
+    Each unranked state x holds a gain c(x), a halting mass h(x) and a
+    survival row Q(x, ·) over the unranked states: those of one activation
+    of x followed by every activation at ranked states until the chain
+    halts or reaches an unranked state.  The unranked state with the
+    largest c/h is ranked next, with that ratio as its index; ties go to
+    the lowest id, and in float arithmetic every ratio within ``ZERO_TOL``
+    of the largest ties.  The ranked state z is then folded into each
+    unranked x with f = Q(x, z) / (1 − Q(z, z)): c(x) += f·c(z),
+    h(x) += f·h(z), Q(x, y) += f·Q(z, y).  1 − Q(z, z) is summed as
+    h(z) + Σ over unranked y ≠ z of Q(z, y), which is positive whenever
+    h(z) is and has no cancellation in floats.  A state left without
+    halting mass has no ratio and raises ``SolverError`` before anything
+    divides by it; a float ratio beyond float range raises
+    ``PreconditionError``.
+    """
+    tol = _tie_tol(chain)
+    # exact halting masses as Fractions, so that every quotient below is exact
+    gain, halt = list(gains), [st.halt_prob if tol else Fraction(st.halt_prob) for st in chain.states]
+    rows = [[(1 - st.halt_prob) * p for p in row] for st, row in zip(chain.states, chain.transitions)]
+    ratio: list[Number] = [0] * len(rows)
+
+    def rate(x: int) -> None:
+        if halt[x] == 0:
+            raise SolverError(f"state {x} cannot halt before it reaches an unranked state; it has no index")
+        ratio[x] = gain[x] / halt[x]
+        if not _finite(ratio[x]):
+            raise PreconditionError(f"a ratio at state {x} lies beyond float range ({ratio[x]!r})")
+
+    unranked = list(range(len(rows)))
+    for x in unranked:
+        rate(x)
+    while unranked:
+        top = max(ratio[x] for x in unranked)
+        z = next(x for x in unranked if top - ratio[x] <= tol)
+        unranked.remove(z)
+        # z's moves to unranked states; entries in ranked columns are never read again
+        out = [(y, q) for y in unranked if (q := rows[z][y])]
+        leave = halt[z] + sum(q for _, q in out)
+        for x in unranked:
+            row = rows[x]
+            if row[z]:
+                f = row[z] / leave
+                gain[x] += f * gain[z]
+                halt[x] += f * halt[z]
+                for y, q in out:
+                    row[y] += f * q
+                rate(x)
+    return ratio
 
 
 def _index_table(dyn: TreeBandit | MarkovBandit, gains: list[Number]) -> list[Number | None]:
     """The index of every node or state, None at halted nodes.
 
-    On a chain, the ratio iteration at each state.  On a tree, one pass from
-    the leaves up over the value of activating x at charge λ, F_x(λ) =
+    On a chain, state elimination (``_chain_table``).  On a tree, one pass
+    from the leaves up over the value of activating x at charge λ, F_x(λ) =
     gains[x] − λ·h(x) + Σ over live edges p_e·max(0, F_child(λ)): convex,
     piecewise linear and strictly decreasing, with the index of x as its
     root.  max(0, F_x) is a sum of hinges w·max(0, b − λ) kept sorted by b;
@@ -402,7 +354,7 @@ def _index_table(dyn: TreeBandit | MarkovBandit, gains: list[Number]) -> list[Nu
     ``PreconditionError``.
     """
     if isinstance(dyn, MarkovBandit):
-        return [_gain_index(dyn, x, gains).value for x in range(len(dyn.states))]
+        return _chain_table(dyn, gains)
     idx: list[Number | None] = [None] * len(dyn.nodes)
     # each node links to an ancestor, with the path probability down from it
     up, below = list(range(len(dyn.nodes))), [1] * len(dyn.nodes)

@@ -18,12 +18,16 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 from fractions import Fraction
 from typing import Any
 
 from .errors import ModelFormatError, PreconditionError
 
 Number = int | float | Fraction
+# the exponent ending a decimal literal, as ``Fraction(str)`` reads it
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 _INDENT = 2
 
 
@@ -47,7 +51,9 @@ def parse_number(value: Any, *, rational: bool = False) -> Number:
     as ``float(Fraction)`` is.  A zero denominator or a numeral past ``int``'s
     digit limit gets the same refusal.  Every other string (decimals,
     exponents, ``+``, whitespace, underscores, malformed text) still goes
-    through ``Fraction(str)``.
+    through ``Fraction(str)``, which builds 10**exponent: an exponent whose
+    power would have more digits than that limit allows is refused with the
+    same message before the power is built.
     """
     kind = type(value)
     if kind is str:
@@ -56,6 +62,10 @@ def parse_number(value: Any, *, rational: bool = False) -> Number:
             if (num[1:] if num[:1] == "-" else num).isdecimal() and (den.isdecimal() or not slash):
                 n, d = int(num), int(den or 1)
                 return Fraction(n, d) if rational else n / d
+            exponent = _EXPONENT.search(value)
+            limit = sys.get_int_max_str_digits()
+            if exponent and limit and abs(int(exponent[1])) >= limit:
+                raise ValueError("exponent beyond the int digit limit")
             number: int | Fraction = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ModelFormatError(f"cannot parse number literal {value!r}") from exc

@@ -46,8 +46,8 @@ from .jsonio import Number, Record
 from .indices import (
     DEFAULT_RULE_CAP,
     IndexResult,
-    _gain_index,
     _gains,
+    _index_at,
     solo_index_enumerate,
 )
 from .models import (
@@ -145,8 +145,9 @@ def model_index_result(
     """Full solver output for the scheme-specific index at an anchor.
 
     Every scheme is one gain-over-halting-probability problem on the
-    bandit's own dynamics.  The cumulative scheme's gain is the reward of
-    the activated node or state; the others take the expected reward
+    bandit's own dynamics, whose index table the parametric method reads
+    (``indices._index_at``).  The cumulative scheme's gain is the reward
+    of the activated node or state; the others take the expected reward
     movement of the relabeled bandit.  Node and state ids are preserved by
     every relabeling, so the anchor and the realizing rule carry over.
     Enumeration (trees only) scans the rules of the relabeled tree.
@@ -161,7 +162,7 @@ def model_index_result(
     if method != "parametric":
         raise PreconditionError(f"unknown method {method!r}")
     dyn, gains = _index_form(model, bandit)
-    return _gain_index(dyn, anchor, gains)
+    return _index_at(dyn, anchor, gains)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +177,7 @@ def gittins_index(bandit: MarkovBandit, state: int | None = None) -> float:
     beta · E[W(next)]) is computed by value iteration; the index is the
     charge at which playing once from the target state becomes exactly
     break-even, found by bisection.  This solver is intentionally separate
-    from the ratio-iteration machinery so the two can check each other.
+    from the index tables so the two can check each other.
     """
     beta = _constant_survival(bandit)
     if state is None:

@@ -19,6 +19,9 @@ model transforms, lookups, a stopping solver, a seeded chain generator, a
 float copy of a game and a trace reading that only the tests use.
 ``reference_parse_number`` reads every string literal through
 ``Fraction(str)``, as the reference for ``parse_number``'s direct path.
+``ratio_iteration`` (and ``loop_index`` on a scheme's index form) solves
+one anchor's index by a parametric ratio iteration, as the reference for
+the index tables that ``indices`` reads every index off.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Any, Callable, NamedTuple
 
 from hypothesis import strategies as st
 
@@ -46,6 +50,7 @@ from haltbandit import (
     PreconditionError,
     ProfitBandit,
     ResourceCapError,
+    SolverError,
     StoppingRule,
     TablePolicy,
     Trace,
@@ -64,8 +69,13 @@ from haltbandit import (
     validate,
 )
 from haltbandit.game import DEFAULT_HISTORY_CAP
-from haltbandit.indices import _gains, _tie_tol, _tree_pass
+from haltbandit.indices import _first_below, _gains, _tie_tol
+from haltbandit.indices import _post_order as _tree_post_order
+from haltbandit.jsonio import Number
+from haltbandit.linear import solve_linear
+from haltbandit.models import _finite
 from haltbandit.oracle import _HALT_MASSES, DEFAULT_POLICY_CAP, _rng_of
+from haltbandit.reductions import _index_form
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -321,6 +331,151 @@ def index_times(dec: IndexDecomposition, k: int) -> StoppingRule:
     assert k >= 1, "block boundaries are indexed from 1"
     stops = [b.rule.stop_set for b in dec.blocks if b.level == k - 1]
     return StoppingRule(dec.bandit.root, frozenset().union(*stops) if stops else frozenset())
+
+
+# ---------------------------------------------------------------------------
+# The reference index loop: a parametric ratio iteration (Dinkelbach) that
+# solves one anchor at a time with no index table, by backward passes on
+# trees and policy iteration over stop sets (linear solves) on chains
+
+
+ITER_CAP = 10**4
+
+
+class LoopResult(NamedTuple):
+    """The loop's value and rule, its number of rounds, and each round's
+    (charge, charge-adjusted value)."""
+
+    value: Any
+    rule: Any
+    iterations: int
+    trace: tuple
+
+
+def _tree_pass(
+    tree: TreeBandit, gains: list[Number], anchor: int, charge: Number | None, tol: Number
+) -> tuple[Number | None, StoppingRule, Number, Number]:
+    """One backward pass of the charge-adjusted problem below an anchor.
+
+    Each activation of x collects gains[x] − charge·h(x); a live node stops
+    when continuing there is worth at most ``tol``, and with no charge
+    nothing stops (the never-stop rule).  Returns N − charge·D at the
+    anchor, the rule, and its summed gain N and summed halting
+    probability D.
+    """
+    sums: dict[int, tuple[Number, Number]] = {}
+    stopped: set[int] = set()
+    for nid in _tree_post_order(tree, anchor) + [anchor]:
+        num: Number = gains[nid]
+        den: Number = 0
+        for e in tree.nodes[nid].edges:
+            if e.halting:
+                den += e.p
+                continue
+            n, d = sums.pop(e.to)
+            if charge is not None and n - charge * d <= tol:
+                stopped.add(e.to)
+            else:
+                num += e.p * n
+                den += e.p * d
+        sums[nid] = (num, den)
+    num, den = sums[anchor]
+    value = None if charge is None else num - charge * den
+    return value, StoppingRule(anchor, _first_below(tree, anchor, stopped.__contains__)[1]), num, den
+
+
+def _chain_continue(chain: MarkovBandit, pay: list[Number], stop_set: frozenset[int]) -> list[Number]:
+    """Value of activating each state now and then following the stop set,
+    every activation of x paying pay[x] and stopping paying nothing."""
+    n = len(chain.states)
+    live = [x for x in range(n) if x not in stop_set]
+    pos = {x: i for i, x in enumerate(live)}
+    rows = []
+    for x in live:
+        # h - 1 is minus the survival mass, so the diagonal 1 + (h - 1)·p is 1 - (1 - h)·p
+        loss = chain.states[x].halt_prob - 1
+        row = {pos[y]: loss * p for y, p in enumerate(chain.transitions[x]) if p and y in pos}
+        row[pos[x]] = 1 + row.get(pos[x], 0)
+        rows.append(row)
+    entered = dict(zip(live, solve_linear(rows, [pay[x] for x in live])))
+    # a live state's value is the solved one; a stop state's is one step of the same equation
+    return [
+        entered[x]
+        if x in entered
+        else pay[x] + (1 - st.halt_prob) * sum((p * entered[y] for y, p in enumerate(row) if p != 0 and y in entered), 0)
+        for x, (st, row) in enumerate(zip(chain.states, chain.transitions))
+    ]
+
+
+def _chain_round(
+    chain: MarkovBandit, gains: list[Number], anchor: int, charge: Number | None, tol: Number
+) -> tuple[Number | None, frozenset[int], Number, Number]:
+    """The chain counterpart of ``_tree_pass``: policy iteration over
+    stationary stop sets, one solve per improvement step, then one solve
+    each for the settled rule's N and D.  The rule is its stop set."""
+    halts = [st.halt_prob for st in chain.states]
+    stop_set: frozenset[int] = frozenset()
+    value = None
+    if charge is not None:
+        pay = [c - charge * h for c, h in zip(gains, halts)]
+        for _ in range(ITER_CAP):
+            cont = _chain_continue(chain, pay, stop_set)
+            improved = frozenset(x for x, v in enumerate(cont) if v <= tol)
+            if improved == stop_set:
+                break
+            stop_set = improved
+        else:
+            raise SolverError("stop-set iteration did not settle")
+        value = cont[anchor]
+    num = _chain_continue(chain, gains, stop_set)[anchor]
+    den = _chain_continue(chain, halts, stop_set)[anchor]
+    return value, stop_set, num, den
+
+
+def ratio_iteration(
+    bandit: TreeBandit | MarkovBandit,
+    anchor: int | None,
+    gains: list[Number],
+) -> LoopResult:
+    """Parametric ratio iteration for max over rules of E Σ c / E Σ h.
+
+    Starting from the never-stop rule's ratio, each round solves the
+    charge-adjusted problem and resets the charge to the maximizing rule's
+    exact ratio N / D.  The charge increases strictly while the adjusted
+    value stays positive and can only take finitely many rule ratios, so
+    termination needs at most one round per distinct rule.  A float charge
+    or adjusted value beyond float range raises ``PreconditionError``.
+    """
+    tol = _tie_tol(bandit)
+    if isinstance(bandit, TreeBandit):
+        anchor = bandit.root if anchor is None else anchor
+        if not 0 <= anchor < len(bandit.nodes):
+            raise PreconditionError(f"anchor {anchor} is not a node")
+        if bandit.nodes[anchor].halted:
+            raise PreconditionError(f"anchor {anchor} is halted; it has no index")
+        solve_round: Callable[..., tuple] = _tree_pass
+    else:
+        anchor = bandit.initial if anchor is None else anchor
+        if not 0 <= anchor < len(bandit.states):
+            raise PreconditionError(f"anchor state {anchor} out of range")
+        solve_round = _chain_round
+    _, _, num, den = solve_round(bandit, gains, anchor, None, tol)
+    trace = []
+    for it in range(1, ITER_CAP + 1):
+        charge = BlockValue(num, den).ratio
+        value, rule, num, den = solve_round(bandit, gains, anchor, charge, tol)
+        if not (_finite(charge) and _finite(value)):
+            raise PreconditionError(f"the ratio iteration left float range (charge {charge!r}, value {value!r})")
+        trace.append((charge, value))
+        if abs(value) <= tol:
+            return LoopResult(value=charge, rule=rule, iterations=it, trace=tuple(trace))
+    raise SolverError(f"ratio iteration did not settle within {ITER_CAP} rounds")
+
+
+def loop_index(model: PayoutModel, bandit, anchor: int | None = None) -> LoopResult:
+    """The reference loop on a scheme's index form (``reductions._index_form``)."""
+    dyn, gains = _index_form(model, bandit)
+    return ratio_iteration(dyn, anchor, gains)
 
 
 def parametric_stopping_value(bandit: TreeBandit, anchor: int, charge):

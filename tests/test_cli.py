@@ -153,6 +153,7 @@ _MALFORMED = {
     "edges-null": {"edges": None},
     "reward-literal-beyond-float": {"reward": "1e400"},
     "reward-int-beyond-float": {"reward": 10**400},
+    "reward-exponent-past-int-limit": {"reward": "1e1000000000"},
 }
 _EVERY_SUBCOMMAND = [
     ("validate",),
@@ -288,7 +289,8 @@ def test_index_command_both_methods(capsys, pair_path):
     assert code == 0
     assert doc["value"] == 8
     assert doc["rule"] == {"anchor": 0, "stop_set": [2]}
-    assert doc["iterations"] == 2
+    # the root's block is the root alone: the rule stops at its only live child
+    assert doc["iterations"] == 1
     code, out = run(
         capsys, "index", "--model", pair_path, "--rational", "--method", "enumerate"
     )
@@ -306,6 +308,53 @@ def test_index_command_on_a_markov_chain(capsys, chain_path):
     assert code == 0
     assert doc["value"] == "280/19"
     assert doc["rule"] == {"stop_set": [0]}
+    # the block: the anchor and state 1, the one state outside the stop set
+    assert doc["iterations"] == 2
+
+
+@pytest.mark.parametrize("rational", [True, False], ids=["exact", "float"])
+def test_chain_indices_solve_no_linear_system(capsys, tmp_path, monkeypatch, rational):
+    # every binding of solve_linear raises, except the one through which
+    # evaluate_exact solves the game's value, which counts its calls
+    import haltbandit.game
+    import haltbandit.linear
+
+    path = tmp_path / "chains.json"
+    save_model([random_markov_bandit(1, n_states=6), random_markov_bandit(2, n_states=5)], path)
+    solve, values = haltbandit.linear.solve_linear, []
+
+    def refuse(rows, rhs):
+        raise AssertionError("an index solved a linear system")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("haltbandit") and getattr(module, "solve_linear", None) is solve:
+            monkeypatch.setattr(module, "solve_linear", refuse)
+    monkeypatch.setattr(haltbandit.game, "solve_linear", lambda rows, rhs: values.append(len(rhs)) or solve(rows, rhs))
+    flags = ["--model", str(path)] + (["--rational"] if rational else [])
+    for payout in ("CP", "SP", "NH", "CCP"):
+        for anchor in range(6):
+            assert run(capsys, "index", *flags, "--payout", payout, "--anchor", str(anchor))[0] == 0
+        assert run(capsys, "evaluate", *flags, "--payout", payout, "--policy", "index")[0] == 0
+    assert len(values) == 4  # one value solve per evaluation
+
+
+def test_a_float_chain_index_beyond_float_range_exits_four(capsys, tmp_path):
+    huge = 1.7e308
+    chain = MarkovBandit(
+        states=(MarkovState(huge, 0.5, huge), MarkovState(-huge, 0.5, -huge)),
+        transitions=((0.5, 0.5), (0.5, 0.5)),
+    )
+    path = tmp_path / "huge-chain.json"
+    save_model([chain, chain], path)
+    assert main(["validate", "--model", str(path)]) == 0
+    capsys.readouterr()
+    for argv in (["index", "--payout", "CP"], ["index", "--payout", "CCP"], ["evaluate", "--policy", "index"]):
+        code = main([argv[0], "--model", str(path), *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "float range" in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_evaluate_command(capsys, pair_path):
@@ -851,7 +900,7 @@ def test_exact_runs_never_load_numpy_on_either_backend(pair_path, chain_path):
     assert loaded_after(
         ("evaluate", *exact, "--policy", "index"), ("certify", *exact), ("optimal", *exact)
     ) == []
-    # exact chain values and chain indices are exact linear solves
+    # exact chain values are exact linear solves, chain indices exact eliminations
     chain = ("evaluate", "--model", chain_path, "--rational", "--policy")
     assert loaded_after((*chain, "cyclic:0"), (*chain, "index")) == []
     # float solves and sampling still load it, so the check above can fail
@@ -861,8 +910,10 @@ def test_exact_runs_never_load_numpy_on_either_backend(pair_path, chain_path):
     ) == ["numpy"]
 
 
-# the modules every subcommand loads: the parser's payout choices need `reductions`
-_PARSE = {"cli", "errors", "indices", "jsonio", "linear", "models", "reductions"}
+# the modules every subcommand loads: the parser's payout choices need
+# `reductions`; `linear` comes with `game`, since no index solves a linear system
+_PARSE = {"cli", "errors", "indices", "jsonio", "models", "reductions"}
+_GAME = _PARSE | {"game", "linear"}
 
 
 @pytest.mark.parametrize(
@@ -873,12 +924,12 @@ _PARSE = {"cli", "errors", "indices", "jsonio", "linear", "models", "reductions"
         (("index", "--model", "{pair}"), _PARSE),
         (("reduce", "--model", "{pair}", "--payout", "SP"), _PARSE),
         (("gittins", "--model", "{chain}", "--rational"), _PARSE),
-        (("evaluate", "--model", "{pair}", "--policy", "index"), _PARSE | {"game"}),
-        (("simulate", "--model", "{pair}", "--policy", "index", "--samples", "10"), _PARSE | {"game"}),
-        (("trace", "--model", "{pair}", "--policy", "always:0", "--outcomes", "s,h"), _PARSE | {"game"}),
-        (("optimal", "--model", "{pair}"), _PARSE | {"game", "oracle"}),
-        (("certify", "--model", "{pair}", "--rational"), _PARSE | {"game", "oracle"}),
-        (("certify", "--sweep", "1"), _PARSE | {"game", "oracle"}),
+        (("evaluate", "--model", "{pair}", "--policy", "index"), _GAME),
+        (("simulate", "--model", "{pair}", "--policy", "index", "--samples", "10"), _GAME),
+        (("trace", "--model", "{pair}", "--policy", "always:0", "--outcomes", "s,h"), _GAME),
+        (("optimal", "--model", "{pair}"), _GAME | {"oracle"}),
+        (("certify", "--model", "{pair}", "--rational"), _GAME | {"oracle"}),
+        (("certify", "--sweep", "1"), _GAME | {"oracle"}),
     ],
     ids=["import", "validate", "index", "reduce", "gittins", "evaluate", "simulate", "trace", "optimal", "certify",
          "certify-sweep"],

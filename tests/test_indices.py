@@ -31,7 +31,8 @@ from haltbandit import (
     validate,
 )
 
-from haltbandit.indices import _first_below, _gain_index, _gains, _index_table
+from haltbandit.errors import SolverError
+from haltbandit.indices import _chain_table, _first_below, _gains, _index_table
 from haltbandit.models import ProfitBandit, TreeBandit
 from haltbandit.reductions import _index_form
 
@@ -45,10 +46,12 @@ from helpers import (
     index_corpus,
     index_times,
     live_last_bandit,
+    loop_index,
     parametric_stopping_value,
     path_bandit,
     ramp_bandit,
     random_markov_bandit,
+    ratio_iteration,
     small_chains,
     small_trees,
     sure_bandit,
@@ -102,7 +105,7 @@ def test_sure_halt_index_is_the_landing_value():
 
 
 def test_parametric_iteration_trace_on_the_ramp():
-    res = solo_index_parametric(ramp_bandit())
+    res = ratio_iteration(ramp_bandit(), None, _gains(ramp_bandit()))
     assert res.value == 8
     assert res.rule.stop_set == frozenset({2})
     assert res.iterations == 2
@@ -193,7 +196,7 @@ def test_solver_agreement_and_rule_dominance(seed):
     enum = solo_index_enumerate(bandit)
     para = solo_index_parametric(bandit)
     assert para.value == enum.value
-    assert para.iterations <= rule_count(bandit, bandit.root)
+    assert ratio_iteration(bandit, None, _gains(bandit)).iterations <= rule_count(bandit, bandit.root)
     # dominance: no rule beats the index; realization: some rule attains it
     assert block_value(bandit, bandit.root, enum.rule).ratio == enum.value
     for rule in enumerate_stopping_rules(bandit, bandit.root):
@@ -242,8 +245,9 @@ def test_markov_index_agrees_with_its_unrolled_tree():
 
 
 # SHA-256 over repr((value, sorted stop set, iterations, trace)) for every
-# result of ``index_corpus``, recorded with the three-form solver (separate
-# tree, plain-chain and cumulative-chain problems) that the gain form replaced.
+# result of the reference loop on ``index_corpus``, recorded with the
+# three-form solver (separate tree, plain-chain and cumulative-chain
+# problems) that the gain form replaced.
 INDEX_CORPUS_PIN = "5258348ed78226d6f8bf7a185d97d6081c67eb9152b7e1813bbae08e6509dbe2"
 
 
@@ -252,16 +256,31 @@ def corpus_results():
     return [(m, b, a, model_index_result(m, b, a)) for m, b, a in index_corpus()]
 
 
+@pytest.fixture(scope="module")
+def loop_results():
+    return [loop_index(m, b, a) for m, b, a in index_corpus()]
+
+
 def _stops(rule):
     return rule.stop_set if isinstance(rule, StoppingRule) else rule
 
 
-def test_exact_index_results_are_pinned(corpus_results):
+def test_exact_index_results_are_pinned(loop_results):
     digest = hashlib.sha256()
-    for _, _, _, res in corpus_results:
+    for res in loop_results:
         digest.update(repr((res.value, sorted(_stops(res.rule)), res.iterations, res.trace)).encode())
-    assert len(corpus_results) == 1158
+    assert len(loop_results) == 1158
     assert digest.hexdigest() == INDEX_CORPUS_PIN
+
+
+def test_index_results_are_the_loops_at_every_corpus_anchor(corpus_results, loop_results):
+    for (model, bandit, anchor, res), ref in zip(corpus_results, loop_results, strict=True):
+        assert res.value == ref.value, (model, anchor)
+        assert _stops(res.rule) == _stops(ref.rule), (model, anchor)
+        floats = to_float(bandit)
+        approx, approx_ref = model_index_result(model, floats, anchor), loop_index(model, floats, anchor)
+        assert abs(approx.value - approx_ref.value) <= 1e-12 * max(1, abs(approx_ref.value)), (model, anchor)
+        assert _stops(approx.rule) == _stops(approx_ref.rule), (model, anchor)
 
 
 def test_float_indices_agree_with_exact_ones(corpus_results):
@@ -271,6 +290,36 @@ def test_float_indices_agree_with_exact_ones(corpus_results):
         assert abs(approx.value - res.value) <= 1e-12 * max(1, abs(res.value)), (model, anchor)
         # ties settle within the tolerance, so floats find the exact earliest rule
         assert _stops(approx.rule) == _stops(res.rule), (model, anchor)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(small_chains(8), st.data())
+def test_elimination_finds_the_best_stop_set_ratio(chain, data):
+    # one drawn anchor per chain: the oracle solves all 2^n stop sets per anchor
+    anchor = data.draw(st.integers(0, len(chain.states) - 1))
+    best = chain_indices_by_stop_sets(chain, anchor)
+    for model in CHAIN_SCHEMES:
+        assert _chain_table(*_index_form(model, chain))[anchor] == best[model], model
+
+
+def test_every_index_of_a_24_state_chain_is_its_stop_set_ratio():
+    chain = random_markov_bandit(0, n_states=24)
+    for model in (PayoutModel.CP, PayoutModel.CCP):
+        for anchor in range(24):
+            res = model_index_result(model, chain, anchor)
+            assert chain_stop_set_ratios(chain, anchor, res.rule)[model] == res.value, (model, anchor)
+
+
+def test_a_chain_state_that_never_halts_raises_before_anything_divides():
+    # state 1 has no halting mass and moves only to itself
+    chain = MarkovBandit(
+        states=(MarkovState(1, HALF, 3), MarkovState(2, 0, 0)),
+        transitions=((HALF, HALF), (0, ONE)),
+    )
+    for bandit in (chain, to_float(chain)):
+        for model in CHAIN_SCHEMES:
+            with pytest.raises(SolverError, match="state 1 cannot halt"):
+                model_index_result(model, bandit, 0)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -320,7 +369,7 @@ def test_exact_tree_table_on_a_deep_path_whose_root_block_takes_in_every_node():
     table = _index_table(tree, gains)
     assert len(index_decomposition(tree).blocks) == 1
     for anchor in (0, 2, n, 2 * n - 2):
-        assert table[anchor] == _gain_index(tree, anchor, gains).value
+        assert table[anchor] == ratio_iteration(tree, anchor, gains).value
 
 
 def test_exact_tree_table_on_the_depth_2292_unrolled_chain():
@@ -329,7 +378,7 @@ def test_exact_tree_table_on_the_depth_2292_unrolled_chain():
     table = _index_table(tree, gains)
     live = [nid for nid, node in enumerate(tree.nodes) if not node.halted]
     for anchor in live[::500]:
-        assert table[anchor] == _gain_index(tree, anchor, gains).value
+        assert table[anchor] == ratio_iteration(tree, anchor, gains).value
 
 
 @pytest.mark.parametrize("build", [lambda: _root_block_path(2000), _depth_2292_chain], ids=["path", "chain"])
@@ -362,7 +411,7 @@ def test_index_table_matches_the_ratio_iteration_on_trees(tree, model, data):
         if node.halted:
             assert table[anchor] is None
             continue
-        res = _gain_index(dyn, anchor, gains)
+        res = ratio_iteration(dyn, anchor, gains)
         assert table[anchor] == res.value
         # the earliest optimal rule stops at the first nodes whose index is no larger
         assert _first_below(dyn, anchor, lambda y: table[y] <= table[anchor])[1] == res.rule.stop_set
@@ -378,7 +427,7 @@ def test_index_table_matches_the_ratio_iteration_on_chains(chain, model):
     table = _index_table(dyn, gains)
     approx = _index_table(*_index_form(model, to_float(chain)))
     for anchor in range(len(chain.states)):
-        res = _gain_index(dyn, anchor, gains)
+        res = ratio_iteration(dyn, anchor, gains)
         assert table[anchor] == res.value
         # the stop set holds every state whose index is no larger, the anchor included
         assert frozenset(y for y, v in enumerate(table) if v <= table[anchor]) == res.rule

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -271,6 +272,19 @@ def test_float_mode_refuses_a_literal_beyond_float_range(literal):
     with pytest.raises(ModelFormatError, match="non-finite number"):
         parse_number(literal)
     assert parse_number(literal, rational=True) == Fraction(literal)
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("literal", ["1e1000000000", "-2.5E-1000000000", " 1e+1_000_000_000\n", "1e4300"])
+def test_an_exponent_past_the_int_digit_limit_is_refused_before_the_power_is_built(literal, rational):
+    # Fraction(str) would build 10**exponent first: about a second per
+    # million digits, far more for these
+    start = time.perf_counter()
+    with pytest.raises(ModelFormatError, match="cannot parse number literal"):
+        parse_number(literal, rational=rational)
+    assert time.perf_counter() - start < 1
+    # the largest power within the limit, 4,300 digits, still parses
+    assert parse_number("1e4299", rational=True) == 10**4299
 
 
 def _parse_outcome(parse, value, rational):

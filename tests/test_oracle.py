@@ -201,7 +201,7 @@ def test_dp_optimal_shares_no_code_with_the_game_or_the_indices(monkeypatch):
         game_module._play_graph,
         game_module._compile_state,
         game_module._index_table,
-        indices._tree_pass,
+        indices._chain_table,
         indices._gains,
         reductions._index_form,
     ]
