@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-The command-line layer maps these onto its exit codes: document/format
-problems exit 2, resource-cap refusals exit 3, precondition violations
-exit 4.
+The command-line layer maps these onto its exit codes: solver failures
+exit 1, document/format problems exit 2, resource-cap refusals exit 3,
+precondition violations exit 4.
 """
 
 from __future__ import annotations
@@ -29,4 +29,7 @@ class InvalidRuleError(PreconditionError):
 
 
 class SolverError(HaltBanditError):
-    """An iterative solver failed to converge within its iteration cap."""
+    """A solve gave no trustworthy answer: a singular linear system, an
+    exact solution that fails its own equations, a float solution whose
+    residual exceeds ``game.RESIDUAL_TOL``, a chain state with no halting
+    mass, or a sampled episode past the round cap."""

@@ -21,9 +21,11 @@ declared period: the only extra state a policy may carry there).  Each
 state holds the policy's choice, the immediate payment and, per outcome,
 the probability, the chosen bandit's landing position, the successor or
 the halt, and the terminal payout.  A move is a function of the bandit
-and its position alone: ``_moves`` defines it, ``step`` splices it into
-histories, and a graph or sampler run computes a bandit's moves from a
-position once and shares them among every state that activates it there.
+and its position alone: each bandit type defines its own
+(``TreeBandit.moves``, ``MarkovBandit.moves``), ``step`` splices them into
+histories, and the play graph reads the chosen bandit's moves in each
+state it compiles.  ``terminal_payout`` settles a halt in one walk over
+the frozen bandits.
 Exact evaluation works backward over the graph on trees and solves its
 absorbing-chain linear system on chains; certification iterates it;
 traces replay outcomes through its states; policy block values and
@@ -117,14 +119,6 @@ def current_reward(game: GameInstance, i: int, position: int) -> Number:
     return dyn.states[position].reward
 
 
-def _final_reward(game: GameInstance, i: int, position: int) -> Number:
-    """The halter's reward at the halt (tree: the halted node's label)."""
-    dyn = game.dynamics(i)
-    if isinstance(dyn, TreeBandit):
-        return dyn.nodes[position].reward
-    return dyn.states[position].halt_reward
-
-
 def local_times(game: GameInstance, history: GlobalHistory) -> tuple[int, ...]:
     """Per-bandit activation counts; recoverable from positions on trees only."""
     if game.backend != "tree":
@@ -141,19 +135,6 @@ def round_of(game: GameInstance, history: GlobalHistory) -> int:
     return sum(local_times(game, history))
 
 
-def _moves(game: GameInstance, i: int, x: int) -> list[tuple[Number, int, bool]]:
-    """Bandit ``i``'s moves from position ``x``: per outcome (probability,
-    landing position, whether the move halts).  A tree moves along the
-    node's edges in their order; a chain's moves are ``MarkovBandit.moves``."""
-    dyn = game.dynamics(i)
-    if isinstance(dyn, TreeBandit):
-        node = dyn.nodes[x]
-        if node.halted:
-            raise PreconditionError(f"bandit {i} is already halted")
-        return [(e.p, e.to, e.halting) for e in node.edges]
-    return dyn.moves(x)
-
-
 def step(
     game: GameInstance, history: GlobalHistory, choice: int
 ) -> tuple[tuple[Number, GlobalHistory], ...]:
@@ -165,7 +146,7 @@ def step(
     head, tail = history.nodes[:choice], history.nodes[choice + 1 :]
     return tuple(
         (p, GlobalHistory(head + (y,) + tail, halter=choice if halts else None))
-        for p, y, halts in _moves(game, choice, history.nodes[choice])
+        for p, y, halts in game.dynamics(choice).moves(history.nodes[choice])
     )
 
 
@@ -188,31 +169,23 @@ def terminal_payout(
         return 0  # every activation already paid
     if model is PayoutModel.PSP:
         return current_reward(game, choice, pre.nodes[choice])
+    # the halter's landing reward: a halted node's label, a chain's halt reward
+    dyn, landed = game.dynamics(choice), post.nodes[choice]
+    landing = dyn.nodes[landed].reward if isinstance(dyn, TreeBandit) else dyn.states[landed].halt_reward
     if model is PayoutModel.SP:
-        return _final_reward(game, choice, post.nodes[choice])
-    if model is PayoutModel.CP:
-        total = _final_reward(game, choice, post.nodes[choice])
-        for j in range(game.n):
-            if j != choice:
-                total += current_reward(game, j, pre.nodes[j])
-        return total
-    if model is PayoutModel.NH:
-        # the halting cost: a positive total the controller wants small;
-        # its negation is the collective payout of the sign-flipped rewrite
-        total: Number = 0
-        for j in range(game.n):
-            if j != choice:
-                total += current_reward(game, j, pre.nodes[j])
-        return total
-    if model is PayoutModel.TP:
-        total = _final_reward(game, choice, post.nodes[choice])
-        for j in range(game.n):
-            if j != choice:
-                bandit = game.bandits[j]
-                assert isinstance(bandit, ProfitBandit)
-                total -= bandit.cost(pre.nodes[j])
-        return total
-    raise PreconditionError(f"unknown payout model {model!r}")
+        return landing
+    # the non-halting scheme bills the frozen bandits alone: a positive total
+    # the controller wants small, whose negation is the collective payout of
+    # the sign-flipped rewrite
+    total: Number = 0 if model is PayoutModel.NH else landing
+    for j, bandit in enumerate(game.bandits):
+        if j == choice:
+            continue
+        if model is PayoutModel.TP:
+            total -= bandit.cost(pre.nodes[j])
+        else:
+            total += current_reward(game, j, pre.nodes[j])
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -381,20 +354,18 @@ class TablePolicy(Policy):
 
 # A product state: positions and round mod the policy's period (always 0 on trees).
 _Key = tuple[tuple[int, ...], int]
-# Choice, immediate payment, and per outcome in ``_moves``' order (probability,
-# the chosen bandit's landing position, successor or None at a halt,
-# terminal payout).
+# Choice, immediate payment, and per outcome in the order of the chosen
+# bandit's ``moves`` (probability, its landing position, successor or None at
+# a halt, terminal payout).
 _State = tuple[int, Number, list[tuple[Number, int, _Key | None, Number]]]
-# The move cache of one run: (bandit, position) -> ``_moves`` there.
-_Moves = dict[tuple[int, int], list[tuple[Number, int, bool]]]
 
 
-def _compile_state(game: GameInstance, policy: Policy, key: _Key, moves: _Moves) -> _State:
+def _compile_state(game: GameInstance, policy: Policy, key: _Key) -> _State:
     """Play one product state: ask the policy once and settle every outcome.
 
-    The chosen bandit's moves come from ``moves``, filled from ``_moves``
-    the first time a run activates that bandit at that position; each
-    landing position is spliced into the key, and each halt settled with
+    The chosen bandit's moves are its ``moves`` from its position
+    (``TreeBandit.moves`` or ``MarkovBandit.moves``); each landing
+    position is spliced into the key, and each halt settled with
     ``terminal_payout``.  Trees hand ``choose`` the round (a function of
     the positions); chains hand it the round modulo ``policy.period``, the
     only round dependence a policy may carry there.
@@ -409,12 +380,9 @@ def _compile_state(game: GameInstance, policy: Policy, key: _Key, moves: _Moves)
     if not 0 <= i < game.n:
         raise PreconditionError(f"policy chose bandit {i}, not in the game")
     next_phase = (phase + 1) % period
-    outcomes = moves.get((i, nodes[i]))
-    if outcomes is None:
-        outcomes = moves[i, nodes[i]] = _moves(game, i, nodes[i])
     head, tail = nodes[:i], nodes[i + 1 :]
     rows: list[tuple[Number, int, _Key | None, Number]] = []
-    for p, y, halts in outcomes:
+    for p, y, halts in game.dynamics(i).moves(nodes[i]):
         landed = head + (y,) + tail
         if halts:
             rows.append((p, y, None, terminal_payout(game, h, i, GlobalHistory(landed, halter=i))))
@@ -433,9 +401,8 @@ def _play_graph(game: GameInstance, policy: Policy, cap: int) -> dict[_Key, _Sta
     order = [start]
     seen = {start}
     graph: dict[_Key, _State] = {}
-    moves: _Moves = {}
     for key in order:  # grows while it is read
-        graph[key] = state = _compile_state(game, policy, key, moves)
+        graph[key] = state = _compile_state(game, policy, key)
         for _, _, succ, _ in state[2]:
             if succ is not None and succ not in seen:
                 seen.add(succ)
@@ -560,7 +527,6 @@ def run_policy_sampled(
 
     rng = _philox(seed)
     compiled: dict[_Key, tuple] = {}
-    moves: _Moves = {}
     start = (game.initial_history().nodes, 0)
     draws = _uniforms(rng)
     out: list[float] = []
@@ -570,7 +536,7 @@ def run_policy_sampled(
         for _ in range(_EPISODE_ROUND_CAP):
             state = compiled.get(key)
             if state is None:
-                state = compiled[key] = _float_view(_compile_state(game, policy, key, moves))
+                state = compiled[key] = _float_view(_compile_state(game, policy, key))
             pay, rows = state
             total += pay
             u = next(draws)
@@ -636,7 +602,6 @@ def trace_times(
     replay walks the play graph's states, as evaluation does.
     """
     key: _Key | None = (game.initial_history().nodes, 0)
-    moves: _Moves = {}
     times = [0] * game.n
     rows: list[TraceRow] = []
     survival: Number = 1
@@ -646,7 +611,7 @@ def trace_times(
         kind, target = (outcome, None) if isinstance(outcome, str) else outcome
         if kind not in ("survive", "halt"):
             raise PreconditionError(f"unknown outcome {outcome!r}")
-        i, _, state_rows = _compile_state(game, policy, key, moves)
+        i, _, state_rows = _compile_state(game, policy, key)
         matches = [
             (p, succ)
             for p, y, succ, _ in state_rows

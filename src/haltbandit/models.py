@@ -92,6 +92,14 @@ class TreeBandit:
                 stack.append(e.to)
         return prefix
 
+    def moves(self, x: int) -> list[tuple[Number, int, bool]]:
+        """Node x's moves, per edge in order (probability, landing node,
+        whether it halts).  A halted node is refused: nothing moves it."""
+        node = self.nodes[x]
+        if node.halted:
+            raise PreconditionError(f"node {x} is already halted")
+        return [(e.p, e.to, e.halting) for e in node.edges]
+
     def is_exact(self) -> bool:
         """True when every reward and probability is an int or a Fraction."""
         for node in self.nodes:

@@ -4,9 +4,9 @@
 backward induction over every reachable history, each a tuple of node
 ids.  It tabulates each bandit once (rewards, costs, and edges as plain
 tuples) and writes out each scheme's settlement at the halt itself, so it
-shares no code with ``game._moves``, the payout functions, the play graph
-or the index solvers: a fault in any of them cannot show on both sides of
-the index certificate.  On a game of ints and Fractions it runs over
+shares no code with the bandits' ``moves``, the payout functions, the play
+graph or the index solvers: a fault in any of them cannot show on both
+sides of the index certificate.  On a game of ints and Fractions it runs over
 integers, each history's values scaled by one integer fixed per node
 before the loop, and builds a value only when it is read; a game with any
 float runs the same induction in the input's own arithmetic, whose
@@ -177,8 +177,9 @@ def dp_optimal(game: GameInstance, *, history_cap: int = DEFAULT_HISTORY_CAP) ->
     (i's reward under the cumulative scheme, else 0) plus p · (the halt's
     settlement or the successor's value) per edge.  Each bandit is
     tabulated once and each scheme's settlement is read off
-    ``_SETTLEMENT``, so the oracle shares no code with the game's moves, the
-    payout functions, the play graph or the indices that it certifies.
+    ``_SETTLEMENT``, so the oracle shares no code with the bandits'
+    ``moves``, the payout functions, the play graph or the indices that it
+    certifies.
 
     A game whose probabilities, rewards and costs are all ints and
     ``Fraction``s is solved over integers (``_integer_induction``); any

@@ -11,8 +11,8 @@ game, and ``reference_greedy_dominance`` replays each one on every joint
 outcome atom, as the reference for ``certify_greedy_dominance``.
 ``reference_dp_optimal`` and ``reference_policy_count`` walk the histories
 by stepping the game, as the reference for the oracle's tabulated backward
-induction, and ``longhand_play_graph`` steps every product state anew, as
-the reference for the play graph's move cache.  ``normalize``, ``parent``,
+induction, and ``longhand_play_graph`` steps every product state, as the
+reference for the play graph's compiled states.  ``normalize``, ``parent``,
 ``equivalent_rewards``, ``index_times``, ``parametric_stopping_value``,
 ``random_markov_bandit``, ``float_game`` and ``activation_rounds`` are
 model transforms, lookups, a stopping solver, a seeded chain generator, a

@@ -483,6 +483,20 @@ def test_singular_float_chain_exits_one(capsys, tmp_path):
     assert out == ""
 
 
+def test_a_float_chain_solve_that_misses_its_residual_exits_one(capsys, monkeypatch, tmp_path):
+    from haltbandit import game as game_module
+
+    path = tmp_path / "pair.json"
+    save_model([random_markov_bandit(1), random_markov_bandit(2)], path)
+    solve = game_module.solve_linear
+    monkeypatch.setattr(game_module, "solve_linear", lambda rows, rhs: [x + 1e-9 for x in solve(rows, rhs)])
+    code = main(["evaluate", "--model", str(path), "--policy", "cyclic:0,1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "residual" in captured.err
+
+
 def test_float_chain_index_settles_when_stopping_ties(capsys, tmp_path):
     # at the index, stopping and continuing tie at state 0; the float
     # improvement step used to flip on rounding noise until its cap

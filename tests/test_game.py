@@ -209,21 +209,44 @@ def test_play_graph_equals_a_longhand_step_per_state(game, policy):
 
 @pytest.mark.parametrize("game, policy", _GRAPH_CASES[:15:2] + _GRAPH_CASES[15::4])
 def test_step_runs_once_per_bandit_position(monkeypatch, game, policy):
+    # each compiled state reads the chosen bandit's moves from its position
+    # once, from the bandit itself, and compiles no state twice
     calls: list[tuple[int, int]] = []
-    moves = game_module._moves
+    for cls in (TreeBandit, MarkovBandit):
 
-    def counting_moves(game, i, x):
-        calls.append((i, x))
-        return moves(game, i, x)
+        def spy(self, x, moves=cls.moves):
+            calls.append((id(self), x))
+            return moves(self, x)
 
-    monkeypatch.setattr(game_module, "_moves", counting_moves)
+        monkeypatch.setattr(cls, "moves", spy)
     graph = _play_graph(game, policy, 10**5)
-    reached = {(i, key[0][i]) for key, (i, _, _) in graph.items()}
-    assert sorted(calls) == sorted(reached)
-    assert len(reached) < len(graph)  # states share the moves of a bandit position
+    assert calls == [(id(game.dynamics(i)), key[0][i]) for key, (i, _, _) in graph.items()]
+
+    compiled: list[tuple[int, int]] = []
+    keys: list = []
+    compile_state = game_module._compile_state
+
+    def counting_compile(game, policy, key):
+        state = compile_state(game, policy, key)
+        compiled.append((id(game.dynamics(state[0])), key[0][state[0]]))
+        keys.append(key)
+        return state
+
+    monkeypatch.setattr(game_module, "_compile_state", counting_compile)
     calls.clear()
     run_policy_sampled(float_game(game), policy, seed=3, n_samples=200)
-    assert len(calls) == len(set(calls))
+    assert calls == compiled
+    assert len(keys) == len(set(keys))
+
+
+def test_step_from_a_halted_node_is_refused():
+    game = pair_game()
+    root = game.initial_history()
+    (_, halted), _ = step(game, root, 0)  # the ramp bandit's first edge halts
+    assert game.dynamics(0).nodes[halted.nodes[0]].halted
+    with pytest.raises(PreconditionError, match="node 1 is already halted"):
+        step(game, GlobalHistory(halted.nodes), 0)
+    assert [p for p, _ in step(game, GlobalHistory(halted.nodes), 1)] == [1]
 
 
 def test_payout_models_disagree_on_the_same_play():
@@ -506,6 +529,22 @@ def test_a_chain_that_never_halts_is_a_solver_error(one):
     stuck = MarkovBandit(states=(MarkovState(one, 0 * one, 0 * one),), transitions=((one,),))
     with pytest.raises(SolverError):
         evaluate_exact(GameInstance(bandits=(stuck,)), CyclicPolicy((0,)))
+
+
+def _shifted_solve(monkeypatch, shift: float) -> None:
+    """Make every linear solve the game runs return its solution plus ``shift``."""
+    solve = game_module.solve_linear
+    monkeypatch.setattr(game_module, "solve_linear", lambda rows, rhs: [x + shift for x in solve(rows, rhs)])
+
+
+def test_a_float_chain_solve_that_misses_its_residual_is_a_solver_error(monkeypatch):
+    game = GameInstance(bandits=(to_float(random_markov_bandit(1)), to_float(random_markov_bandit(2))))
+    value = evaluate_exact(game, CyclicPolicy((0, 1)))
+    _shifted_solve(monkeypatch, 1e-15)  # a miss inside RESIDUAL_TOL passes
+    assert evaluate_exact(game, CyclicPolicy((0, 1))) == value + 1e-15
+    _shifted_solve(monkeypatch, 1e-9)
+    with pytest.raises(SolverError, match=r"residual .* above 1e-12"):
+        evaluate_exact(game, CyclicPolicy((0, 1)))
 
 
 def test_an_exact_chain_with_a_halt_free_state_is_still_evaluated():

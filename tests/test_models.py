@@ -58,6 +58,24 @@ def test_ramp_bandit_validates_cleanly():
     assert report.violations == ()
 
 
+def test_tree_moves_follow_the_edges_in_order_and_refuse_a_halted_node():
+    # the root's live edge comes before its halting one
+    tree = TreeBandit(
+        nodes=(
+            TreeNode(0, 0, False, (TreeEdge(1, Fraction(1, 4), False), TreeEdge(2, Fraction(3, 4), True))),
+            TreeNode(1, 4, False, (TreeEdge(3, ONE, True),)),
+            TreeNode(1, 2, True),
+            TreeNode(2, 10, True),
+        )
+    )
+    assert validate(tree).passed
+    assert tree.moves(0) == [(Fraction(1, 4), 1, False), (Fraction(3, 4), 2, True)]
+    assert tree.moves(1) == [(ONE, 3, True)]
+    for halted in (2, 3):
+        with pytest.raises(PreconditionError, match=f"node {halted} is already halted"):
+            tree.moves(halted)
+
+
 def test_markov_constant_halt_validates():
     chain = geometric_markov(1, HALF)
     assert validate(chain).passed

@@ -13,6 +13,7 @@ from haltbandit import (
     GameInstance,
     GlobalHistory,
     IndexPolicy,
+    MarkovBandit,
     PayoutModel,
     PreconditionError,
     ProfitBandit,
@@ -193,11 +194,9 @@ def test_dp_optimal_shares_no_code_with_the_game_or_the_indices(monkeypatch):
     counts = [reference_policy_count(g) for g in games]
     shared = [
         game_module.step,
-        game_module._moves,
         game_module.terminal_payout,
         game_module.immediate_payment,
         game_module.current_reward,
-        game_module._final_reward,
         game_module._play_graph,
         game_module._compile_state,
         game_module._index_table,
@@ -214,6 +213,8 @@ def test_dp_optimal_shares_no_code_with_the_game_or_the_indices(monkeypatch):
             for key, value in list(vars(module).items()):
                 if any(value is f for f in shared):
                     monkeypatch.setattr(module, key, refuse)
+    for cls in (TreeBandit, MarkovBandit):  # the moves each bandit type defines
+        monkeypatch.setattr(cls, "moves", refuse)
     for g, w, n in zip(games, want, counts):
         assert dp_optimal(g) == w
         assert _policy_count(g, 10**12) == n
