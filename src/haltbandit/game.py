@@ -438,9 +438,12 @@ def evaluate_exact(
     solve the absorbing-chain system x = b + Px with one unknown per graph
     state, given to ``solve_linear`` as one sparse row of I − P per state
     (its successors only), exactly in rational mode, where the solution is
-    checked exactly against every row; a float solution is rejected if its
-    residual exceeds 1e-12.  More than ``history_cap``
-    reachable states raise ``ResourceCapError``.
+    checked exactly against every row.  In floats a large system whose
+    states all halt with positive mass is swept to a proven error bound
+    where that is the cheaper solve, and any other goes to one dense solve
+    (see ``linear``); either solution is rejected if its residual exceeds
+    ``RESIDUAL_TOL``.  More than ``history_cap`` reachable states raise
+    ``ResourceCapError``.
     """
     graph = _play_graph(game, policy, history_cap)
     if game.backend == "tree":

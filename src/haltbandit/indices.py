@@ -44,8 +44,10 @@ state whose index is no larger (within ``ZERO_TOL`` in float arithmetic,
 so that rounding noise does not flip a tie).  That is the block structure
 of the Gittins index.  ``solo_index_parametric`` and
 ``reductions.model_index_result`` read one anchor's value and rule off the
-table; ``game.IndexPolicy`` and its block-committed subclass, and through
-them certification and ``pi_values``, read whole tables; and
+table (on a tree, a table over the anchor's subtree only, on which the
+anchor's index alone depends); ``game.IndexPolicy`` and its
+block-committed subclass, and through them certification and
+``pi_values``, read whole tables; and
 ``index_decomposition`` iterates the rule from the root, partitioning
 every path into index blocks whose values never increase.  The per-node
 "prevailing index" (the value of the block a node sits in) is the
@@ -269,7 +271,7 @@ def _index_at(dyn: TreeBandit | MarkovBandit, anchor: int | None, gains: list[Nu
         anchor = dyn.initial if anchor is None else anchor
         if not 0 <= anchor < len(dyn.states):
             raise PreconditionError(f"anchor state {anchor} out of range")
-    idx = _index_table(dyn, gains)
+    idx = _index_table(dyn, gains, anchor)
     top = idx[anchor] + _tie_tol(dyn)
     if tree:
         members, stops = _first_below(dyn, anchor, lambda y: idx[y] <= top)
@@ -337,8 +339,11 @@ def _chain_table(chain: MarkovBandit, gains: list[Number]) -> list[Number]:
     return ratio
 
 
-def _index_table(dyn: TreeBandit | MarkovBandit, gains: list[Number]) -> list[Number | None]:
-    """The index of every node or state, None at halted nodes.
+def _index_table(
+    dyn: TreeBandit | MarkovBandit, gains: list[Number], anchor: int | None = None
+) -> list[Number | None]:
+    """The index of every node or state, None at halted nodes; on a tree
+    with an ``anchor``, of the anchor's subtree only, None elsewhere.
 
     On a chain, state elimination (``_chain_table``).  On a tree, one pass
     from the leaves up over the value of activating x at charge λ, F_x(λ) =
@@ -359,7 +364,8 @@ def _index_table(dyn: TreeBandit | MarkovBandit, gains: list[Number]) -> list[Nu
     # each node links to an ancestor, with the path probability down from it
     up, below = list(range(len(dyn.nodes))), [1] * len(dyn.nodes)
     hinges: dict[int, list[tuple[Number, Number, int]]] = {}
-    for nid in _post_order(dyn, dyn.root) + [dyn.root]:
+    top = dyn.root if anchor is None else anchor
+    for nid in _post_order(dyn, top) + [top]:
         num, den = gains[nid], 0
         merged: list[tuple[Number, Number, int]] = []
         for e in dyn.nodes[nid].edges:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -355,6 +356,44 @@ def test_a_float_chain_index_beyond_float_range_exits_four(capsys, tmp_path):
         assert captured.out == ""
         assert "float range" in captured.err
         assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "payout, code, message",
+    [("CP", 4, "float range"), ("CCP", 4, "float range"), ("SP", 1, "residual")],
+)
+def test_a_large_float_chain_game_beyond_float_range_exits_four_or_on_its_residual(capsys, tmp_path, monkeypatch, payout, code, message):
+    # two 16-state chains, rewards ±1.7e308: 512 product states under the
+    # cyclic policy, above the sweeps' size threshold.  CP's halts pay ±inf,
+    # so its system goes straight to the dense solve; CCP's sweeps overflow
+    # and fall back to it; SP's sweeps settle, and the residual refuses them.
+    import haltbandit.linear
+
+    huge, n = 1.7e308, 16
+
+    def chain(sign):
+        states = tuple(MarkovState(sign * (-1) ** k * huge, 0.5, sign * (-1) ** k * huge) for k in range(n))
+        return MarkovBandit(states=states, transitions=((1 / n,) * n,) * n)
+
+    path = tmp_path / "huge-chains.json"
+    save_model([chain(1), chain(-1)], path)
+    sweep, swept = haltbandit.linear._sweep, []
+
+    def spy(r, c, v, b):
+        out = sweep(r, c, v, b)
+        swept.append((b.size, out is not None))
+        return out
+
+    monkeypatch.setattr(haltbandit.linear, "_sweep", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = main(["evaluate", "--model", str(path), "--policy", "cyclic:0,1", "--payout", payout])
+    captured = capsys.readouterr()
+    assert swept == [(2 * n * n, payout == "SP")]
+    assert got == code
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_evaluate_command(capsys, pair_path):

@@ -16,8 +16,9 @@ with the one ``golden_cli.json`` holds for that call.  The documents:
 Every document meets every subcommand under all six schemes (the profit
 tree under its own and one other), in exact and float arithmetic, and the
 game-playing subcommands meet several policies, so refusals are pinned as
-well as results.  Float chain values come from numpy's LAPACK solve,
-whose last bits may differ under another BLAS build.
+well as results.  Every chain game here has fewer product states than
+``linear`` needs before it sweeps, so float chain values come from numpy's
+LAPACK solve, whose last bits may differ under another BLAS build.
 
 Regenerate the file only for an intended change of output:
 ``PYTHONPATH=src python tests/test_golden_cli.py``.

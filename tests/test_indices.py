@@ -31,6 +31,7 @@ from haltbandit import (
     validate,
 )
 
+from haltbandit import indices
 from haltbandit.errors import SolverError
 from haltbandit.indices import _chain_table, _first_below, _gains, _index_table
 from haltbandit.models import ProfitBandit, TreeBandit
@@ -379,6 +380,44 @@ def test_exact_tree_table_on_the_depth_2292_unrolled_chain():
     live = [nid for nid, node in enumerate(tree.nodes) if not node.halted]
     for anchor in live[::500]:
         assert table[anchor] == ratio_iteration(tree, anchor, gains).value
+
+
+class _Reads(list):
+    """A list that records which entries were read."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("arith", ["exact", "float"])
+def test_an_anchored_tree_table_covers_the_anchors_subtree_only(arith, monkeypatch):
+    tree = _depth_2292_chain()
+    tree = tree if arith == "exact" else to_float(tree)
+    whole = _index_table(tree, _gains(tree))
+    deep = next(nid for nid, node in enumerate(tree.nodes) if node.depth == 2289 and not node.halted)
+    subtrees = {}
+    for anchor in (deep, tree.continuation_edges(tree.root)[0].to, tree.root):
+        subtree = subtrees[anchor] = {anchor}
+        stack = [anchor]
+        while stack:
+            for e in tree.continuation_edges(stack.pop()):
+                subtree.add(e.to)
+                stack.append(e.to)
+        gains = _Reads(_gains(tree))
+        table = _index_table(tree, gains, anchor)
+        assert gains.read == subtree
+        assert all(table[nid] is None for nid in range(len(table)) if nid not in subtree)
+        assert all(table[nid] == whole[nid] for nid in subtree)
+    # the index report at an anchor reads the anchored table
+    reads = []
+    monkeypatch.setattr(indices, "_gains", lambda dyn: reads.append(_Reads(_gains(dyn))) or reads[-1])
+    assert solo_index_parametric(tree, deep).value == whole[deep]
+    assert reads[0].read == subtrees[deep]
 
 
 @pytest.mark.parametrize("build", [lambda: _root_block_path(2000), _depth_2292_chain], ids=["path", "chain"])
