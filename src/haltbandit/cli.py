@@ -271,12 +271,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             raise ModelFormatError("--sweep generates its own instances; drop --model")
         if args.kind != "index":
             raise ModelFormatError("--sweep certifies index optimality only; drop --kind greedy")
-        if args.sweep < 0:
-            raise ModelFormatError(f"--sweep must be at least 0, got {args.sweep}")
-        if args.depth < 1:
-            raise ModelFormatError(f"--depth must be at least 1, got {args.depth}")
-        if args.branching < 1:
-            raise ModelFormatError(f"--branching must be at least 1, got {args.branching}")
+        for flag, low in (("sweep", 0), ("depth", 1), ("branching", 1), ("workers", 1)):
+            if getattr(args, flag) < low:
+                raise ModelFormatError(f"--{flag} must be at least {low}, got {getattr(args, flag)}")
         _check_seeds(args.seed, args.sweep)
         tasks = [
             (args.seed + k, args.payout, args.depth, args.branching)

@@ -31,5 +31,5 @@ class InvalidRuleError(PreconditionError):
 class SolverError(HaltBanditError):
     """A solve gave no trustworthy answer: a singular linear system, an
     exact solution that fails its own equations, a float solution whose
-    residual exceeds ``game.RESIDUAL_TOL``, a chain state with no halting
-    mass, or a sampled episode past the round cap."""
+    backward error exceeds ``linear``'s tolerance, a chain state with no
+    halting mass, or a sampled episode past the round cap."""

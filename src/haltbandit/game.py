@@ -46,14 +46,13 @@ from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 from .errors import PreconditionError, ResourceCapError, SolverError
 from .indices import ZERO_TOL, IndexDecomposition, _decompose, _index_table
 from .jsonio import Number, Record
-from .linear import residual, solve_linear
+from .linear import solve_linear
 from .models import AnyBandit, MarkovBandit, ProfitBandit, TreeBandit, dynamics_of
 from .reductions import PayoutModel, _index_form
 
 if TYPE_CHECKING:
     import numpy as np
 
-RESIDUAL_TOL = 1e-12
 DEFAULT_HISTORY_CAP = 10**7
 _EPISODE_ROUND_CAP = 10**6
 _DRAW_CHUNK = 4096
@@ -440,9 +439,9 @@ def evaluate_exact(
     (its successors only), exactly in rational mode, where the solution is
     checked exactly against every row.  In floats a large system whose
     states all halt with positive mass is swept to a proven error bound
-    where that is the cheaper solve, and any other goes to one dense solve
-    (see ``linear``); either solution is rejected if its residual exceeds
-    ``RESIDUAL_TOL``.  More than ``history_cap`` reachable states raise
+    where that is the cheaper solve, and any other goes to one dense solve;
+    either answer must pass a scale-free backward-error test (see
+    ``linear``).  More than ``history_cap`` reachable states raise
     ``ResourceCapError``.
     """
     graph = _play_graph(game, policy, history_cap)
@@ -460,12 +459,7 @@ def evaluate_exact(
                 row[pos[succ]] = row.get(pos[succ], 0) - p
         rows.append(row)
         rhs.append(pay)
-    sol = solve_linear(rows, rhs)
-    if isinstance(sol[0], float):  # an exact solution is checked exactly by solve_linear
-        res = residual(rows, rhs, sol)
-        if res > RESIDUAL_TOL:
-            raise SolverError(f"linear system residual {res} above {RESIDUAL_TOL}")
-    return sol[0]
+    return solve_linear(rows, rhs)[0]
 
 
 # ---------------------------------------------------------------------------

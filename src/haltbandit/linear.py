@@ -20,13 +20,17 @@ Stability of Numerical Algorithms*, 2002, §3.5), so the residual plus
 that allowance, over a lower bound on min q, is a proven bound.  The
 sweeps stop at a float fixed point, or once the residual is within its
 allowance and no smaller than at the sweep before; the last iterate is
-returned if its bound is at most ``_SWEEP_TOL``·‖x‖∞.  Every system the
+kept if its bound is at most ``_SWEEP_TOL``·‖x‖∞.  Every system the
 sweeps decline is scattered into one dense array for numpy's LAPACK
 solve: one under the size threshold, one with a non-finite entry or a row
 without margin (singular systems among them), one whose sweeps, as many
 as the contraction rate predicts, would cost more than the dense solve,
 and one whose sweeps overflow, do not stop within that count, or stop with
-too large a bound.
+too large a bound.  Either answer is returned only if its normwise
+backward error ‖b − Ax‖∞ / (‖A‖∞‖x‖∞ + ‖b‖∞), ‖A‖∞ the largest absolute
+row sum, is at most ``_SWEEP_TOL`` (Rigal & Gaches, *J. ACM* 1967; Higham
+2002, §7.1): a scale-free test, so values may be of any size, and on the
+dense path not swollen, as the proven bound is, by a tiny margin.
 
 Exact systems (ints/Fractions) are eliminated fraction-free over integer
 rows (Bareiss, *Math. Comp.* 1968): each row and its right-hand side are
@@ -53,7 +57,9 @@ if TYPE_CHECKING:
 
 
 def solve_linear(rows: Sequence[Mapping[int, Number]], rhs: Sequence[Number]) -> list[Number]:
-    """Solve A x = b, exactly when all inputs are rational."""
+    """Solve A x = b, exactly when all inputs are rational.  An exact answer
+    is checked on every row, a float one by its backward error, a swept one
+    by its forward bound too (see above); a failed check is a ``SolverError``."""
     n = len(rhs)
     coefs = [row.values() for row in rows]
     if any(isinstance(v, float) for v in chain(rhs, *coefs)):
@@ -64,14 +70,22 @@ def solve_linear(rows: Sequence[Mapping[int, Number]], rhs: Sequence[Number]) ->
         c = np.fromiter(chain(*rows), np.intp, r.size)
         v = np.fromiter(chain(*coefs), float, r.size)
         b = np.array(rhs, dtype=float)
-        if n >= _SWEEP_MIN and (swept := _sweep(r, c, v, b)) is not None:
-            return swept
-        a = np.zeros(n * n)
-        a[r * n + c] = v
-        try:
-            return np.linalg.solve(a.reshape(n, n), b).tolist()
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("singular linear system") from exc
+        x = _sweep(r, c, v, b) if n >= _SWEEP_MIN else None
+        if x is None:
+            a = np.zeros(n * n)
+            a[r * n + c] = v
+            try:
+                x = np.linalg.solve(a.reshape(n, n), b)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError("singular linear system") from exc
+        # the backward-error test (see above); a NaN or infinite answer passes
+        # it, for the caller's float-range check to refuse
+        with np.errstate(all="ignore"):
+            res = float(np.abs(b - np.bincount(r, v * x[c], n)).max())
+            tol = _SWEEP_TOL * float(np.bincount(r, np.abs(v), n).max() * np.abs(x).max() + np.abs(b).max())
+        if res > tol:
+            raise SolverError(f"linear system residual {res} above {tol}")
+        return x.tolist()
     # each row and its right-hand side scaled to integers by the lcm of their
     # denominators, kept as they are to check the solution against
     eqs = []
@@ -114,7 +128,8 @@ def solve_linear(rows: Sequence[Mapping[int, Number]], rhs: Sequence[Number]) ->
 
 # Below this many unknowns the dense solve is faster than sweeping.
 _SWEEP_MIN = 256
-# A swept answer's proven bound must be at most this share of ‖x‖∞.
+# A swept answer's proven bound must be at most this share of ‖x‖∞, and
+# every float answer's backward error at most this (see above).
 _SWEEP_TOL = 2.0**-40
 # Cost rule, in units of one nonzero's multiply-add within a sweep (about
 # 5 ns where it was fitted, numpy 2.4 on one CPU core): a sweep costs its
@@ -126,7 +141,7 @@ _DENSE_RATE = 150
 _U = 2.0**-53
 
 
-def _sweep(r: np.ndarray, c: np.ndarray, v: np.ndarray, b: np.ndarray) -> list[float] | None:
+def _sweep(r: np.ndarray, c: np.ndarray, v: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """Jacobi sweeps on a float system, its nonzeros given as row ids,
     column ids and values, with a proven stopping bound (see the module
     docstring); None leaves the system to the dense solve."""
@@ -167,7 +182,7 @@ def _sweep(r: np.ndarray, c: np.ndarray, v: np.ndarray, b: np.ndarray) -> list[f
             allow = gamma * b_max + gamma * s_max * size
             new = t / d
             if np.array_equal(new, x) or last <= res <= allow:
-                return x.tolist() if (res + allow) / q <= _SWEEP_TOL * size else None
+                return x if (res + allow) / q <= _SWEEP_TOL * size else None
             x, last = new, res
     return None
 
@@ -191,13 +206,3 @@ def _back_substitute(a: list[dict[int, int]], b: list[int], pivots: list[int]) -
                 num[c] *= m
     return num, den
 
-
-def residual(rows: Sequence[Mapping[int, Number]], rhs: Sequence[Number], sol: Sequence[Number]) -> float:
-    """Max-norm residual of a candidate float solution."""
-    worst = 0.0
-    for row, b in zip(rows, rhs):
-        acc = -b
-        for c, coef in row.items():
-            acc += coef * sol[c]
-        worst = max(worst, abs(float(acc)))
-    return worst

@@ -188,6 +188,14 @@ def random_markov_bandit(seed: int, *, n_states: int = 3, constant_halt: Fractio
     return bandit
 
 
+def scaled_markov_bandit(seed: int, k: int, *, n_states: int = 3) -> MarkovBandit:
+    """``random_markov_bandit(seed)`` with every reward and halt reward
+    multiplied by ``k``, in floats."""
+    bandit = random_markov_bandit(seed, n_states=n_states)
+    states = tuple(MarkovState(s.reward * k, s.halt_prob, s.halt_reward * k) for s in bandit.states)
+    return to_float(MarkovBandit(states=states, transitions=bandit.transitions))
+
+
 def float_game(game: GameInstance) -> GameInstance:
     """The same game with every number a machine float."""
     return GameInstance(bandits=tuple(to_float(b) for b in game.bandits), model=game.model)

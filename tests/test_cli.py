@@ -38,6 +38,7 @@ from helpers import (
     path_bandit,
     ramp_bandit,
     random_markov_bandit,
+    scaled_markov_bandit,
     sure_bandit,
 )
 
@@ -358,15 +359,13 @@ def test_a_float_chain_index_beyond_float_range_exits_four(capsys, tmp_path):
         assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize(
-    "payout, code, message",
-    [("CP", 4, "float range"), ("CCP", 4, "float range"), ("SP", 1, "residual")],
-)
-def test_a_large_float_chain_game_beyond_float_range_exits_four_or_on_its_residual(capsys, tmp_path, monkeypatch, payout, code, message):
+@pytest.mark.parametrize("payout, code", [("CP", 4), ("CCP", 4), ("SP", 0)])
+def test_a_large_float_chain_game_beyond_float_range_exits_four_or_is_swept(capsys, tmp_path, monkeypatch, payout, code):
     # two 16-state chains, rewards ±1.7e308: 512 product states under the
     # cyclic policy, above the sweeps' size threshold.  CP's halts pay ±inf,
     # so its system goes straight to the dense solve; CCP's sweeps overflow
-    # and fall back to it; SP's sweeps settle, and the residual refuses them.
+    # and fall back to it; SP's sweeps settle on h/4, which passes the
+    # scale-free backward-error test.
     import haltbandit.linear
 
     huge, n = 1.7e308, 16
@@ -391,9 +390,13 @@ def test_a_large_float_chain_game_beyond_float_range_exits_four_or_on_its_residu
     captured = capsys.readouterr()
     assert swept == [(2 * n * n, payout == "SP")]
     assert got == code
-    assert captured.out == ""
-    assert message in captured.err
-    assert "Traceback" not in captured.err
+    if payout == "SP":
+        assert json.loads(captured.out)["value"] == 4.2499999999999993e307
+        assert captured.err == ""
+    else:
+        assert captured.out == ""
+        assert "float range" in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_evaluate_command(capsys, pair_path):
@@ -523,17 +526,30 @@ def test_singular_float_chain_exits_one(capsys, tmp_path):
 
 
 def test_a_float_chain_solve_that_misses_its_residual_exits_one(capsys, monkeypatch, tmp_path):
-    from haltbandit import game as game_module
+    import numpy as np
 
     path = tmp_path / "pair.json"
     save_model([random_markov_bandit(1), random_markov_bandit(2)], path)
-    solve = game_module.solve_linear
-    monkeypatch.setattr(game_module, "solve_linear", lambda rows, rhs: [x + 1e-9 for x in solve(rows, rhs)])
+    solve = np.linalg.solve  # the 18 product states go to the dense solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-9)
     code = main(["evaluate", "--model", str(path), "--policy", "cyclic:0,1"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert "residual" in captured.err
+
+
+@pytest.mark.parametrize("n_states", [3, 12])
+@pytest.mark.parametrize("k", [10**3, 10**6])
+def test_a_float_chain_game_scaled_up_is_evaluated(capsys, tmp_path, n_states, k):
+    values = []
+    for scale in (1, k):
+        path = tmp_path / f"pair-{scale}.json"
+        save_model([scaled_markov_bandit(s, scale, n_states=n_states) for s in (1, 2)], path)
+        code, out = run(capsys, "evaluate", "--model", str(path), "--policy", "cyclic:0,1")
+        assert code == 0
+        values.append(json.loads(out)["value"])
+    assert abs(values[1] - k * values[0]) <= 1e-12 * abs(k * values[0])
 
 
 def test_float_chain_index_settles_when_stopping_ties(capsys, tmp_path):
@@ -561,6 +577,8 @@ def test_certify_sweep_refuses_a_model_argument(capsys, pair_path):
         (("--sweep", "-3"), "--sweep must be at least 0"),
         (("--sweep", "1", "--depth", "0"), "--depth must be at least 1"),
         (("--sweep", "1", "--depth", "-3"), "--depth must be at least 1"),
+        (("--sweep", "1", "--workers", "0"), "--workers must be at least 1, got 0"),
+        (("--sweep", "1", "--workers", "-3"), "--workers must be at least 1, got -3"),
     ],
 )
 def test_certify_sweep_refuses_out_of_range_sizes(capsys, flags, message):

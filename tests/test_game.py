@@ -3,6 +3,7 @@
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from haltbandit import (
@@ -25,6 +26,7 @@ from haltbandit import (
     evaluate_exact,
     geometric_markov,
     index_decomposition,
+    linear,
     local_times,
     psp_value_with_policy_indices,
     random_game,
@@ -57,6 +59,7 @@ from helpers import (
     ramp_bandit,
     random_markov_bandit,
     reachable_histories,
+    scaled_markov_bandit,
     sure_bandit,
 )
 
@@ -531,20 +534,52 @@ def test_a_chain_that_never_halts_is_a_solver_error(one):
         evaluate_exact(GameInstance(bandits=(stuck,)), CyclicPolicy((0,)))
 
 
-def _shifted_solve(monkeypatch, shift: float) -> None:
-    """Make every linear solve the game runs return its solution plus ``shift``."""
-    solve = game_module.solve_linear
-    monkeypatch.setattr(game_module, "solve_linear", lambda rows, rhs: [x + shift for x in solve(rows, rhs)])
+def _shifted_solve(monkeypatch, shift: float, swept: bool) -> list[int]:
+    """Make the dense or the swept float solve inside ``linear`` return its
+    answer plus ``shift``; the list returned collects the sizes it shifted."""
+    shifted = []
+    if swept:
+        sweep = linear._sweep
+
+        def solve(r, c, v, b):
+            x = sweep(r, c, v, b)
+            if x is not None:
+                shifted.append(b.size)
+                x = x + shift
+            return x
+
+        monkeypatch.setattr(linear, "_sweep", solve)
+    else:
+        dense = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: shifted.append(b.size) or dense(a, b) + shift)
+    return shifted
 
 
 def test_a_float_chain_solve_that_misses_its_residual_is_a_solver_error(monkeypatch):
-    game = GameInstance(bandits=(to_float(random_markov_bandit(1)), to_float(random_markov_bandit(2))))
-    value = evaluate_exact(game, CyclicPolicy((0, 1)))
-    _shifted_solve(monkeypatch, 1e-15)  # a miss inside RESIDUAL_TOL passes
-    assert evaluate_exact(game, CyclicPolicy((0, 1))) == value + 1e-15
-    _shifted_solve(monkeypatch, 1e-9)
-    with pytest.raises(SolverError, match=r"residual .* above 1e-12"):
-        evaluate_exact(game, CyclicPolicy((0, 1)))
+    # the 3-state pair makes 18 product states, which go to the dense solve;
+    # three 6-state chains make 648, which are swept
+    for swept, seeds, n_states in ((False, (1, 2), 3), (True, (1, 2, 3), 6)):
+        game = GameInstance(bandits=tuple(to_float(random_markov_bandit(s, n_states=n_states)) for s in seeds))
+        policy = CyclicPolicy(tuple(range(len(seeds))))
+        monkeypatch.undo()
+        value = evaluate_exact(game, policy)
+        shifted = _shifted_solve(monkeypatch, 1e-15, swept)  # a miss within the backward-error test passes
+        assert evaluate_exact(game, policy) == value + 1e-15
+        assert shifted == [len(seeds) * n_states ** len(seeds)]
+        _shifted_solve(monkeypatch, 1e-9, swept)
+        with pytest.raises(SolverError, match=r"^linear system residual .* above "):
+            evaluate_exact(game, policy)
+
+
+@pytest.mark.parametrize("n_states", [3, 12])
+@pytest.mark.parametrize("k", [10**3, 10**6])
+def test_a_float_chain_game_scaled_up_keeps_its_value(n_states, k):
+    # the residual of a value k times larger is k times larger too; the
+    # backward-error test scales with it
+    policy = CyclicPolicy((0, 1))
+    value = evaluate_exact(GameInstance(tuple(scaled_markov_bandit(s, 1, n_states=n_states) for s in (1, 2))), policy)
+    scaled = evaluate_exact(GameInstance(tuple(scaled_markov_bandit(s, k, n_states=n_states) for s in (1, 2))), policy)
+    assert abs(scaled - k * value) <= 1e-12 * abs(k * value)
 
 
 def test_an_exact_chain_with_a_halt_free_state_is_still_evaluated():
