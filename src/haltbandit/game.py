@@ -17,23 +17,25 @@ maximizing the sign-flipped collective rewrite from ``reductions``.
 
 A game played under a policy compiles into one play graph over product
 positions (plus, on Markov backends, the round modulo the policy's
-declared period: the only extra state a policy may carry there).  Each
-state holds the policy's choice, the immediate payment and, per outcome,
-the probability, the chosen bandit's landing position, the successor or
-the halt, and the terminal payout.  A move is a function of the bandit
-and its position alone: each bandit type defines its own
-(``TreeBandit.moves``, ``MarkovBandit.moves``), ``step`` splices them into
-histories, and the play graph reads the chosen bandit's moves in each
-state it compiles.  ``terminal_payout`` settles a halt in one walk over
-the frozen bandits.
+declared period: the only extra state a policy may carry there), each
+keyed by one integer (``_Key``) and numbered in breadth-first order from
+the start.  Its positions are decoded once, for ``choose`` and the
+payouts.  Each state holds the policy's choice, the immediate payment
+and, per outcome, the probability, the chosen bandit's landing position,
+the successor's number or the halt, and the terminal payout.  A move is
+a function of the bandit and its position alone: each bandit type
+defines its own (``TreeBandit.moves``, ``MarkovBandit.moves``), ``step``
+splices them into histories, and the play graph reads the chosen
+bandit's moves in each state it compiles.  ``terminal_payout`` settles a
+halt in one walk over the frozen bandits.
 Exact evaluation works backward over the graph on trees and solves its
-absorbing-chain linear system on chains; certification iterates it;
-traces replay outcomes through its states; policy block values and
-prevailing indices (``pi_values``) take one reverse pass per bandit over
-it; and sampling walks its states, compiled as episodes reach them, with
-a counter-based generator (Philox, 64-bit) keyed by the seed, so a
-(seed, game, policy) triple reproduces its stream bit for bit on any
-platform.
+absorbing-chain linear system, one row per state number, on chains;
+certification iterates it; traces replay outcomes through its states;
+policy block values and prevailing indices (``pi_values``) take one
+reverse pass per bandit over it; and sampling walks its states, compiled
+as episodes first reach them, with a counter-based generator (Philox,
+64-bit) keyed by the seed, so a (seed, game, policy) triple reproduces
+its stream bit for bit on any platform.
 """
 
 from __future__ import annotations
@@ -163,13 +165,18 @@ def terminal_payout(
 ) -> Number:
     """Settlement when activating ``choice`` from ``pre`` produced the halt
     ``post``.  Frozen bandits are read at their pre-halt positions."""
+    return _settle(game, pre.nodes, choice, post.nodes[choice])
+
+
+def _settle(game: GameInstance, nodes: tuple[int, ...], choice: int, landed: int) -> Number:
+    # ``terminal_payout`` from the positions ``nodes``, ``choice`` landing on ``landed``
     model = game.model
     if model is PayoutModel.CCP:
         return 0  # every activation already paid
     if model is PayoutModel.PSP:
-        return current_reward(game, choice, pre.nodes[choice])
+        return current_reward(game, choice, nodes[choice])
     # the halter's landing reward: a halted node's label, a chain's halt reward
-    dyn, landed = game.dynamics(choice), post.nodes[choice]
+    dyn = game.dynamics(choice)
     landing = dyn.nodes[landed].reward if isinstance(dyn, TreeBandit) else dyn.states[landed].halt_reward
     if model is PayoutModel.SP:
         return landing
@@ -181,9 +188,9 @@ def terminal_payout(
         if j == choice:
             continue
         if model is PayoutModel.TP:
-            total -= bandit.cost(pre.nodes[j])
+            total -= bandit.cost(nodes[j])
         else:
-            total += current_reward(game, j, pre.nodes[j])
+            total += current_reward(game, j, nodes[j])
     return total
 
 
@@ -351,76 +358,102 @@ class TablePolicy(Policy):
 # ---------------------------------------------------------------------------
 # The play graph
 
-# A product state: positions and round mod the policy's period (always 0 on trees).
-_Key = tuple[tuple[int, ...], int]
+# A product state's key: its positions in mixed radix over each bandit's node
+# or state count, times the policy's period, plus the round mod the period
+# (always 0 on trees).  Moving bandit i from x to y adds (y − x)·strideᵢ.
+_Key = int
 # Choice, immediate payment, and per outcome in the order of the chosen
-# bandit's ``moves`` (probability, its landing position, successor or None at
-# a halt, terminal payout).
-_State = tuple[int, Number, list[tuple[Number, int, _Key | None, Number]]]
+# bandit's ``moves`` (probability, its landing position, the successor's
+# state number or None at a halt, terminal payout).
+_State = tuple[int, Number, list[tuple[Number, int, int | None, Number]]]
 
 
-def _compile_state(game: GameInstance, policy: Policy, key: _Key) -> _State:
-    """Play one product state: ask the policy once and settle every outcome.
+class _Play:
+    """A game played under a policy, its product states numbered in the
+    order they are first reached, from the start, 0: state k has the key
+    ``keys[k]``, and ``number`` maps a key back to k.  ``_play_graph``
+    fills ``nodes`` and ``states`` with each state's positions and
+    compiled state."""
 
-    The chosen bandit's moves are its ``moves`` from its position
-    (``TreeBandit.moves`` or ``MarkovBandit.moves``); each landing
-    position is spliced into the key, and each halt settled with
-    ``terminal_payout``.  Trees hand ``choose`` the round (a function of
-    the positions); chains hand it the round modulo ``policy.period``, the
-    only round dependence a policy may carry there.
-    """
-    nodes, phase = key
-    h = GlobalHistory(nodes)
-    if game.backend == "tree":
-        period, round_ = 1, round_of(game, h)
-    else:
-        period, round_ = max(1, int(getattr(policy, "period", 1))), phase
-    i = policy.choose(game, h, round_)
-    if not 0 <= i < game.n:
-        raise PreconditionError(f"policy chose bandit {i}, not in the game")
-    next_phase = (phase + 1) % period
-    head, tail = nodes[:i], nodes[i + 1 :]
-    rows: list[tuple[Number, int, _Key | None, Number]] = []
-    for p, y, halts in game.dynamics(i).moves(nodes[i]):
-        landed = head + (y,) + tail
-        if halts:
-            rows.append((p, y, None, terminal_payout(game, h, i, GlobalHistory(landed, halter=i))))
-        else:
-            rows.append((p, y, (landed, next_phase), 0))
-    if not rows:
-        raise PreconditionError(f"bandit {i} has no outcome at position {nodes[i]}; is the model valid?")
-    return i, immediate_payment(game, h, i), rows
+    def __init__(self, game: GameInstance, policy: Policy):
+        self.game, self.policy = game, policy
+        dyns = [game.dynamics(i) for i in range(game.n)]
+        tree = game.backend == "tree"
+        # trees hand ``choose`` the round, a function of the positions;
+        # chains hand it the round mod ``policy.period``, the only round
+        # dependence a policy may carry there
+        self.depths = [[node.depth for node in d.nodes] for d in dyns] if tree else None  # type: ignore[union-attr]
+        self.period = 1 if tree else max(1, int(getattr(policy, "period", 1)))
+        self.moves = [d.moves for d in dyns]
+        sizes = [len(d.nodes) if tree else len(d.states) for d in dyns]  # type: ignore[union-attr]
+        self.strides = [self.period * math.prod(sizes[i + 1 :]) for i in range(game.n)]
+        self.radix = list(zip(self.strides, sizes))
+        start = self.key(game.initial_history().nodes)
+        self.keys, self.number = [start], {start: 0}
+        self.nodes: list[tuple[int, ...]] = []
+        self.states: list[_State] = []
+
+    def key(self, nodes: Sequence[int]) -> _Key:
+        """The key of these positions at phase 0."""
+        return sum(x * s for x, s in zip(nodes, self.strides))
+
+    def decode(self, key: _Key) -> tuple[tuple[int, ...], int]:
+        return tuple([key // s % m for s, m in self.radix]), key % self.period
+
+    def compile(self, k: int) -> tuple[tuple[int, ...], _State]:
+        """State k's positions, and the state played: the policy asked once,
+        and every outcome of the chosen bandit's ``moves`` from its position
+        settled, a halt as ``terminal_payout`` settles it."""
+        game, key = self.game, self.keys[k]
+        nodes, phase = self.decode(key)
+        h = GlobalHistory(nodes)
+        round_ = phase if self.depths is None else sum(d[x] for d, x in zip(self.depths, nodes))
+        i = self.policy.choose(game, h, round_)
+        if not 0 <= i < game.n:
+            raise PreconditionError(f"policy chose bandit {i}, not in the game")
+        x, stride, number, keys = nodes[i], self.strides[i], self.number, self.keys
+        base = key - phase + (phase + 1) % self.period - x * stride
+        rows: list[tuple[Number, int, int | None, Number]] = []
+        append = rows.append
+        for p, y, halts in self.moves[i](x):
+            if halts:
+                append((p, y, None, _settle(game, nodes, i, y)))
+                continue
+            succ_key = base + y * stride
+            succ = number.get(succ_key)
+            if succ is None:
+                succ = number[succ_key] = len(keys)
+                keys.append(succ_key)
+            append((p, y, succ, 0))
+        if not rows:
+            raise PreconditionError(f"bandit {i} has no outcome at position {x}; is the model valid?")
+        return nodes, (i, immediate_payment(game, h, i), rows)
 
 
-def _play_graph(game: GameInstance, policy: Policy, cap: int) -> dict[_Key, _State]:
-    """Every product state the policy reaches, compiled, in breadth-first
-    order from the start (the first key).  More than ``cap`` states raise
-    ``ResourceCapError``."""
-    start = (game.initial_history().nodes, 0)
-    order = [start]
-    seen = {start}
-    graph: dict[_Key, _State] = {}
-    for key in order:  # grows while it is read
-        graph[key] = state = _compile_state(game, policy, key)
-        for _, _, succ, _ in state[2]:
-            if succ is not None and succ not in seen:
-                seen.add(succ)
-                order.append(succ)
-                if len(order) > cap:
-                    raise ResourceCapError(f"more than {cap} reachable product states")
-    return graph
+def _play_graph(game: GameInstance, policy: Policy, cap: int) -> _Play:
+    """Every product state the policy reaches, compiled in breadth-first
+    order.  More than ``cap`` states raise ``ResourceCapError`` (a lone
+    start is always kept)."""
+    play = _Play(game, policy)
+    for k, _ in enumerate(play.keys):  # grows while it is read
+        nodes, state = play.compile(k)
+        play.nodes.append(nodes)
+        play.states.append(state)
+        if len(play.keys) > max(cap, 1):
+            raise ResourceCapError(f"more than {cap} reachable product states")
+    return play
 
 
-def _tree_value(graph: dict[_Key, _State]) -> Number:
-    """Backward induction over a tree game's graph, returning the start's
-    value.  Every successor sits one round after its state, so the reverse
-    search order is topological and ends at the start."""
-    values: dict[_Key, Number] = {}
-    for key in reversed(graph):
-        _, v, rows = graph[key]
+def _tree_value(states: list[_State]) -> Number:
+    """Backward induction over a tree game's compiled states, returning the
+    start's value.  Every successor sits one round after its state, so the
+    reverse search order is topological and ends at the start."""
+    values: list[Number] = [0] * len(states)
+    for k in range(len(states) - 1, -1, -1):
+        _, v, rows = states[k]
         for p, _, succ, term in rows:
             v = v + p * (term if succ is None else values[succ])
-        values[key] = v
+        values[k] = v
     return v
 
 
@@ -444,19 +477,18 @@ def evaluate_exact(
     ``linear``).  More than ``history_cap`` reachable states raise
     ``ResourceCapError``.
     """
-    graph = _play_graph(game, policy, history_cap)
+    states = _play_graph(game, policy, history_cap).states
     if game.backend == "tree":
-        return _tree_value(graph)
-    pos = {key: k for k, key in enumerate(graph)}
+        return _tree_value(states)
     rows: list[dict[int, Number]] = []
     rhs: list[Number] = []
-    for k, (_, pay, outcomes) in enumerate(graph.values()):
+    for k, (_, pay, outcomes) in enumerate(states):
         row: dict[int, Number] = {k: 1}
         for p, _, succ, term in outcomes:
             if succ is None:
                 pay = pay + p * term
             else:
-                row[pos[succ]] = row.get(pos[succ], 0) - p
+                row[succ] = row.get(succ, 0) - p
         rows.append(row)
         rhs.append(pay)
     return solve_linear(rows, rhs)[0]
@@ -474,7 +506,7 @@ class SimulationResult(Record):
     seed: int
 
 
-def _float_view(state: _State) -> tuple[float, list[tuple[float, _Key | None, float]]]:
+def _float_view(state: _State) -> tuple[float, list[tuple[float, int | None, float]]]:
     """A compiled state for sampling: float payment and, per outcome,
     (cumulative float probability, successor, float terminal payout)."""
     _, pay, rows = state
@@ -523,17 +555,17 @@ def run_policy_sampled(
     import numpy as np  # here only, so exact runs never load numpy
 
     rng = _philox(seed)
-    compiled: dict[_Key, tuple] = {}
-    start = (game.initial_history().nodes, 0)
+    play = _Play(game, policy)
+    compiled: dict[int, tuple] = {}
     draws = _uniforms(rng)
     out: list[float] = []
     for _ in range(n_samples):
-        key = start
+        k = 0
         total = 0.0
         for _ in range(_EPISODE_ROUND_CAP):
-            state = compiled.get(key)
+            state = compiled.get(k)
             if state is None:
-                state = compiled[key] = _float_view(_compile_state(game, policy, key))
+                state = compiled[k] = _float_view(play.compile(k)[1])
             pay, rows = state
             total += pay
             u = next(draws)
@@ -543,7 +575,7 @@ def run_policy_sampled(
             if succ is None:
                 total += term
                 break
-            key = succ
+            k = succ
         else:
             raise SolverError("an episode exceeded the round cap; is the model valid?")
         out.append(total)
@@ -598,17 +630,18 @@ def trace_times(
     a bare descriptor with several matches is rejected as ambiguous.  The
     replay walks the play graph's states, as evaluation does.
     """
-    key: _Key | None = (game.initial_history().nodes, 0)
+    play = _Play(game, policy)
+    k: int | None = 0
     times = [0] * game.n
     rows: list[TraceRow] = []
     survival: Number = 1
     for s, outcome in enumerate(outcomes):
-        if key is None:
+        if k is None:
             raise PreconditionError("outcomes continue past the halt")
         kind, target = (outcome, None) if isinstance(outcome, str) else outcome
         if kind not in ("survive", "halt"):
             raise PreconditionError(f"unknown outcome {outcome!r}")
-        i, _, state_rows = _compile_state(game, policy, key)
+        nodes, (i, _, state_rows) = play.compile(k)
         matches = [
             (p, succ)
             for p, y, succ, _ in state_rows
@@ -627,14 +660,14 @@ def trace_times(
                 round=s,
                 local_times=tuple(times),
                 choice=i,
-                reward=current_reward(game, i, key[0][i]),
+                reward=current_reward(game, i, nodes[i]),
                 survival_probability=survival,
             )
         )
         times[i] += 1
-        key = succ
+        k = succ
     return Trace(
         rows=tuple(rows),
-        halt_round=len(rows) if key is None else None,
-        halter=rows[-1].choice if key is None else None,
+        halt_round=len(rows) if k is None else None,
+        halter=rows[-1].choice if k is None else None,
     )

@@ -140,8 +140,7 @@ class MarkovBandit:
         st = self.states[x]
         out = [(st.halt_prob, x, True)] if st.halt_prob != 0 else []
         survive = 1 - st.halt_prob
-        out.extend((q, y, False) for y, p in enumerate(self.transitions[x]) if (q := survive * p) != 0)
-        return out
+        return out + [(q, y, False) for y, p in enumerate(self.transitions[x]) if (q := survive * p) != 0]
 
 
 @dataclass(frozen=True)

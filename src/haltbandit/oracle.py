@@ -8,11 +8,12 @@ shares no code with the bandits' ``moves``, the payout functions, the play
 graph or the index solvers: a fault in any of them cannot show on both
 sides of the index certificate.  On a game of ints and Fractions it runs over
 integers, each history's values scaled by one integer fixed per node
-before the loop, and builds a value only when it is read; a game with any
-float runs the same induction in the input's own arithmetic, whose
-operation order fixes every float bit for bit.  ``atoms`` expands the
-full joint sample space so pathwise (not just in-expectation) claims can
-be checked outcome by outcome.
+before the loop, and builds a value only when it is read (the index
+certificate compares a history's actions on the integers themselves,
+building none); a game with any float runs the same induction in the
+input's own arithmetic, whose operation order fixes every float bit for
+bit.  ``atoms`` expands the full joint sample space so pathwise (not just
+in-expectation) claims can be checked outcome by outcome.
 
 The two certifiers package the headline checks: the index policy attains
 the optimum, and the greedy policy is pathwise dominant under the
@@ -41,10 +42,9 @@ from .game import (
     GlobalHistory,
     GreedyRewardPolicy,
     IndexPolicy,
-    _Key,
-    _State,
     _philox,
     _play_graph,
+    _State,
     _tree_value,
     current_reward,
 )
@@ -143,10 +143,10 @@ def _tabulate(game: GameInstance, cap: int) -> tuple[list[list[int]], list[dict[
 class _Solved(Mapping):
     """A read-only mapping from each live history of a tabulated game to
     ``entry(k)``, k being the history's place; it lists the histories in
-    ``product(*lives)`` order."""
+    ``product(*lives)`` order; ``ranks``, if given, reads ``_action_ranks``."""
 
-    def __init__(self, lives: list[list[int]], places: list[dict[int, int]], entry: Callable[[int], object]):
-        self._lives, self._places, self._entry = lives, places, entry
+    def __init__(self, lives: list[list[int]], places: list[dict[int, int]], entry: Callable, ranks=None):
+        self._lives, self._places, self._entry, self._ranks = lives, places, entry, ranks
 
     def _place(self, h: object) -> int:
         if not isinstance(h, GlobalHistory) or h.halter is not None or len(h.nodes) != len(self._places):
@@ -196,22 +196,31 @@ def dp_optimal(game: GameInstance, *, history_cap: int = DEFAULT_HISTORY_CAP) ->
         terms = [[-c for c in b.costs] for b in game.bandits]  # type: ignore[union-attr]
     numbers = chain(*rewards, *(terms or ()), (p for m in moves for edges in m.values() for p, _, _ in edges))
     induction = _integer_induction if set(map(type, numbers)) <= {int, Fraction} else _float_induction
-    value, actions, action_values = induction(
+    value, actions, action_values, ranks = induction(
         lives, moves, rewards, terms, halter, game.model is PayoutModel.CCP, game.model is PayoutModel.NH
     )
     return OptimalSolution(
         value=value(len(actions) - 1),  # the start is solved last
         values=_Solved(lives, places, value),
         actions=_Solved(lives, places, actions.__getitem__),
-        action_values=_Solved(lives, places, action_values),
+        action_values=_Solved(lives, places, action_values, ranks),
     )
+
+
+def _action_ranks(sol: OptimalSolution, nodes: tuple[int, ...]) -> Sequence[Number]:
+    """``dp_optimal``'s action values at the live history ``nodes`` as it
+    holds them: the values of a float game, the integers of an exact one
+    (one positive scale per history, so they order and tie as the values)."""
+    solved = sol.action_values
+    assert isinstance(solved, _Solved)
+    return solved._ranks(sum(place[nid] for place, nid in zip(solved._places, nodes)))
 
 
 def _float_induction(lives, moves, rewards, terms, halter, paid, minimize):
     """Backward induction in the input's own arithmetic: each action value
     adds p · term per edge in edge order, and a halt's settlement adds the
     frozen terms in id order.  Returns, by place, a reader of the values,
-    the list of best actions and a reader of the action values."""
+    the list of best actions and a reader of the action values, twice."""
     values: list[Number] = []
     actions: list[int] = []
     action_values: list[tuple[Number, ...]] = []
@@ -234,7 +243,7 @@ def _float_induction(lives, moves, rewards, terms, halter, paid, minimize):
         values.append(q[best])
         actions.append(best)
         action_values.append(tuple(q))
-    return values.__getitem__, actions, action_values.__getitem__
+    return values.__getitem__, actions, action_values.__getitem__, action_values.__getitem__
 
 
 def _integer_induction(lives, moves, rewards, terms, halter, paid, minimize):
@@ -253,6 +262,7 @@ def _integer_induction(lives, moves, rewards, terms, halter, paid, minimize):
     An entry is built when read: ``Fraction(U, scale)``, or ``U // scale``
     where the input's own arithmetic would have taken no ``Fraction`` (a
     bit per action, from the node's numbers and its successors' values).
+    The fourth reader returns a history's action U's themselves.
     """
     R = math.lcm(*(x.denominator for row in chain(rewards, terms or ()) for x in row))
 
@@ -320,7 +330,7 @@ def _integer_induction(lives, moves, rewards, terms, halter, paid, minimize):
         q, bits = solved[k]
         return tuple(number(u, k, bits >> i & 1) for i, u in enumerate(q))
 
-    return value, actions, action_values
+    return value, actions, action_values, lambda k: solved[k][0]
 
 
 def _policy_count(game: GameInstance, cap: int) -> int:
@@ -387,16 +397,16 @@ def atoms(game: GameInstance, *, cap: int = DEFAULT_HISTORY_CAP) -> list[Atom]:
     ]
 
 
-def _atom_payout(game: GameInstance, graph: dict[_Key, _State], atom: Atom) -> Number:
-    """The payout of the policy compiled in ``graph`` on one atom: walk its
-    states, taking the row that lands the activated bandit on its path's
-    next node."""
-    pos, key, total = [0] * game.n, next(iter(graph)), 0
-    while key is not None:
-        i, pay, rows = graph[key]
+def _atom_payout(game: GameInstance, states: list[_State], atom: Atom) -> Number:
+    """The payout of the policy compiled in ``states`` (a play graph's) on
+    one atom: walk them from the start, taking the row that lands the
+    activated bandit on its path's next node."""
+    pos, k, total = [0] * game.n, 0, 0
+    while k is not None:
+        i, pay, rows = states[k]
         pos[i] += 1
         nid = atom.paths[i][pos[i]]
-        _, _, key, term = next(row for row in rows if row[1] == nid)
+        _, _, k, term = next(row for row in rows if row[1] == nid)
         total = total + pay
     return total + term
 
@@ -426,7 +436,8 @@ def certify_index_optimality(
     Compares the index policy's exact value against the brute-force
     optimum, and on every history the index policy reaches, checks that its
     choice agrees with the optimal action whenever both the best index and
-    the best action are unique.  Exact inputs must match exactly; floats
+    the best action are unique.  The actions are compared as the DP holds
+    them (``_action_ranks``).  Exact inputs must match exactly; floats
     within ``_INDEX_TOL``.  ``gap`` is the optimum minus the index value:
     at least 0, or at most 0 under the non-halting scheme, whose optimum is
     the smallest cost.
@@ -436,17 +447,16 @@ def certify_index_optimality(
     sol = dp_optimal(game, history_cap=history_cap)
     policy = IndexPolicy()
     graph = _play_graph(game, policy, history_cap)
-    idx_value = _tree_value(graph)
+    idx_value = _tree_value(graph.states)
     gap = sol.value - idx_value
     exact = not isinstance(gap, float)
     # the best action maximizes q; non-halting values are costs, so flip them
     sign = -1 if game.model is PayoutModel.NH else 1
     compared = 0
     disagreements = 0
-    for nodes, _ in graph:
-        h = GlobalHistory(nodes)
-        q = [sign * v for v in sol.action_values[h]]
-        indices = policy.indices(game, h)
+    for nodes in graph.nodes:
+        q = [sign * v for v in _action_ranks(sol, nodes)]
+        indices = policy.indices(game, GlobalHistory(nodes))
         if _unique_argmax(q, exact) and _unique_argmax(indices, exact):
             compared += 1
             if q.index(max(q)) != indices.index(max(indices)):
@@ -515,9 +525,9 @@ def certify_greedy_dominance(
     all_atoms = atoms(game, cap=atom_cap)
     n_policies = _policy_count(game, policy_cap)
     # at most one state per atom: every state has a halting row, every atom one halt
-    graph = _play_graph(game, GreedyRewardPolicy(), atom_cap)
+    states = _play_graph(game, GreedyRewardPolicy(), atom_cap).states
     min_slack = min(
-        _atom_payout(game, graph, a)
+        _atom_payout(game, states, a)
         - max(current_reward(game, i, path[-2]) for i, path in enumerate(a.paths))
         for a in all_atoms
     )

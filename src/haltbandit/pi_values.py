@@ -12,9 +12,9 @@ probability — but measures both on the global continuation:
   halts the game, no later than the block's end.
 
 Both are read off the game's play graph (``game._play_graph``): one
-reverse pass per bandit, in which a move of that bandit ending its block
-is terminal, gives every product state the bandit's expected reward at
-the block's end and its probability of halting inside the block.
+reverse pass per bandit over its state numbers, in which a move of that
+bandit ending its block is terminal, gives every state the bandit's
+expected reward at the block's end and its chance of halting inside it.
 
 Anchors are global histories (a bandit enters a new block at the history
 immediately after the activation that moved it onto the block's anchor
@@ -30,12 +30,10 @@ from __future__ import annotations
 from typing import Callable
 
 from .errors import PreconditionError
-from .game import DEFAULT_HISTORY_CAP, GameInstance, GlobalHistory, Policy, _Key, _play_graph, _State, _tree_value
+from .game import DEFAULT_HISTORY_CAP, GameInstance, GlobalHistory, Policy, _Play, _play_graph, _tree_value
 from .indices import BlockValue, IndexDecomposition, StoppingRule, check_rule, index_decomposition
 from .jsonio import Number
 from .models import TreeBandit
-
-_Graph = dict[_Key, _State]
 
 
 def _tree_of(game: GameInstance, i: int) -> TreeBandit:
@@ -46,10 +44,10 @@ def _tree_of(game: GameInstance, i: int) -> TreeBandit:
 
 
 def _block_pass(
-    graph: _Graph, tree: TreeBandit, i: int, ends: Callable[[int, int], bool]
-) -> dict[_Key, tuple[Number, Number]]:
-    """Per state: bandit ``i``'s expected reward when its current block
-    ends, and the probability that it halts the game inside the block.
+    graph: _Play, tree: TreeBandit, i: int, ends: Callable[[int, int], bool]
+) -> list[tuple[Number, Number]]:
+    """Per state number: bandit ``i``'s expected reward when its current
+    block ends, and the probability that it halts the game inside the block.
 
     ``ends(x, y)`` says whether moving ``i`` from node x to the live node y
     ends the block; such a move pays the reward it lands on.  On ``i``'s
@@ -58,10 +56,10 @@ def _block_pass(
     pays ``i``'s current reward.  The reverse search order is topological
     on trees.
     """
-    out: dict[_Key, tuple[Number, Number]] = {}
-    for key in reversed(graph):
-        j, _, rows = graph[key]
-        x = key[0][i]
+    out: list[tuple[Number, Number]] = [(0, 0)] * len(graph.states)
+    for k in range(len(graph.states) - 1, -1, -1):
+        j, _, rows = graph.states[k]
+        x = graph.nodes[k][i]
         reward: Number = 0
         halt: Number = 0
         for p, y, succ, _ in rows:
@@ -75,7 +73,7 @@ def _block_pass(
                 r, h = out[succ]
                 reward += p * r
                 halt += p * h
-        out[key] = (reward, halt)
+        out[k] = (reward, halt)
     return out
 
 
@@ -99,41 +97,37 @@ def policy_block_value(
         raise PreconditionError("the anchor history is already over")
     check_rule(tree, anchor_history.nodes[i], end_rule)
     graph = _play_graph(game, policy, DEFAULT_HISTORY_CAP)
-    key = (anchor_history.nodes, 0)
-    if key not in graph:
+    k = graph.number.get(graph.key(anchor_history.nodes))
+    if k is None or graph.nodes[k] != anchor_history.nodes:  # positions out of range may alias a key
         raise PreconditionError("the policy never reaches that history")
-    reward, halt = _block_pass(graph, tree, i, lambda x, y: y in end_rule.stop_set)[key]
+    reward, halt = _block_pass(graph, tree, i, lambda x, y: y in end_rule.stop_set)[k]
     if halt == 0:
         raise PreconditionError(
             f"the policy never activates bandit {i} from that history; the block value is undefined"
         )
-    return BlockValue(numerator=reward - tree.nodes[key[0][i]].reward, denominator=halt)
+    return BlockValue(numerator=reward - tree.nodes[graph.nodes[k][i]].reward, denominator=halt)
 
 
-def _prevailing(graph: _Graph, tree: TreeBandit, i: int, dec: IndexDecomposition) -> dict[GlobalHistory, Number]:
-    """One block pass, ending blocks where ``dec`` changes block, then one
-    forward pass in search order carrying each state's realized anchor
-    value: its own if ``i`` just crossed into a new block, else its
-    predecessor's (on trees each reachable state has one predecessor)."""
-    block_of = dec.block_of
+def _prevailing(graph: _Play, tree: TreeBandit, i: int, dec: IndexDecomposition) -> list[Number | None]:
+    """Per state number, the realized anchor value (None where undefined):
+    one block pass, ending blocks where ``dec`` changes block, then one
+    forward pass in search order carrying each state's value: its own if
+    ``i`` just crossed into a new block, else its predecessor's (on trees
+    each reachable state has one predecessor)."""
+    block_of, nodes = dec.block_of, graph.nodes
     values = _block_pass(graph, tree, i, lambda x, y: block_of[y] != block_of[x])
 
-    def nu(key: _Key) -> Number | None:
-        reward, halt = values[key]
-        return None if halt == 0 else BlockValue(reward - tree.nodes[key[0][i]].reward, halt).ratio
+    def nu(k: int) -> Number | None:
+        reward, halt = values[k]
+        return None if halt == 0 else BlockValue(reward - tree.nodes[nodes[k][i]].reward, halt).ratio
 
-    start = next(iter(graph))
-    carried = {start: nu(start)}
-    out: dict[GlobalHistory, Number] = {}
-    for key, (_, _, rows) in graph.items():
-        value = carried[key]
-        if value is not None:
-            out[GlobalHistory(key[0])] = value
+    carried = [nu(0)] * len(graph.states)
+    for k, (_, _, rows) in enumerate(graph.states):
         for _, _, succ, _ in rows:
             if succ is not None:
-                crossed = block_of[succ[0][i]] != block_of[key[0][i]]
-                carried[succ] = nu(succ) if crossed else value
-    return out
+                crossed = block_of[nodes[succ][i]] != block_of[nodes[k][i]]
+                carried[succ] = nu(succ) if crossed else carried[k]
+    return carried
 
 
 def policy_prevailing_index(
@@ -152,7 +146,9 @@ def policy_prevailing_index(
     """
     tree = _tree_of(game, i)
     dec = decomposition if decomposition is not None else index_decomposition(tree)
-    return _prevailing(_play_graph(game, policy, DEFAULT_HISTORY_CAP), tree, i, dec)
+    graph = _play_graph(game, policy, DEFAULT_HISTORY_CAP)
+    values = _prevailing(graph, tree, i, dec)
+    return {GlobalHistory(nodes): v for nodes, v in zip(graph.nodes, values) if v is not None}
 
 
 def psp_value_with_policy_indices(game: GameInstance, policy: Policy) -> Number:
@@ -166,10 +162,10 @@ def psp_value_with_policy_indices(game: GameInstance, policy: Policy) -> Number:
     trees = [_tree_of(game, i) for i in range(game.n)]
     graph = _play_graph(game, policy, DEFAULT_HISTORY_CAP)
     maps = [_prevailing(graph, tree, i, index_decomposition(tree)) for i, tree in enumerate(trees)]
-    paid: _Graph = {}
-    for key, (j, _, rows) in graph.items():
-        value = maps[j].get(GlobalHistory(key[0]))
+    paid = []
+    for k, (j, _, rows) in enumerate(graph.states):
+        value = maps[j][k]
         if value is None and any(succ is None for _, _, succ, _ in rows):
             raise PreconditionError(f"no prevailing value for bandit {j} at a history it is activated from")
-        paid[key] = (j, 0, [(p, y, succ, value) for p, y, succ, _ in rows])
+        paid.append((j, 0, [(p, y, succ, value) for p, y, succ, _ in rows]))
     return _tree_value(paid)

@@ -12,7 +12,8 @@ outcome atom, as the reference for ``certify_greedy_dominance``.
 ``reference_dp_optimal`` and ``reference_policy_count`` walk the histories
 by stepping the game, as the reference for the oracle's tabulated backward
 induction, and ``longhand_play_graph`` steps every product state, as the
-reference for the play graph's compiled states.  ``normalize``, ``parent``,
+reference for the play graph's compiled states (``decoded_play_graph``
+names a play graph's states as it does).  ``normalize``, ``parent``,
 ``equivalent_rewards``, ``index_times``, ``parametric_stopping_value``,
 ``random_markov_bandit``, ``float_game`` and ``activation_rounds`` are
 model transforms, lookups, a stopping solver, a seeded chain generator, a
@@ -272,6 +273,20 @@ def longhand_play_graph(game: GameInstance, policy: Policy) -> dict:
                 order.append(succ)
         graph[key] = (i, immediate_payment(game, h, i), rows)
     return graph
+
+
+def decoded_play_graph(graph) -> dict:
+    """A ``game._play_graph`` in ``longhand_play_graph``'s form: each state
+    and each successor named by its key's decoded (positions, phase) rather
+    than by number.  Checks on the way that every state's stored positions
+    are its key's, and that its number is its key's."""
+    named = [graph.decode(key) for key in graph.keys]
+    assert [nodes for nodes, _ in named] == graph.nodes
+    assert all(graph.number[key] == k for k, key in enumerate(graph.keys))
+    return {
+        named[k]: (i, pay, [(p, y, None if succ is None else named[succ], term) for p, y, succ, term in rows])
+        for k, (i, pay, rows) in enumerate(graph.states)
+    }
 
 
 def make_nonincreasing(tree: TreeBandit) -> TreeBandit:

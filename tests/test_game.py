@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from haltbandit import (
     BlockCommitmentIndexPolicy,
@@ -16,8 +18,10 @@ from haltbandit import (
     MarkovBandit,
     MarkovState,
     PayoutModel,
+    Policy,
     PreconditionError,
     ProfitBandit,
+    ResourceCapError,
     SolverError,
     TablePolicy,
     TreeBandit,
@@ -42,12 +46,14 @@ from haltbandit import game as game_module
 from haltbandit.game import _DRAW_CHUNK, _play_graph, immediate_payment, terminal_payout
 
 from helpers import (
+    CHAIN_SCHEMES,
     HALF,
     ONE,
     _solve_exact,
     activation_rounds,
     always,
     as_table,
+    decoded_play_graph,
     enumerate_policies,
     equivalent_rewards,
     float_game,
@@ -60,6 +66,7 @@ from helpers import (
     random_markov_bandit,
     reachable_histories,
     scaled_markov_bandit,
+    small_trees,
     sure_bandit,
 )
 
@@ -204,10 +211,87 @@ _GRAPH_CASES = [
 
 @pytest.mark.parametrize("game, policy", _GRAPH_CASES)
 def test_play_graph_equals_a_longhand_step_per_state(game, policy):
-    graph = _play_graph(game, policy, 10**5)
+    graph = decoded_play_graph(_play_graph(game, policy, 10**5))
     want = longhand_play_graph(game, policy)
     assert list(graph) == list(want)  # the same states in the same order
     assert graph == want
+
+
+@st.composite
+def _played_games(draw) -> tuple[GameInstance, Policy]:
+    """1–3 trees, profit trees or chains of distinct node or state counts
+    under a scheme they admit, exact or float, and a cyclic policy of
+    period 1–3, the greedy policy or the index policy."""
+    backend = draw(st.sampled_from(("tree", "profit", "chain")))
+    n = draw(st.integers(1, 3))
+    if backend == "chain":
+        sizes = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n, unique=True))
+        bandits: list = [random_markov_bandit(draw(st.integers(0, 99)), n_states=m) for m in sizes]
+        model = draw(st.sampled_from(CHAIN_SCHEMES + (PayoutModel.PSP,)))
+    else:
+        bandits = [draw(small_trees(draw(st.integers(1, 3 if n < 3 else 2)))) for _ in range(n)]
+        assume(len({len(t.nodes) for t in bandits}) == n)
+        if backend == "profit":
+            bandits = [ProfitBandit(t, tuple(draw(st.integers(0, 3)) for _ in t.nodes)) for t in bandits]
+            model = PayoutModel.TP
+        else:
+            model = draw(st.sampled_from([m for m in PayoutModel if m is not PayoutModel.TP]))
+    if draw(st.booleans()):
+        bandits = [to_float(b) for b in bandits]
+    kind = draw(st.sampled_from(("cyclic", "greedy", "index")))
+    if kind == "cyclic":
+        policy: Policy = CyclicPolicy(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)))
+    elif kind == "greedy" or model is PayoutModel.PSP:  # the penultimate scheme has no index
+        policy = GreedyRewardPolicy()
+    else:
+        policy = IndexPolicy()
+    return GameInstance(tuple(bandits), model), policy
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_played_games())
+def test_play_graph_equals_a_longhand_step_per_state_on_generated_games(played):
+    # integer keys decoded to (positions, phase) name the same states in the
+    # same order, whatever the mixed radix's digit counts
+    game, policy = played
+    graph = decoded_play_graph(_play_graph(game, policy, 10**5))
+    want = longhand_play_graph(game, policy)
+    assert list(graph) == list(want)
+    assert graph == want
+
+
+@pytest.mark.parametrize(
+    "game",
+    [
+        random_game(4, n_bandits=3, max_depth=3),
+        GameInstance((random_markov_bandit(4, n_states=3), random_markov_bandit(9, n_states=4))),
+    ],
+    ids=["tree", "chain"],
+)
+def test_play_graph_history_cap_boundary(game):
+    # the cap counts the graph's states: all of them pass, one fewer refuses
+    policy = CyclicPolicy((0, 1))
+    n = len(longhand_play_graph(game, policy))
+    assert evaluate_exact(game, policy, history_cap=n) == evaluate_exact(game, policy)
+    with pytest.raises(ResourceCapError, match=f"more than {n - 1} reachable product states"):
+        evaluate_exact(game, policy, history_cap=n - 1)
+
+
+def test_the_swept_float_chain_value_is_pinned(monkeypatch):
+    # 5,184 states: the golden CLI slice has no chain this large, so this pins
+    # the value the sweeps (not the dense solve) return, bit for bit
+    swept = []
+    sweep = linear._sweep
+
+    def recording_sweep(*args):
+        swept.append(sweep(*args))
+        return swept[-1]
+
+    monkeypatch.setattr(linear, "_sweep", recording_sweep)
+    game = GameInstance(tuple(to_float(random_markov_bandit(s, n_states=12)) for s in (1, 2, 3)), PayoutModel.CP)
+    value = evaluate_exact(game, CyclicPolicy((0, 1, 2)))
+    assert [x is not None and x.size for x in swept] == [5184]
+    assert float.hex(value) == "0x1.c5920e510a116p+3"
 
 
 @pytest.mark.parametrize("game, policy", _GRAPH_CASES[:15:2] + _GRAPH_CASES[15::4])
@@ -223,19 +307,19 @@ def test_step_runs_once_per_bandit_position(monkeypatch, game, policy):
 
         monkeypatch.setattr(cls, "moves", spy)
     graph = _play_graph(game, policy, 10**5)
-    assert calls == [(id(game.dynamics(i)), key[0][i]) for key, (i, _, _) in graph.items()]
+    assert calls == [(id(game.dynamics(i)), nodes[i]) for nodes, (i, _, _) in zip(graph.nodes, graph.states)]
 
     compiled: list[tuple[int, int]] = []
     keys: list = []
-    compile_state = game_module._compile_state
+    compile_state = game_module._Play.compile
 
-    def counting_compile(game, policy, key):
-        state = compile_state(game, policy, key)
-        compiled.append((id(game.dynamics(state[0])), key[0][state[0]]))
-        keys.append(key)
-        return state
+    def counting_compile(play, k):
+        nodes, state = compile_state(play, k)
+        compiled.append((id(play.game.dynamics(state[0])), nodes[state[0]]))
+        keys.append(play.decode(play.keys[k]))
+        return nodes, state
 
-    monkeypatch.setattr(game_module, "_compile_state", counting_compile)
+    monkeypatch.setattr(game_module._Play, "compile", counting_compile)
     calls.clear()
     run_policy_sampled(float_game(game), policy, seed=3, n_samples=200)
     assert calls == compiled
@@ -745,7 +829,7 @@ def test_a_chain_state_that_halts_for_sure_has_no_survive_move():
         transitions=((0, ONE), (ONE, 0)),
     )
     game = GameInstance(bandits=(chain,), model=PayoutModel.CP)
-    graph = _play_graph(game, CyclicPolicy((0,)), 100)
+    graph = decoded_play_graph(_play_graph(game, CyclicPolicy((0,)), 100))
     assert list(graph) == [((0,), 0), ((1,), 0)]
     assert all(p > 0 for _, _, rows in graph.values() for p, _, _, _ in rows)
     assert evaluate_exact(game, CyclicPolicy((0,))) == Fraction(5, 2)

@@ -198,7 +198,7 @@ def test_dp_optimal_shares_no_code_with_the_game_or_the_indices(monkeypatch):
         game_module.immediate_payment,
         game_module.current_reward,
         game_module._play_graph,
-        game_module._compile_state,
+        game_module._Play,
         game_module._index_table,
         indices._chain_table,
         indices._gains,
@@ -287,8 +287,8 @@ def test_atom_walks_over_the_play_graph_match_the_longhand_replay(model):
     game = random_game(3, model=model, max_depth=3)
     space = atoms(game)
     for policy in enumerate_policies(game)[:10]:
-        graph = game_module._play_graph(game, policy, 10**4)
-        walked = [_atom_payout(game, graph, a) for a in space]
+        states = game_module._play_graph(game, policy, 10**4).states
+        walked = [_atom_payout(game, states, a) for a in space]
         assert walked == [_replay_payout(game, policy, a.paths) for a in space]
 
 

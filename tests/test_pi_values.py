@@ -85,6 +85,9 @@ def test_unreachable_anchor_is_rejected():
     after_one_step = GlobalHistory(nodes=(2, 0))
     with pytest.raises(PreconditionError):
         policy_block_value(game, always(1), 0, after_one_step, NEVER_STOP)
+    # bandit 1 has two nodes, so (0, 4) has the key of the reached (2, 0)
+    with pytest.raises(PreconditionError, match="never reaches"):
+        policy_block_value(game, always(0), 0, GlobalHistory(nodes=(0, 4)), NEVER_STOP)
 
 
 def test_undefined_when_the_policy_never_activates_the_bandit():
