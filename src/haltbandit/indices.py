@@ -33,7 +33,8 @@ Two solvers are kept deliberately independent: a brute-force enumeration
 over every stopping rule (the oracle, which reads rewards directly), and
 one index table per bandit and scheme (``_index_table``) that answers
 every other index question.  On a tree the table is one pass from the
-leaves up; on a chain it is Sonin's state elimination, the
+leaves up, on integers when the tree is exact, building one ``Fraction``
+per node; on a chain it is Sonin's state elimination, the
 largest-remaining-index ranking of Varaiya, Walrand & Buyukkoc (IEEE TAC
 1985).  Neither solves a linear system.
 
@@ -61,7 +62,7 @@ import itertools
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from typing import Callable, Mapping
 
 from .errors import InvalidRuleError, PreconditionError, ResourceCapError, SolverError
@@ -354,17 +355,20 @@ def _index_table(
     hinge at the root.  A hinge keeps its weight relative to the node y that
     pushed it; popped at x, the weight is multiplied by the path probability
     from x down to y, read through parent links that each walk compresses to
-    x, so no weight is rescaled when lists merge.  Exact and float tables
-    run this one scheme.  A float index beyond float range raises
-    ``PreconditionError``.
+    x, so no weight is rescaled when lists merge.  An exact tree runs this
+    scheme on integers (``_exact_tree_table``); a float tree runs it here,
+    in the operation order every float table has had.  A float index beyond
+    float range raises ``PreconditionError``.
     """
     if isinstance(dyn, MarkovBandit):
         return _chain_table(dyn, gains)
+    top = dyn.root if anchor is None else anchor
+    if dyn.is_exact():
+        return _exact_tree_table(dyn, gains, top)
     idx: list[Number | None] = [None] * len(dyn.nodes)
     # each node links to an ancestor, with the path probability down from it
     up, below = list(range(len(dyn.nodes))), [1] * len(dyn.nodes)
     hinges: dict[int, list[tuple[Number, Number, int]]] = {}
-    top = dyn.root if anchor is None else anchor
     for nid in _post_order(dyn, top) + [top]:
         num, den = gains[nid], 0
         merged: list[tuple[Number, Number, int]] = []
@@ -395,6 +399,64 @@ def _index_table(
         if not _finite(idx[nid]):
             raise PreconditionError(f"the index of node {nid} lies beyond float range ({idx[nid]!r})")
         merged.append((idx[nid], den, nid))
+        hinges[nid] = merged
+    return idx
+
+
+def _plus(num: int, den: int, scale: int, a: int, b: int, s: int) -> tuple[int, int, int]:
+    # num/scale + a/s and den/scale + b/s over one denominator, in lowest terms
+    g = gcd(scale, s)
+    s, t = s // g, scale // g
+    num, den, scale = num * s + a * t, den * s + b * t, scale * s
+    g = gcd(num, den, scale)
+    return (num // g, den // g, scale // g) if g > 1 else (num, den, scale)
+
+
+def _exact_tree_table(tree: TreeBandit, gains: list[Number], top: int) -> list[Number | None]:
+    """``_index_table`` over the subtree at ``top`` of an exact tree, on
+    integers: a node's gain and halting mass so far are num/scale and
+    den/scale in lowest terms, and each path probability is an integer pair
+    (numerator, denominator) in lowest terms.  A hinge pushed by y keeps y's
+    three integers; its breakpoint is num_y/den_y and its weight times the
+    breakpoint is num_y/scale_y, so the test num < b·den is num·den_y <
+    num_y·den.  Each live node's index is the one ``Fraction`` built, also
+    kept as its hinge's sort key.  The traversal is the float pass's own; it
+    is written out twice because one loop for both arithmetics slows the
+    float pass down.
+    """
+    idx: list[Number | None] = [None] * len(tree.nodes)
+    up, below = list(range(len(tree.nodes))), [(1, 1)] * len(tree.nodes)
+    hinges: dict[int, list[tuple[Fraction, int, int, int, int]]] = {}
+    for nid in _post_order(tree, top) + [top]:
+        gain = gains[nid]
+        num, den, scale = gain.numerator, 0, gain.denominator
+        merged: list[tuple[Fraction, int, int, int, int]] = []
+        for e in tree.nodes[nid].edges:
+            p = e.p
+            if e.halting:
+                num, den, scale = _plus(num, den, scale, 0, p.numerator, p.denominator)
+                continue
+            part = hinges.pop(e.to)
+            up[e.to], below[e.to] = nid, (p.numerator, p.denominator)
+            if len(part) > len(merged):
+                merged, part = part, merged
+            for hinge in part:
+                insort(merged, hinge)
+        while merged and num * merged[-1][3] < merged[-1][2] * den:
+            _, y, num_y, den_y, scale_y = merged.pop()
+            path = []
+            while y != nid:
+                path.append(y)
+                y = up[y]
+            pn = pd = 1
+            for y in reversed(path):
+                pn, pd = below[y][0] * pn, below[y][1] * pd
+                g = gcd(pn, pd)
+                below[y] = pn, pd = pn // g, pd // g
+                up[y] = nid
+            num, den, scale = _plus(num, den, scale, pn * num_y, pn * den_y, pd * scale_y)
+        idx[nid] = Fraction(num, den)
+        merged.append((idx[nid], nid, num, den, scale))
         hinges[nid] = merged
     return idx
 

@@ -454,9 +454,11 @@ def certify_index_optimality(
     sign = -1 if game.model is PayoutModel.NH else 1
     compared = 0
     disagreements = 0
+    # the tables compiling the graph read, indexed by each state's positions
+    tables = policy._lookups(game)
     for nodes in graph.nodes:
         q = [sign * v for v in _action_ranks(sol, nodes)]
-        indices = policy.indices(game, GlobalHistory(nodes))
+        indices = [table[pos] for table, pos in zip(tables, nodes)]
         if _unique_argmax(q, exact) and _unique_argmax(indices, exact):
             compared += 1
             if q.index(max(q)) != indices.index(max(indices)):

@@ -982,6 +982,42 @@ def small_trees(draw, max_depth: int, monotone: bool = False) -> TreeBandit:
     return tree
 
 
+def _fractions(low: int, high: int) -> st.SearchStrategy[Fraction]:
+    return st.builds(Fraction, st.integers(low, high), st.sampled_from([1, 3, 7, 100]))
+
+
+@st.composite
+def rational_trees(draw, max_depth: int = 8, max_nodes: int = 40) -> TreeBandit:
+    """A valid tree deeper and wider than ``small_trees``: up to three live
+    children per node (four edges at most, as ``validate`` allows), each
+    node's edge probabilities over one of 3, 7 and 100, and rewards that may
+    be negative fractions over 1, 3, 7 or 100."""
+    rewards = _fractions(-30, 30)
+    nodes: list[TreeNode | None] = [None]
+    stack = [(0, 0, draw(rewards))]
+    while stack:
+        nid, depth, reward = stack.pop()
+        den = draw(st.sampled_from([3, 7, 100]))
+        n_halt = draw(st.integers(1, 2))
+        # every node still to be built takes at least one halted child
+        room = (max_nodes - len(nodes) - len(stack) - n_halt) // 2
+        n_live = 0 if depth + 1 >= max_depth else draw(st.integers(0, max(0, min(min(4, den) - n_halt, room))))
+        cuts = sorted(draw(st.lists(st.integers(1, den - 1), min_size=n_halt + n_live - 1,
+                                    max_size=n_halt + n_live - 1, unique=True)))
+        edges = []
+        for k, (lo, hi) in enumerate(zip([0] + cuts, cuts + [den])):
+            edges.append(TreeEdge(len(nodes), Fraction(hi - lo, den), k < n_halt))
+            if k < n_halt:
+                nodes.append(TreeNode(depth + 1, draw(rewards), True))
+            else:
+                nodes.append(None)
+                stack.append((len(nodes) - 1, depth + 1, draw(rewards)))
+        nodes[nid] = TreeNode(depth, reward, False, tuple(edges))
+    tree = TreeBandit(nodes=tuple(nodes))
+    assert validate(tree).passed
+    return tree
+
+
 @st.composite
 def small_chains(draw, max_states: int) -> MarkovBandit:
     """A small valid chain with halting probabilities from {1/4, 1/2, 3/4, 1}."""

@@ -33,7 +33,7 @@ from haltbandit import (
 
 from haltbandit import indices
 from haltbandit.errors import SolverError
-from haltbandit.indices import _chain_table, _first_below, _gains, _index_table
+from haltbandit.indices import _chain_table, _first_below, _gains, _index_table, _post_order
 from haltbandit.models import ProfitBandit, TreeBandit
 from haltbandit.reductions import _index_form
 
@@ -51,8 +51,10 @@ from helpers import (
     parametric_stopping_value,
     path_bandit,
     ramp_bandit,
+    _fractions,
     random_markov_bandit,
     ratio_iteration,
+    rational_trees,
     small_chains,
     small_trees,
     sure_bandit,
@@ -373,6 +375,21 @@ def test_exact_tree_table_on_a_deep_path_whose_root_block_takes_in_every_node():
         assert table[anchor] == ratio_iteration(tree, anchor, gains).value
 
 
+# SHA-256 over repr((anchor, level, parent, value, sorted stop set)) of every
+# block of the depth-2,292 chain's decomposition, recorded while the tree
+# table still added and compared Fractions.
+DEPTH_2292_BLOCKS_PIN = "03cf7b83d7f2a8e72d5f921a6b5510a0b45491a84d8c19ad761a6efabcdca08b"
+
+
+def test_the_depth_2292_chain_decomposition_is_pinned():
+    dec = index_decomposition(_depth_2292_chain())
+    digest = hashlib.sha256()
+    for b in dec.blocks:
+        digest.update(repr((b.anchor, b.level, b.parent, b.value, sorted(b.rule.stop_set))).encode())
+    assert len(dec.blocks) == 765
+    assert digest.hexdigest() == DEPTH_2292_BLOCKS_PIN
+
+
 def test_exact_tree_table_on_the_depth_2292_unrolled_chain():
     tree = _depth_2292_chain()
     gains = _gains(tree)
@@ -457,6 +474,27 @@ def test_index_table_matches_the_ratio_iteration_on_trees(tree, model, data):
         assert abs(approx[anchor] - res.value) <= 1e-12 * max(1, abs(res.value))
     reduced = reduced_bandit(model, tree)
     assert _blocks(index_decomposition(to_float(reduced))) == _blocks(index_decomposition(reduced))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(rational_trees(), st.sampled_from([m for m in PayoutModel if m is not PayoutModel.PSP]), st.data())
+def test_exact_tables_of_larger_rational_trees_match_the_ratio_iteration(tree, model, data):
+    if model is PayoutModel.TP:
+        tree = ProfitBandit(tree, tuple(data.draw(_fractions(0, 30)) for _ in tree.nodes))
+    dyn, gains = _index_form(model, tree)
+    table = _index_table(dyn, gains)
+    live = [nid for nid, node in enumerate(dyn.nodes) if not node.halted]
+    assert all(table[nid] is None for nid, node in enumerate(dyn.nodes) if node.halted)
+    for nid in live:
+        assert type(table[nid]) is Fraction
+        assert table[nid] == ratio_iteration(dyn, nid, gains).value, nid
+    anchor = data.draw(st.sampled_from(live))
+    subtree = {anchor, *_post_order(dyn, anchor)}
+    for nid, value in enumerate(_index_table(dyn, gains, anchor)):
+        if nid in subtree:
+            assert type(value) is Fraction and value == table[nid], nid
+        else:
+            assert value is None, nid
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -326,6 +326,18 @@ def test_index_certificate_history_counts_are_pinned(seed, model, compared):
     assert (report.histories_compared, report.action_disagreements) == (compared, 0)
 
 
+def test_the_index_certificate_reads_each_states_indices_once(monkeypatch):
+    game = random_game(4, n_bandits=3, max_depth=3)
+    states = game_module._play_graph(game, IndexPolicy(), 10**4).nodes
+    reads = []
+    indices_of = IndexPolicy.indices
+    monkeypatch.setattr(IndexPolicy, "indices", lambda self, g, h: reads.append(h) or indices_of(self, g, h))
+    assert certify_index_optimality(game).passed
+    # one read per state, by the policy's own choice while the play graph compiles
+    assert len(reads) == len(states) == 9
+    assert sorted(h.nodes for h in reads) == sorted(states)
+
+
 def greedy_game() -> GameInstance:
     return GameInstance(
         bandits=(
