@@ -38,7 +38,7 @@ from .errors import (
     SolverError,
 )
 from .indices import DEFAULT_RULE_CAP, StoppingRule
-from .jsonio import dumps_canonical, format_number
+from .jsonio import dumps_canonical, exact_text
 from .models import MarkovBandit, load_model, save_model, dumps_model, validate
 from .reductions import (
     PayoutModel,
@@ -241,10 +241,10 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_task(task: tuple[int, str, int, int]) -> dict:
+def _sweep_task(task: tuple[int, str, int, int, int]) -> dict:
     from .oracle import certify_index_optimality, random_game
 
-    seed, payout, depth, branching = task
+    seed, payout, depth, branching, cap = task
     game = random_game(
         seed,
         n_bandits=2,
@@ -252,7 +252,7 @@ def _sweep_task(task: tuple[int, str, int, int]) -> dict:
         max_depth=depth,
         max_branching=branching,
     )
-    rep = certify_index_optimality(game)
+    rep = certify_index_optimality(game, history_cap=cap)
     return {
         "seed": seed,
         "pass": rep.passed,
@@ -264,8 +264,9 @@ def _sweep_task(task: tuple[int, str, int, int]) -> dict:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     from .game import DEFAULT_HISTORY_CAP
-    from .oracle import DEFAULT_POLICY_CAP, certify_greedy_dominance, certify_index_optimality
+    from .oracle import certify_greedy_dominance, certify_index_optimality
 
+    cap = _cap(args, DEFAULT_HISTORY_CAP)  # histories, or a greedy game's atoms
     if args.sweep is not None:
         if args.model:
             raise ModelFormatError("--sweep generates its own instances; drop --model")
@@ -275,10 +276,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             if getattr(args, flag) < low:
                 raise ModelFormatError(f"--{flag} must be at least {low}, got {getattr(args, flag)}")
         _check_seeds(args.seed, args.sweep)
-        tasks = [
-            (args.seed + k, args.payout, args.depth, args.branching)
-            for k in range(args.sweep)
-        ]
+        tasks = [(args.seed + k, args.payout, args.depth, args.branching, cap) for k in range(args.sweep)]
         if args.workers > 1:
             from concurrent.futures import ProcessPoolExecutor  # only sweeps with workers pay its import
 
@@ -293,9 +291,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         raise ModelFormatError("certify needs --model or --sweep")
     game = _load_game(args)
     if args.kind == "greedy":
-        report = certify_greedy_dominance(game, policy_cap=_cap(args, DEFAULT_POLICY_CAP))
+        report = certify_greedy_dominance(game, atom_cap=cap)
     else:
-        report = certify_index_optimality(game, history_cap=_cap(args, DEFAULT_HISTORY_CAP))
+        report = certify_index_optimality(game, history_cap=cap)
     _emit({"schema": 1, "kind": args.kind, **report.to_obj()})
     return 0 if report.passed else 1
 
@@ -336,10 +334,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _csv_number(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    formatted = format_number(value)
-    return str(formatted)
+    return format(value, ".17g") if isinstance(value, float) else exact_text(value)
 
 
 # ---------------------------------------------------------------------------

@@ -89,16 +89,30 @@ def parse_number(value: Any, *, rational: bool = False) -> Number:
         raise ModelFormatError(f"non-finite number {value!r} in float mode") from exc
 
 
+def exact_text(value: int | Fraction) -> str:
+    """``str`` of an int or a Fraction, at any length: an int past the
+    interpreter's digit limit (left as it is, for ``parse_number``) is split
+    at a power of ten near half its digits, each part written alike."""
+    try:
+        return str(value)
+    except ValueError:  # more digits than the limit allows
+        pass
+    if isinstance(value, Fraction):
+        den = value.denominator
+        return exact_text(value.numerator) + ("" if den == 1 else "/" + exact_text(den))
+    if value < 0:
+        return "-" + exact_text(-value)
+    k = value.bit_length() * 3 // 20  # 3/10 < log10(2), so 10**k has under half the digits
+    high, low = divmod(value, 10**k)
+    return exact_text(high) + exact_text(low).zfill(k)
+
+
 def format_number(value: Number) -> int | float | str:
     """Map a number to the JSON-ready scalar used by the canonical emitter."""
     if isinstance(value, bool):
         raise ModelFormatError("booleans are not numeric fields")
-    if isinstance(value, int):
-        return value
     if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        return str(value)
+        return int(value) if value.denominator == 1 else exact_text(value)
     return value
 
 
@@ -140,10 +154,9 @@ def _emit(obj: Any, parts: list[str], level: int) -> None:
         parts.append("false")
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, Fraction):
-        parts.append(json.dumps(str(format_number(obj))) if obj.denominator != 1 else str(int(obj)))
+    elif isinstance(obj, (int, Fraction)):  # a whole Fraction prints as its int
+        text = exact_text(obj)
+        parts.append(text if obj.denominator == 1 else f'"{text}"')
     elif isinstance(obj, float):
         if not math.isfinite(obj):
             # parsing refuses such input, so a computed value left float range

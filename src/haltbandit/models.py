@@ -102,13 +102,13 @@ class TreeBandit:
 
     def is_exact(self) -> bool:
         """True when every reward and probability is an int or a Fraction."""
-        for node in self.nodes:
-            if isinstance(node.reward, float):
-                return False
-            for e in node.edges:
-                if isinstance(e.p, float):
-                    return False
-        return True
+        return self._exact
+
+    @cached_property
+    def _exact(self) -> bool:  # one scan per bandit
+        return not any(
+            isinstance(node.reward, float) or any(isinstance(e.p, float) for e in node.edges) for node in self.nodes
+        )
 
 
 @dataclass(frozen=True)
@@ -128,6 +128,10 @@ class MarkovBandit:
     initial: int = 0
 
     def is_exact(self) -> bool:
+        return self._exact
+
+    @cached_property
+    def _exact(self) -> bool:  # one scan per bandit
         for st in self.states:
             if any(isinstance(v, float) for v in (st.reward, st.halt_prob, st.halt_reward)):
                 return False

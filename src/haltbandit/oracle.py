@@ -61,7 +61,6 @@ from .reductions import PayoutModel
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_POLICY_CAP = 10**4
 # float tolerance of index certification; greedy dominance allows no slack
 _INDEX_TOL = 1e-10
 _GREEDY_TOL = 0.0
@@ -333,22 +332,20 @@ def _integer_induction(lives, moves, rewards, terms, halter, paid, minimize):
     return value, actions, action_values, lambda k: solved[k][0]
 
 
-def _policy_count(game: GameInstance, cap: int) -> int:
+def _policy_count(game: GameInstance, *, history_cap: int = DEFAULT_HISTORY_CAP) -> int:
     """How many deterministic policies a tree game has, one choice per
     history the policy reaches.
 
     The policies that choose i at h pair off independent sub-policies, one
     per live successor, as no two histories one policy reaches ever merge:
-    count(h) = Σᵢ Π count(h′), an empty product being 1.  Counts only grow
-    towards the start, so the first one past ``cap`` settles the answer.
+    count(h) = Σᵢ Π count(h′), an empty product being 1.  The count is
+    exact at any size; only the histories are capped.
     """
-    lives, _, moves = _tabulate(game, DEFAULT_HISTORY_CAP)
+    lives, _, moves = _tabulate(game, history_cap)
     count: list[int] = []
     for k, nodes in enumerate(product(*lives)):
         succ = ([count[k + off] for _, _, off in moves[i][nid] if off is not None] for i, nid in enumerate(nodes))
         count.append(sum(map(math.prod, succ)))
-        if count[-1] > cap:
-            raise ResourceCapError(f"more than {cap} deterministic policies")
     return count[-1]
 
 
@@ -491,12 +488,7 @@ class GreedyDominanceReport(Record):
     passed: bool
 
 
-def certify_greedy_dominance(
-    game: GameInstance,
-    *,
-    policy_cap: int = DEFAULT_POLICY_CAP,
-    atom_cap: int = DEFAULT_HISTORY_CAP,
-) -> GreedyDominanceReport:
+def certify_greedy_dominance(game: GameInstance, *, atom_cap: int = DEFAULT_HISTORY_CAP) -> GreedyDominanceReport:
     """Check the greedy policy's pathwise dominance under the penultimate scheme.
 
     Requires every bandit's rewards to never increase along any live path;
@@ -507,8 +499,11 @@ def certify_greedy_dominance(
     i's reward just before its last activation; ``always:i`` attains
     exactly that.  So the best any policy earns on the atom is
     maxᵢ r(pathᵢ[−2]), and ``min_slack`` is the least, over atoms, of
-    greedy's payout minus that bound.  ``n_policies`` counts the policies
-    this covers without building them.
+    greedy's payout minus that bound.  ``n_policies`` is the exact number
+    of deterministic policies this covers, counted without building one.
+
+    ``atom_cap`` also bounds the count's histories and the play graph; as
+    every live node has a halted child, neither outnumbers the atoms.
     """
     if game.model is not PayoutModel.PSP:
         raise PreconditionError("greedy dominance is a penultimate-scheme statement")
@@ -525,7 +520,7 @@ def certify_greedy_dominance(
                         "greedy dominance needs non-increasing rewards"
                     )
     all_atoms = atoms(game, cap=atom_cap)
-    n_policies = _policy_count(game, policy_cap)
+    n_policies = _policy_count(game, history_cap=atom_cap)
     # at most one state per atom: every state has a halting row, every atom one halt
     states = _play_graph(game, GreedyRewardPolicy(), atom_cap).states
     min_slack = min(

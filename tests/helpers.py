@@ -23,11 +23,15 @@ float copy of a game and a trace reading that only the tests use.
 ``ratio_iteration`` (and ``loop_index`` on a scheme's index form) solves
 one anchor's index by a parametric ratio iteration, as the reference for
 the index tables that ``indices`` reads every index off.
+``unlimited_int_digits`` lifts the interpreter's int digit limit inside a
+block, so a test can write a number past it with ``str``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
@@ -75,11 +79,24 @@ from haltbandit.indices import _post_order as _tree_post_order
 from haltbandit.jsonio import Number
 from haltbandit.linear import solve_linear
 from haltbandit.models import _finite
-from haltbandit.oracle import _HALT_MASSES, DEFAULT_POLICY_CAP, _rng_of
+from haltbandit.oracle import _HALT_MASSES, _rng_of
 from haltbandit.reductions import _index_form
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
+# enumerate_policies builds every policy it counts, so it refuses past this
+POLICY_CAP = 10**4
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift the interpreter's int-to-text digit limit inside the block only."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def reference_parse_number(value, *, rational: bool = False):
@@ -596,7 +613,7 @@ def oracle_value(game: GameInstance, policy: Policy) -> Fraction:
 # Policy enumeration and the reference greedy certifier
 
 
-def enumerate_policies(game: GameInstance, *, cap: int = DEFAULT_POLICY_CAP) -> list[TablePolicy]:
+def enumerate_policies(game: GameInstance, *, cap: int = POLICY_CAP) -> list[TablePolicy]:
     """Every deterministic policy, one choice per history it can reach.
 
     Distinct assignments on unreachable histories do not multiply the count:
@@ -627,7 +644,7 @@ def enumerate_policies(game: GameInstance, *, cap: int = DEFAULT_POLICY_CAP) -> 
 
 
 def reference_greedy_dominance(
-    game: GameInstance, *, tol: float = 0.0, policy_cap: int = DEFAULT_POLICY_CAP
+    game: GameInstance, *, tol: float = 0.0, policy_cap: int = POLICY_CAP
 ) -> GreedyDominanceReport:
     """Greedy dominance by replaying every enumerated policy on every atom."""
     all_atoms = atoms(game)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from haltbandit import (
+    GameInstance,
     MarkovBandit,
     MarkovState,
     PayoutModel,
@@ -19,6 +21,7 @@ from haltbandit import (
     TreeEdge,
     TreeNode,
     dumps_model,
+    evaluate_exact,
     geometric_markov,
     load_model,
     loads_model,
@@ -28,10 +31,12 @@ from haltbandit import (
     unroll_markov,
 )
 from haltbandit.cli import main
+from haltbandit.oracle import _policy_count
 
 from helpers import (
     HALF,
     ONE,
+    always,
     live_last_bandit,
     make_nonincreasing,
     pair_game,
@@ -40,6 +45,7 @@ from helpers import (
     random_markov_bandit,
     scaled_markov_bandit,
     sure_bandit,
+    unlimited_int_digits,
 )
 
 
@@ -481,6 +487,18 @@ def test_certify_sweep_runs_in_parallel_and_stays_ordered(capsys):
     assert all(r["pass"] for r in doc["results"])
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_certify_sweep_reads_the_cap(capsys, monkeypatch, workers):
+    code = main(["certify", "--sweep", "2", "--cap", "1", "--workers", workers])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "more than 1 reachable histories" in captured.err
+    monkeypatch.setenv("HB_CAP", "1")
+    code, out = run(capsys, "certify", "--sweep", "1", "--workers", workers)
+    assert (code, out) == (3, "")
+
+
 def test_non_halting_optimum_is_the_smallest_cost(capsys, tmp_path):
     path = tmp_path / "nh.json"
     save_model(list(random_game(1, model=PayoutModel.NH, max_depth=3).bandits), path)
@@ -629,6 +647,79 @@ def test_greedy_certificate_on_a_chain_exits_four(capsys, chain_path):
     assert captured.out == ""
     assert "tree backend" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_greedy_certificate_counts_policies_under_the_atom_cap_alone(capsys, tmp_path):
+    # two depth-4 trees made non-increasing: 85 atoms, 122,137 policies
+    path = tmp_path / "depth4.json"
+    save_model([make_nonincreasing(b) for b in random_game(2, max_depth=4).bandits], path)
+    code, out = run(capsys, "certify", "--payout", "PSP", "--kind", "greedy", "--rational", "--model", str(path))
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["pass"], doc["n_atoms"], doc["n_policies"]) == (True, 85, 122_137)
+    # --cap sets the atom cap
+    assert run(capsys, "certify", "--payout", "PSP", "--kind", "greedy", "--rational", "--model", str(path),
+               "--cap", "85") == (0, out)
+    code = main(["certify", "--payout", "PSP", "--kind", "greedy", "--rational", "--model", str(path), "--cap", "84"])
+    assert (code, capsys.readouterr().err) == (3, "error: more than 84 joint outcome atoms\n")
+
+
+def test_greedy_certificate_prints_a_count_past_the_int_digit_limit(capsys, tmp_path):
+    # two binary trees unrolled to depth 8: 255 × 255 = 65,025 atoms and a
+    # policy count of about 7,650 digits, past the 4,300 ``str`` writes
+    chain = MarkovBandit(
+        states=(MarkovState(3, HALF, 0), MarkovState(1, HALF, 0)), transitions=((HALF, HALF), (HALF, HALF))
+    )
+    tree = make_nonincreasing(unroll_markov(chain, max_depth=8))
+    path = tmp_path / "binary8.json"
+    save_model([tree, tree], path)
+    code = main(["certify", "--payout", "PSP", "--kind", "greedy", "--rational", "--model", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.err
+    count = re.search(r'"n_policies": (\d+),\n', captured.out)[1]
+    assert '"n_atoms": 65025,' in captured.out
+    game = GameInstance(bandits=(tree, tree), model=PayoutModel.PSP)
+    with unlimited_int_digits():
+        assert count == str(_policy_count(game))
+    assert len(count) > sys.get_int_max_str_digits() > 0
+
+
+def _long_path() -> TreeBandit:
+    # 1,600 live levels; each halts with 1/1000 onto the reward 7d mod 11
+    levels = 1600
+    return path_bandit(
+        [d % 5 for d in range(levels + 1)],
+        [Fraction(1, 1000)] * (levels - 1) + [ONE],
+        [7 * d % 11 for d in range(levels)],
+    )
+
+
+def test_an_exact_value_past_the_int_digit_limit_prints_in_full(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    save_model([_long_path()], path)
+    code = main(["evaluate", "--model", str(path), "--rational", "--policy", "always:0"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.err
+    value = evaluate_exact(GameInstance(bandits=(_long_path(),), model=PayoutModel.CP), always(0))
+    assert value.denominator > 10 ** sys.get_int_max_str_digits()
+    with unlimited_int_digits():
+        assert json.loads(captured.out)["value"] == str(value)
+
+
+def test_trace_csv_prints_a_probability_past_the_int_digit_limit(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    save_model([_long_path()], path)
+    outcomes = ",".join(["s"] * 1599 + ["h"])
+    code, out = run(
+        capsys, "trace", "--model", str(path), "--rational",
+        "--policy", "always:0", "--outcomes", outcomes, "--format", "csv",
+    )
+    assert code == 0
+    last = out.splitlines()[-1].split(",")
+    with unlimited_int_digits():
+        assert last[-1] == str(Fraction(999, 1000) ** 1599)
 
 
 def test_cost_documents_play_under_the_terminal_profit_scheme(capsys, costs_path):

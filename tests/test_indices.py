@@ -3,6 +3,7 @@
 import hashlib
 import sys
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -509,3 +510,26 @@ def test_index_table_matches_the_ratio_iteration_on_chains(chain, model):
         # the stop set holds every state whose index is no larger, the anchor included
         assert frozenset(y for y, v in enumerate(table) if v <= table[anchor]) == res.rule
         assert abs(approx[anchor] - res.value) <= 1e-12 * max(1, abs(res.value))
+
+
+def test_exactness_is_decided_once_per_bandit(monkeypatch):
+    # the tree table, its tie tolerance and the blocks each ask whether a
+    # bandit is exact; the bandit scans its numbers once
+    scans = []
+    for cls in (TreeBandit, MarkovBandit):
+        scan = cls.__dict__["_exact"].func
+        spy = cached_property(lambda self, scan=scan: scans.append(self) or scan(self))
+        spy.__set_name__(cls, "_exact")
+        monkeypatch.setattr(cls, "_exact", spy)
+    tree = unroll_markov(geometric_markov([1, 3, 0], Fraction(9, 10)))
+    chain = random_markov_bandit(1, n_states=4)
+    bandits = [tree, to_float(tree), chain, to_float(chain)]
+    live = max(k for k, node in enumerate(tree.nodes) if not node.halted)
+    for k, bandit in enumerate(bandits):
+        for anchor in (None, live if isinstance(bandit, TreeBandit) else 1):
+            solo_index_parametric(bandit, anchor)
+        if isinstance(bandit, TreeBandit):
+            index_decomposition(bandit)
+            index_decomposition(bandit)
+        assert bandit.is_exact() is (k % 2 == 0)
+    assert [id(b) for b in scans] == [id(b) for b in bandits]

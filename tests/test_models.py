@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -36,7 +37,7 @@ from haltbandit import (
     validate,
 )
 
-from haltbandit.jsonio import Record, parse_number
+from haltbandit.jsonio import Record, dumps_canonical, format_number, parse_number
 
 from helpers import (
     HALF,
@@ -49,6 +50,7 @@ from helpers import (
     random_markov_bandit,
     reference_parse_number,
     sure_bandit,
+    unlimited_int_digits,
 )
 
 
@@ -393,6 +395,28 @@ def test_a_record_converts_nested_records_tuples_and_sets():
         "halter": 0,
     }
     assert StoppingRule(anchor=0, stop_set=frozenset({7, 2, 5})).to_obj() == {"anchor": 0, "stop_set": [2, 5, 7]}
+
+
+@pytest.mark.parametrize(
+    "number",
+    [
+        10**5000 + 7,
+        -(10**5000 + 7),
+        10**4300,
+        -(10**4299),
+        Fraction(3**10470 + 1, 7**5920),
+        Fraction(-(2**16600) - 1, 3 * 10**4999),
+    ],
+    ids=["int", "negative", "power", "negative-power", "fraction", "negative-fraction"],
+)
+def test_numbers_past_the_int_digit_limit_are_written_in_full(number):
+    limit = sys.get_int_max_str_digits()
+    doc = dumps_canonical({"value": number})
+    assert sys.get_int_max_str_digits() == limit > 0
+    with unlimited_int_digits():
+        text = str(number)
+    assert doc == '{\n  "value": ' + (text if isinstance(number, int) else f'"{text}"') + "\n}\n"
+    assert format_number(number) == (number if isinstance(number, int) else text)
 
 
 def test_to_float_converts_probabilities_and_rewards():
