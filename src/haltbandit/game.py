@@ -33,9 +33,10 @@ absorbing-chain linear system, one row per state number, on chains;
 certification iterates it; traces replay outcomes through its states;
 policy block values and prevailing indices (``pi_values``) take one
 reverse pass per bandit over it; and sampling walks its states, compiled
-as episodes first reach them, with a counter-based generator (Philox,
-64-bit) keyed by the seed, so a (seed, game, policy) triple reproduces
-its stream bit for bit on any platform.
+as episodes first reach them, in one loop across episodes over the uniforms
+of a counter-based generator (Philox, 64-bit) keyed by the seed, so a
+(seed, game, policy) triple reproduces its stream bit for bit on any
+platform.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .errors import PreconditionError, ResourceCapError, SolverError
 from .indices import ZERO_TOL, IndexDecomposition, _decompose, _index_table
@@ -526,29 +527,24 @@ def _philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _uniforms(rng: np.random.Generator) -> Iterator[float]:
-    """The generator's uniforms, drawn ``_DRAW_CHUNK`` at a time: the same
-    stream as one scalar draw after another."""
-    while True:
-        yield from rng.random(_DRAW_CHUNK).tolist()
-
-
 def run_policy_sampled(
     game: GameInstance, policy: Policy, seed: int, n_samples: int
 ) -> SimulationResult:
     """Monte Carlo estimate of a policy's value.
 
-    Draws one uniform per activation from a Philox counter-based generator
-    keyed by the seed, in chunks (see ``_uniforms``); identical (game,
-    policy, seed, n_samples) calls reproduce the stream, and therefore the
-    estimate, bit for bit.
+    One loop reads the uniforms of a Philox counter-based generator keyed
+    by the seed, ``_DRAW_CHUNK`` at a time, one per activation and on
+    across episodes: the outcome is the first row whose cumulative
+    probability exceeds the uniform, else the last row, and a halt keeps
+    the episode's total and restarts at the start state.  Identical (game,
+    policy, seed, n_samples) calls reproduce the estimate bit for bit.
 
     Episodes walk the play graph that ``evaluate_exact`` reads, compiling
     each state when an episode first reaches it and keeping a float view
-    of it (payment, cumulative outcome probabilities, terminal payouts).
-    So ``policy.choose`` is called once per distinct reachable (positions,
-    round mod period), and a policy on a chain must honour its declared
-    period.
+    of it (payment, cumulative outcome probabilities, terminal payouts)
+    by state number.  So ``policy.choose`` is called once per distinct
+    reachable (positions, round mod period), and a policy on a chain must
+    honour its declared period.
     """
     if n_samples < 1:
         raise PreconditionError("need at least one sample")
@@ -556,29 +552,30 @@ def run_policy_sampled(
 
     rng = _philox(seed)
     play = _Play(game, policy)
-    compiled: dict[int, tuple] = {}
-    draws = _uniforms(rng)
+    views: list[tuple[float, list[tuple[float, int | None, float]]] | None] = [None]
     out: list[float] = []
-    for _ in range(n_samples):
-        k = 0
-        total = 0.0
-        for _ in range(_EPISODE_ROUND_CAP):
-            state = compiled.get(k)
-            if state is None:
-                state = compiled[k] = _float_view(play.compile(k)[1])
-            pay, rows = state
+    k, total, rounds = 0, 0.0, 0
+    while len(out) < n_samples:
+        for u in rng.random(_DRAW_CHUNK).tolist():
+            view = views[k]
+            if view is None:
+                view = views[k] = _float_view(play.compile(k)[1])
+                views.extend([None] * (len(play.keys) - len(views)))
+            pay, rows = view
             total += pay
-            u = next(draws)
             for cum, succ, term in rows:
                 if u < cum:
                     break
             if succ is None:
-                total += term
-                break
+                out.append(total + term)
+                if len(out) == n_samples:
+                    break
+                k, total, rounds = 0, 0.0, 0
+                continue
+            rounds += 1
+            if rounds == _EPISODE_ROUND_CAP:
+                raise SolverError("an episode exceeded the round cap; is the model valid?")
             k = succ
-        else:
-            raise SolverError("an episode exceeded the round cap; is the model valid?")
-        out.append(total)
     totals = np.array(out)
     try:
         with np.errstate(over="raise", invalid="raise"):

@@ -48,8 +48,9 @@ def parse_number(value: Any, *, rational: bool = False) -> Number:
     with ``int``.  This gives what ``Fraction(str)`` gives: exact mode builds
     the ``Fraction`` from the two integers, which normalizes them alike, and
     float mode divides them, since integer true division is correctly rounded
-    as ``float(Fraction)`` is.  A zero denominator or a numeral past ``int``'s
-    digit limit gets the same refusal.  Every other string (decimals,
+    as ``float(Fraction)`` is, and a zero denominator gets the same refusal;
+    a numeral past ``int``'s digit limit is read by ``read_int``, so every
+    number ``exact_text`` writes reads back.  Every other string (decimals,
     exponents, ``+``, whitespace, underscores, malformed text) still goes
     through ``Fraction(str)``, which builds 10**exponent: an exponent whose
     power would have more digits than that limit allows is refused with the
@@ -60,7 +61,10 @@ def parse_number(value: Any, *, rational: bool = False) -> Number:
         num, slash, den = value.partition("/")
         try:
             if (num[1:] if num[:1] == "-" else num).isdecimal() and (den.isdecimal() or not slash):
-                n, d = int(num), int(den or 1)
+                try:
+                    n, d = int(num), int(den or 1)
+                except ValueError:  # past the digit limit
+                    n, d = read_int(num), read_int(den or "1")
                 return Fraction(n, d) if rational else n / d
             exponent = _EXPONENT.search(value)
             limit = sys.get_int_max_str_digits()
@@ -86,7 +90,23 @@ def parse_number(value: Any, *, rational: bool = False) -> Number:
     try:
         return float(number)
     except OverflowError as exc:
-        raise ModelFormatError(f"non-finite number {value!r} in float mode") from exc
+        shown = exact_text(value) if kind is int else repr(value)  # an int's repr stops at the digit limit
+        raise ModelFormatError(f"non-finite number {shown} in float mode") from exc
+
+
+def read_int(digits: str) -> int:
+    """``int`` of an optionally signed numeral at any length, the inverse of
+    ``exact_text``: a numeral past the interpreter's digit limit is split in
+    half, each part read alike."""
+    try:
+        return int(digits)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if not limit or len(digits) <= limit:  # malformed
+            raise
+    k = len(digits) // 2
+    low = read_int(digits[-k:])
+    return read_int(digits[:-k]) * 10**k + (-low if digits[0] == "-" else low)
 
 
 def exact_text(value: int | Fraction) -> str:

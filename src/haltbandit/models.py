@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import ModelFormatError, PreconditionError, ResourceCapError
-from .jsonio import Number, Record, dumps_canonical, format_number, parse_number
+from .jsonio import Number, Record, dumps_canonical, format_number, parse_number, read_int
 
 DEFAULT_MAX_DEPTH = 12
 DEFAULT_MAX_BRANCHING = 4
@@ -566,7 +566,12 @@ def loads_model(text: str, *, rational: bool = False) -> list[AnyBandit]:
     ``rational=True`` everything is kept exact as Fractions.
     """
     try:
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:  # an integer literal past the interpreter's digit limit
+            doc = json.loads(text, parse_int=read_int)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -374,8 +374,9 @@ def _bandit_paths(tree: TreeBandit) -> list[tuple[tuple[int, ...], Number]]:
     return out
 
 
-def atoms(game: GameInstance, *, cap: int = DEFAULT_HISTORY_CAP) -> list[Atom]:
-    """The full product sample space of a tree game."""
+def _path_lists(game: GameInstance, cap: int) -> list[list[tuple[tuple[int, ...], Number]]]:
+    """Each bandit's root-to-halt paths and their probabilities; more than
+    ``cap`` atoms, the paths' product, raise ``ResourceCapError``."""
     if game.backend != "tree":
         raise PreconditionError("atom enumeration needs a tree backend")
     per = []
@@ -388,21 +389,26 @@ def atoms(game: GameInstance, *, cap: int = DEFAULT_HISTORY_CAP) -> list[Atom]:
         if count > cap:
             raise ResourceCapError(f"more than {cap} joint outcome atoms")
         per.append(paths)
+    return per
+
+
+def atoms(game: GameInstance, *, cap: int = DEFAULT_HISTORY_CAP) -> list[Atom]:
+    """The full product sample space of a tree game."""
     return [
         Atom(paths=tuple(path for path, _ in combo), probability=math.prod(p for _, p in combo))
-        for combo in product(*per)
+        for combo in product(*_path_lists(game, cap))
     ]
 
 
-def _atom_payout(game: GameInstance, states: list[_State], atom: Atom) -> Number:
+def _atom_payout(game: GameInstance, states: list[_State], paths: Sequence[tuple[int, ...]]) -> Number:
     """The payout of the policy compiled in ``states`` (a play graph's) on
-    one atom: walk them from the start, taking the row that lands the
-    activated bandit on its path's next node."""
+    the atom of these paths, one per bandit: walk them from the start,
+    taking the row that lands the activated bandit on its path's next node."""
     pos, k, total = [0] * game.n, 0, 0
     while k is not None:
         i, pay, rows = states[k]
         pos[i] += 1
-        nid = atom.paths[i][pos[i]]
+        nid = paths[i][pos[i]]
         _, _, k, term = next(row for row in rows if row[1] == nid)
         total = total + pay
     return total + term
@@ -519,18 +525,18 @@ def certify_greedy_dominance(game: GameInstance, *, atom_cap: int = DEFAULT_HIST
                         f"bandit {i} rewards increase on edge {nid}->{e.to}; "
                         "greedy dominance needs non-increasing rewards"
                     )
-    all_atoms = atoms(game, cap=atom_cap)
+    per = [[path for path, _ in paths] for paths in _path_lists(game, atom_cap)]
     n_policies = _policy_count(game, history_cap=atom_cap)
     # at most one state per atom: every state has a halting row, every atom one halt
     states = _play_graph(game, GreedyRewardPolicy(), atom_cap).states
     min_slack = min(
-        _atom_payout(game, states, a)
-        - max(current_reward(game, i, path[-2]) for i, path in enumerate(a.paths))
-        for a in all_atoms
+        _atom_payout(game, states, paths)
+        - max(current_reward(game, i, path[-2]) for i, path in enumerate(paths))
+        for paths in product(*per)
     )
     return GreedyDominanceReport(
         n_policies=n_policies,
-        n_atoms=len(all_atoms),
+        n_atoms=math.prod(map(len, per)),
         min_slack=min_slack,
         tolerance=_GREEDY_TOL,
         passed=min_slack >= -_GREEDY_TOL,

@@ -30,6 +30,7 @@ block, so a test can write a number past it with ``str``.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -100,7 +101,9 @@ def unlimited_int_digits():
 
 
 def reference_parse_number(value, *, rational: bool = False):
-    """``jsonio.parse_number`` with every string read by ``Fraction(str)``."""
+    """``jsonio.parse_number`` with every string read by ``Fraction(str)``,
+    the int digit limit lifted for the ``[-]digits[/digits]`` texts that
+    ``jsonio.exact_text`` writes."""
     if isinstance(value, bool):
         raise ModelFormatError(f"expected a number, got boolean {value!r}")
     if isinstance(value, float):
@@ -109,7 +112,11 @@ def reference_parse_number(value, *, rational: bool = False):
         return Fraction(str(value)) if rational else value
     if isinstance(value, str):
         try:
-            number: int | Fraction = Fraction(value)
+            if re.fullmatch(r"-?\d+(/\d+)?", value):
+                with unlimited_int_digits():
+                    number: int | Fraction = Fraction(value)
+            else:
+                number = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ModelFormatError(f"cannot parse number literal {value!r}") from exc
     elif isinstance(value, int):

@@ -685,6 +685,16 @@ def test_greedy_certificate_prints_a_count_past_the_int_digit_limit(capsys, tmp_
     assert len(count) > sys.get_int_max_str_digits() > 0
 
 
+def test_validate_reads_an_int_reward_past_the_int_digit_limit(capsys, tmp_path):
+    path = tmp_path / "long_int.json"
+    save_model([path_bandit((0, 10**5000), (ONE,))], path)
+    assert run(capsys, "validate", "--rational", "--model", str(path))[0] == 0
+    code = main(["validate", "--model", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: non-finite number 1000") and err.endswith(" in float mode\n")
+
+
 def _long_path() -> TreeBandit:
     # 1,600 live levels; each halts with 1/1000 onto the reward 7d mod 11
     levels = 1600

@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -568,6 +569,31 @@ def test_sampled_exact_chain_values_are_pinned(model, mean, stderr):
     game = GameInstance(bandits=chains, model=model)
     res = run_policy_sampled(game, CyclicPolicy((0, 0, 1)), seed=3, n_samples=5000)
     assert (res.mean, res.stderr) == (mean, stderr)
+
+
+def test_the_episode_round_cap_counts_each_episode_afresh(monkeypatch):
+    monkeypatch.setattr(game_module, "_EPISODE_ROUND_CAP", 3)
+    stuck = MarkovBandit(states=(MarkovState(1, 0, 0),), transitions=((1,),))  # never halts; not validated
+    with pytest.raises(SolverError, match="round cap"):
+        run_policy_sampled(GameInstance(bandits=(stuck,)), always(0), seed=0, n_samples=1)
+    # every episode takes exactly 3 activations: 300 rounds in all, each episode within the cap
+    game = GameInstance(bandits=(path_bandit((1, 2, 3, 5), (0, 0, ONE)),))
+    res = run_policy_sampled(game, always(0), seed=0, n_samples=100)
+    assert (res.mean, res.stderr) == (float(evaluate_exact(game, always(0))), 0.0)
+    monkeypatch.setattr(game_module, "_EPISODE_ROUND_CAP", 2)
+    with pytest.raises(SolverError, match="round cap"):
+        run_policy_sampled(game, always(0), seed=0, n_samples=100)
+
+
+def test_a_uniform_past_the_last_float_cumulative_takes_the_last_outcome(monkeypatch):
+    edges = tuple(TreeEdge(to, p, True) for to, p in ((1, 0.7), (2, 0.2), (3, 0.1)))
+    tree = TreeBandit(nodes=(TreeNode(0, 0.0, False, edges), *(TreeNode(1, r, True) for r in (1.0, 2.0, 4.0))))
+    assert 0.7 + 0.2 + 0.1 == 1 - 2**-53  # the float cumulatives stop short of 1
+    uniforms = [1 - 2**-53, 0.5, 0.75, 0.95]  # the largest uniform the generator draws lands in the gap
+    chunk = SimpleNamespace(random=lambda n: np.array(uniforms))  # the first chunk is all four episodes
+    monkeypatch.setattr(game_module, "_philox", lambda seed: chunk)
+    res = run_policy_sampled(GameInstance(bandits=(tree,)), always(0), seed=0, n_samples=4)
+    assert res.mean == (4.0 + 1.0 + 2.0 + 4.0) / 4
 
 
 def _halted_and_live_sums(tree: TreeBandit):

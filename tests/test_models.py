@@ -312,7 +312,8 @@ def _parse_outcome(parse, value, rational):
         out = parse(value, rational=rational)
     except Exception as exc:
         return type(exc), str(exc)
-    return type(out), repr(out), out
+    with unlimited_int_digits():  # a numeral past the limit parses
+        return type(out), repr(out), out
 
 
 _ASCII_NUMERALS = st.text("0123456789", min_size=1, max_size=30)
@@ -417,6 +418,31 @@ def test_numbers_past_the_int_digit_limit_are_written_in_full(number):
         text = str(number)
     assert doc == '{\n  "value": ' + (text if isinstance(number, int) else f'"{text}"') + "\n}\n"
     assert format_number(number) == (number if isinstance(number, int) else text)
+
+
+@pytest.mark.parametrize(
+    "number, as_float",
+    [
+        (Fraction(1, 7**6000), 0.0),
+        (Fraction(-(3**10470) - 1, 7**5920), (-(3**10470) - 1) / 7**5920),
+        (10**5000 + 7, None),
+    ],
+    ids=["tiny-ratio", "long-ratio", "long-int"],
+)
+def test_numbers_past_the_int_digit_limit_read_back(number, as_float):
+    bandit = path_bandit((0, number), (ONE,))
+    text = dumps_model([bandit])
+    assert loads_model(text, rational=True) == [bandit]
+    if as_float is None:
+        with pytest.raises(ModelFormatError, match="non-finite number .* in float mode"):
+            loads_model(text)
+    else:
+        assert loads_model(text)[0].nodes[1].reward == as_float
+
+
+def test_a_syntax_error_after_a_long_int_literal_is_invalid_json():
+    with pytest.raises(ModelFormatError, match="invalid JSON"):
+        loads_model('{"bandits": [' + "7" * 5000 + ", ]}")
 
 
 def test_to_float_converts_probabilities_and_rewards():

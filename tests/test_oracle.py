@@ -35,6 +35,7 @@ from haltbandit import (
 )
 from haltbandit import game as game_module
 from haltbandit import indices, reductions
+from haltbandit import oracle as oracle_module
 from haltbandit.oracle import _atom_payout, _policy_count
 
 from helpers import (
@@ -288,7 +289,7 @@ def test_atom_walks_over_the_play_graph_match_the_longhand_replay(model):
     space = atoms(game)
     for policy in enumerate_policies(game)[:10]:
         states = game_module._play_graph(game, policy, 10**4).states
-        walked = [_atom_payout(game, states, a) for a in space]
+        walked = [_atom_payout(game, states, a.paths) for a in space]
         assert walked == [_replay_payout(game, policy, a.paths) for a in space]
 
 
@@ -457,6 +458,20 @@ def test_greedy_dominance_checks_the_atom_cap_first():
     game = greedy_game()
     with pytest.raises(ResourceCapError, match="joint outcome atoms"):
         certify_greedy_dominance(game, atom_cap=1)
+
+
+def test_greedy_dominance_builds_no_atom(monkeypatch):
+    # the certificate walks the product of the bandits' path lists; only the
+    # public ``atoms`` pays for the atoms' probabilities
+    game = greedy_game()
+    report = certify_greedy_dominance(game)
+    assert report.n_atoms == len(atoms(game))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an Atom was built")
+
+    monkeypatch.setattr(oracle_module, "Atom", refuse)
+    assert certify_greedy_dominance(game) == report
 
 
 def test_the_oracles_finish_on_a_deep_tree():
