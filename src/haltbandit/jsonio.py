@@ -90,8 +90,7 @@ def parse_number(value: Any, *, rational: bool = False) -> Number:
     try:
         return float(number)
     except OverflowError as exc:
-        shown = exact_text(value) if kind is int else repr(value)  # an int's repr stops at the digit limit
-        raise ModelFormatError(f"non-finite number {shown} in float mode") from exc
+        raise ModelFormatError(f"non-finite number {long_repr(value)} in float mode") from exc
 
 
 def read_int(digits: str) -> int:
@@ -125,6 +124,17 @@ def exact_text(value: int | Fraction) -> str:
     k = value.bit_length() * 3 // 20  # 3/10 < log10(2), so 10**k has under half the digits
     high, low = divmod(value, 10**k)
     return exact_text(high) + exact_text(low).zfill(k)
+
+
+def long_repr(value: Any) -> str:
+    """``repr(value)``, for messages; an int or a Fraction that the digit
+    limit stops ``repr`` from writing gets the same form by ``exact_text``."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, Fraction):
+            return f"Fraction({exact_text(value.numerator)}, {exact_text(value.denominator)})"
+        return exact_text(value)
 
 
 def format_number(value: Number) -> int | float | str:

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import ModelFormatError, PreconditionError, ResourceCapError
-from .jsonio import Number, Record, dumps_canonical, format_number, parse_number, read_int
+from .jsonio import Number, Record, dumps_canonical, format_number, long_repr, parse_number, read_int
 
 DEFAULT_MAX_DEPTH = 12
 DEFAULT_MAX_BRANCHING = 4
@@ -205,18 +205,18 @@ def _validate_tree(
         out.append(Violation("empty-model", "tree", "a tree bandit needs at least one node"))
         return
     if not 0 <= bandit.root < n:
-        out.append(Violation("bad-root", "tree", f"root id {bandit.root} out of range"))
+        out.append(Violation("bad-root", "tree", f"root id {long_repr(bandit.root)} out of range"))
         return
     root = bandit.nodes[bandit.root]
     if root.halted:
         out.append(Violation("halted-root", f"node {bandit.root}", "the root must allow at least one activation"))
     if root.depth != 0:
-        out.append(Violation("root-depth", f"node {bandit.root}", f"root depth is {root.depth}, expected 0"))
+        out.append(Violation("root-depth", f"node {bandit.root}", f"root depth is {long_repr(root.depth)}, expected 0"))
 
     parents: dict[int, int] = {}
     for nid, node in enumerate(bandit.nodes):
         if not _finite(node.reward):
-            out.append(Violation("non-finite-reward", f"node {nid}", f"reward {node.reward!r}"))
+            out.append(Violation("non-finite-reward", f"node {nid}", f"reward {long_repr(node.reward)}"))
         if node.halted and node.edges:
             out.append(Violation("halted-node-with-edges", f"node {nid}", "halted histories cannot continue"))
         if not node.halted and not node.edges:
@@ -224,28 +224,28 @@ def _validate_tree(
         if max_branching is not None and len(node.edges) > max_branching:
             out.append(Violation("branching-limit", f"node {nid}", f"{len(node.edges)} edges exceed the limit {max_branching}"))
         if max_depth is not None and node.depth > max_depth:
-            out.append(Violation("depth-limit", f"node {nid}", f"depth {node.depth} exceeds the limit {max_depth}"))
+            out.append(Violation("depth-limit", f"node {nid}", f"depth {long_repr(node.depth)} exceeds the limit {max_depth}"))
         total: Number = 0
         halting_mass: Number = 0
         for e in node.edges:
             if not 0 <= e.to < n:
-                out.append(Violation("dangling-edge", f"node {nid}", f"edge target {e.to} out of range"))
+                out.append(Violation("dangling-edge", f"node {nid}", f"edge target {long_repr(e.to)} out of range"))
                 continue
             if not _finite(e.p) or e.p <= 0:
-                out.append(Violation("non-positive-edge-probability", f"node {nid}", f"edge to {e.to} has p={e.p!r}"))
+                out.append(Violation("non-positive-edge-probability", f"node {nid}", f"edge to {e.to} has p={long_repr(e.p)}"))
             if e.to in parents:
                 out.append(Violation("multiple-parents", f"node {e.to}", "a history can be reached one way only"))
             parents[e.to] = nid
             child = bandit.nodes[e.to]
             if child.depth != node.depth + 1:
-                out.append(Violation("depth-mismatch", f"node {e.to}", f"depth {child.depth} under a depth-{node.depth} parent"))
+                out.append(Violation("depth-mismatch", f"node {e.to}", f"depth {long_repr(child.depth)} under a depth-{long_repr(node.depth)} parent"))
             if child.halted != e.halting:
                 out.append(Violation("halting-flag-mismatch", f"node {e.to}", "edge kind must match the child's halted flag"))
             total = total + e.p
             if e.halting:
                 halting_mass = halting_mass + e.p
         if node.edges and not _sums_to_one(total):
-            out.append(Violation("edge-probability-sum", f"node {nid}", f"outgoing probabilities sum to {total!r}"))
+            out.append(Violation("edge-probability-sum", f"node {nid}", f"outgoing probabilities sum to {long_repr(total)}"))
         if not node.halted and node.edges and halting_mass <= 0:
             out.append(Violation("zero-halting-mass", f"node {nid}", "every activation must carry positive halting probability"))
 
@@ -268,18 +268,18 @@ def _validate_markov(bandit: MarkovBandit, out: list[Violation]) -> None:
         out.append(Violation("empty-model", "markov", "a markov bandit needs at least one state"))
         return
     if not 0 <= bandit.initial < n:
-        out.append(Violation("bad-initial-state", "markov", f"initial state {bandit.initial} out of range"))
+        out.append(Violation("bad-initial-state", "markov", f"initial state {long_repr(bandit.initial)} out of range"))
     if len(bandit.transitions) != n:
         out.append(Violation("transition-shape", "markov", f"{len(bandit.transitions)} rows for {n} states"))
         return
     for k, st in enumerate(bandit.states):
         for label, v in (("reward", st.reward), ("halt_reward", st.halt_reward)):
             if not _finite(v):
-                out.append(Violation("non-finite-reward", f"state {k}", f"{label} is {v!r}"))
+                out.append(Violation("non-finite-reward", f"state {k}", f"{label} is {long_repr(v)}"))
         if not _finite(st.halt_prob) or st.halt_prob <= 0:
             out.append(Violation("zero-halting-mass", f"state {k}", "every activation must carry positive halting probability"))
         elif st.halt_prob > 1:
-            out.append(Violation("halting-probability-above-one", f"state {k}", f"halt_prob {st.halt_prob!r}"))
+            out.append(Violation("halting-probability-above-one", f"state {k}", f"halt_prob {long_repr(st.halt_prob)}"))
         row = bandit.transitions[k]
         if len(row) != n:
             out.append(Violation("transition-shape", f"state {k}", f"row has {len(row)} entries for {n} states"))
@@ -287,10 +287,10 @@ def _validate_markov(bandit: MarkovBandit, out: list[Violation]) -> None:
         total: Number = 0
         for j, p in enumerate(row):
             if not _finite(p) or p < 0:
-                out.append(Violation("negative-transition", f"state {k}", f"entry {j} is {p!r}"))
+                out.append(Violation("negative-transition", f"state {k}", f"entry {j} is {long_repr(p)}"))
             total = total + p
         if not _sums_to_one(total):
-            out.append(Violation("row-sum", f"state {k}", f"transition row sums to {total!r}"))
+            out.append(Violation("row-sum", f"state {k}", f"transition row sums to {long_repr(total)}"))
 
 
 def validate(
@@ -313,7 +313,7 @@ def validate(
             out.append(Violation("cost-shape", "costs", f"{len(bandit.costs)} costs for {len(bandit.rewards.nodes)} nodes"))
         for nid, c in enumerate(bandit.costs):
             if not _finite(c):
-                out.append(Violation("non-finite-cost", f"node {nid}", f"cost {c!r}"))
+                out.append(Violation("non-finite-cost", f"node {nid}", f"cost {long_repr(c)}"))
     elif isinstance(bandit, TreeBandit):
         _validate_tree(bandit, out, max_depth, max_branching)
     elif isinstance(bandit, MarkovBandit):
@@ -496,7 +496,7 @@ def _obj_to_tree(obj: dict, where: str, rational: bool) -> TreeBandit:
         except KeyError as exc:
             raise ModelFormatError(f"{where}: node missing field {exc}") from exc
         if type(nid) is not int or not 0 <= nid < len(raw_nodes):
-            raise ModelFormatError(f"{where}: node id {nid!r} must index the node list")
+            raise ModelFormatError(f"{where}: node id {long_repr(nid)} must index the node list")
         if nodes[nid] is not None:
             raise ModelFormatError(f"{where}: duplicate node id {nid}")
         if not isinstance(depth, int) or isinstance(depth, bool):
@@ -578,7 +578,7 @@ def loads_model(text: str, *, rational: bool = False) -> list[AnyBandit]:
         raise ModelFormatError("model document must be a JSON object")
     schema = doc.get("schema", 1)
     if schema != 1:
-        raise ModelFormatError(f"unsupported schema version {schema!r}")
+        raise ModelFormatError(f"unsupported schema version {long_repr(schema)}")
     raw_bandits = doc.get("bandits")
     if not isinstance(raw_bandits, list) or not raw_bandits:
         raise ModelFormatError("'bandits' must be a non-empty list")
@@ -607,7 +607,7 @@ def loads_model(text: str, *, rational: bool = False) -> list[AnyBandit]:
                 raise ModelFormatError(f"{where}: costs apply to tree bandits only")
             bandit = _obj_to_markov(entry, where, rational)
         else:
-            raise ModelFormatError(f"{where}: unknown kind {kind!r}")
+            raise ModelFormatError(f"{where}: unknown kind {long_repr(kind)}")
         out.append(bandit)
     return out
 

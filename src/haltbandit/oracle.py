@@ -8,12 +8,12 @@ shares no code with the bandits' ``moves``, the payout functions, the play
 graph or the index solvers: a fault in any of them cannot show on both
 sides of the index certificate.  On a game of ints and Fractions it runs over
 integers, each history's values scaled by one integer fixed per node
-before the loop, and builds a value only when it is read (the index
-certificate compares a history's actions on the integers themselves,
-building none); a game with any float runs the same induction in the
-input's own arithmetic, whose operation order fixes every float bit for
-bit.  ``atoms`` expands the full joint sample space so pathwise (not just
-in-expectation) claims can be checked outcome by outcome.
+before the loop, and builds each value, a ``Fraction``, when it is read
+(the index certificate compares a history's actions on the integers
+themselves, building none); a game with any float runs the same induction
+in the input's own arithmetic, whose operation order fixes every float bit
+for bit.  ``atoms`` expands the full joint sample space so pathwise (not
+just in-expectation) claims can be checked outcome by outcome.
 
 The two certifiers package the headline checks: the index policy attains
 the optimum, and the greedy policy is pathwise dominant under the
@@ -75,7 +75,7 @@ class OptimalSolution:
     From ``dp_optimal`` the three mappings are read-only views over flat
     per-history lists, which list the histories in the order the induction
     solved them and compare equal to dicts of the same entries; on an
-    exact game each value is built when it is read.
+    exact game every value is a ``Fraction``, built when it is read.
     """
 
     value: Number
@@ -181,9 +181,9 @@ def dp_optimal(game: GameInstance, *, history_cap: int = DEFAULT_HISTORY_CAP) ->
     certifies.
 
     A game whose probabilities, rewards and costs are all ints and
-    ``Fraction``s is solved over integers (``_integer_induction``); any
-    other game by ``_float_induction``, whose operation order fixes every
-    float value.
+    ``Fraction``s is solved over integers and its values read back as
+    ``Fraction``s (``_integer_induction``); any other game by
+    ``_float_induction``, whose operation order fixes every float value.
     """
     if game.backend != "tree":
         raise PreconditionError("the optimality oracle needs a finite tree backend")
@@ -258,10 +258,8 @@ def _integer_induction(lives, moves, rewards, terms, halter, paid, minimize):
     scaled halting mass) are constants of the node.  All action values of
     h share one scale, so the best is read off the integers.
 
-    An entry is built when read: ``Fraction(U, scale)``, or ``U // scale``
-    where the input's own arithmetic would have taken no ``Fraction`` (a
-    bit per action, from the node's numbers and its successors' values).
-    The fourth reader returns a history's action U's themselves.
+    Every entry is built when read, as ``Fraction(U, R · ∏ⱼ Tⱼ(xⱼ))``; the
+    fourth reader returns a history's action U's themselves.
     """
     R = math.lcm(*(x.denominator for row in chain(rewards, terms or ()) for x in row))
 
@@ -275,61 +273,44 @@ def _integer_induction(lives, moves, rewards, terms, halter, paid, minimize):
             dens = [p.denominator * (1 if off is None else table[to][0]) for p, to, off in edges]
             t = math.lcm(*dens)
             a = t * lift(rewards[i][nid]) if paid else 0
-            frac = paid and isinstance(rewards[i][nid], Fraction)
-            mass, halts, live = 0, False, []
+            mass, live = 0, []
             for (p, to, off), den in zip(edges, dens):
                 mul = p.numerator * (t // den)
-                frac = frac or isinstance(p, Fraction)
                 if off is not None:
                     live.append((mul, off))
                     continue
-                halts, mass = True, mass + mul
+                mass += mul
                 if halter is not None:
-                    x = rewards[i][to if halter == "halted" else nid]
-                    a += mul * lift(x)
-                    frac = frac or isinstance(x, Fraction)
-            term = 0 if terms is None else terms[i][nid]
-            # (T, A, M, R · own frozen term, live edges, Fraction for sure,
-            #  halts, own frozen term is a Fraction)
-            table[nid] = (t, a, mass, lift(term), tuple(live), frac, halts, isinstance(term, Fraction))
+                    a += mul * lift(rewards[i][to if halter == "halted" else nid])
+            own = 0 if terms is None else lift(terms[i][nid])
+            table[nid] = (t, a, mass, own, tuple(live))  # (T, A, M, R · own frozen term, live edges)
         tables.append(table)
     cols = [list(table.values()) for table in tables]  # each in its live order
     scales = list(map(math.prod, product(*([row[0] for row in col] for col in cols))))  # ∏ⱼ Tⱼ(xⱼ) by place
     settles = list(map(sum, product(*([row[3] for row in col] for col in cols))))  # Σⱼ R · termⱼ(xⱼ)
     U: list[int] = []
     actions: list[int] = []
-    solved: list[tuple[list[int], int]] = []  # (action U's, Fraction bits)
+    solved: list[list[int]] = []  # each history's action U's
     for k, rows in enumerate(product(*cols)):
         scale, settled = scales[k], settles[k]
         q: list[int] = []
-        bits = 0
-        for i, (t, a, mass, own, live, frac, halts, frozen_frac) in enumerate(rows):
+        for t, a, mass, own, live in rows:
             u = scale // t * (a + mass * (settled - own))
             for mul, off in live:
                 u += mul * U[k + off]
             q.append(u)
-            if (
-                frac
-                or (halts and sum(row[7] for row in rows) > frozen_frac)
-                or any(solved[k + off][1] >> actions[k + off] & 1 for _, off in live)
-            ):
-                bits |= 1 << i
         best = q.index(min(q) if minimize else max(q))  # the first, on ties
         U.append(q[best])
         actions.append(best)
-        solved.append((q, bits))
+        solved.append(q)
 
-    def number(u: int, k: int, frac: int) -> Number:
-        return Fraction(u, R * scales[k]) if frac else u // (R * scales[k])
+    def value(k: int) -> Fraction:
+        return Fraction(U[k], R * scales[k])
 
-    def value(k: int) -> Number:
-        return number(U[k], k, solved[k][1] >> actions[k] & 1)
+    def action_values(k: int) -> tuple[Fraction, ...]:
+        return tuple(Fraction(u, R * scales[k]) for u in solved[k])
 
-    def action_values(k: int) -> tuple[Number, ...]:
-        q, bits = solved[k]
-        return tuple(number(u, k, bits >> i & 1) for i, u in enumerate(q))
-
-    return value, actions, action_values, lambda k: solved[k][0]
+    return value, actions, action_values, solved.__getitem__
 
 
 def _policy_count(game: GameInstance, *, history_cap: int = DEFAULT_HISTORY_CAP) -> int:

@@ -695,6 +695,87 @@ def test_validate_reads_an_int_reward_past_the_int_digit_limit(capsys, tmp_path)
     assert err.startswith("error: non-finite number 1000") and err.endswith(" in float mode\n")
 
 
+_LONG = 10**5000  # 5,001 digits, past the interpreter's 4,300
+
+
+def _tiny(sign: str = "") -> str:
+    with unlimited_int_digits():
+        return f"{sign}1/{7**6000}"
+
+
+# Broken documents whose violation message writes a number past the digit
+# limit: (bandit, where the number goes, the number, exit code, violation)
+_LONG_NUMBERS = {
+    "edge-probability-sum": ("tree", ("nodes", 0, "edges", 1, "p"), _tiny, 1, "edge-probability-sum"),
+    "negative-edge-probability": (
+        "tree", ("nodes", 0, "edges", 0, "p"), lambda: _tiny("-"), 1, "non-positive-edge-probability"
+    ),
+    "root-depth": ("tree", ("nodes", 0, "depth"), _LONG, 1, "root-depth"),
+    "child-depth": ("tree", ("nodes", 3, "depth"), _LONG, 1, "depth-mismatch"),
+    "edge-target": ("tree", ("nodes", 2, "edges", 0, "to"), _LONG, 1, "dangling-edge"),
+    "root": ("tree", ("root",), _LONG, 1, "bad-root"),
+    "node-id": ("tree", ("nodes", 3, "id"), _LONG, 2, "node id 1000"),
+    "initial-state": ("markov", ("initial",), _LONG, 1, "bad-initial-state"),
+    "halt-prob": ("markov", ("states", 0, "halt_prob"), _LONG, 1, "halting-probability-above-one"),
+    "row-sum": ("markov", ("transitions", 0, 0), _tiny, 1, "row-sum"),
+    "negative-transition": ("markov", ("transitions", 0, 0), lambda: _tiny("-"), 1, "negative-transition"),
+}
+
+
+@pytest.mark.parametrize("command", [("validate",), ("index",), ("evaluate", "--policy", "index")], ids=lambda c: c[0])
+@pytest.mark.parametrize("case", sorted(_LONG_NUMBERS))
+def test_a_number_past_the_int_digit_limit_is_reported_in_full(capsys, tmp_path, command, case):
+    kind, keys, value, want_code, want = _LONG_NUMBERS[case]
+    bandit = ramp_bandit() if kind == "tree" else geometric_markov([1, 3], HALF)
+    doc = json.loads(dumps_model([bandit]))
+    target = doc["bandits"][0]
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value() if callable(value) else value
+    path = tmp_path / "long.json"
+    with unlimited_int_digits():
+        path.write_text(json.dumps(doc))
+    argv = [command[0], "--model", str(path), "--rational", *command[1:]]
+
+    def call():
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    code, out, err = call()
+    assert code == want_code
+    assert "Traceback" not in err
+    assert want in (out if command[0] == "validate" and code == 1 else err)
+    with unlimited_int_digits():  # where repr can write the number: the same text
+        assert call() == (code, out, err)
+
+
+# Stdout of an all-integer game, whose optimum the DP once returned as an
+# int and now returns as a whole Fraction: it prints as the same integer.
+_INTEGER_GAME_STDOUT = {
+    ("optimal", "CP"): '{\n  "schema": 1,\n  "payout": "CP",\n  "value": 6,\n  "first_move": 0\n}\n',
+    ("optimal", "NH"): '{\n  "schema": 1,\n  "payout": "NH",\n  "value": 1,\n  "first_move": 0\n}\n',
+    ("certify", "CP"): (
+        '{\n  "schema": 1,\n  "kind": "index",\n  "index_value": 6,\n  "optimal_value": 6,\n  "gap": 0,\n'
+        '  "histories_compared": 1,\n  "action_disagreements": 0,\n  "tolerance": 1e-10,\n  "pass": true\n}\n'
+    ),
+    ("certify", "NH"): (
+        '{\n  "schema": 1,\n  "kind": "index",\n  "index_value": 1,\n  "optimal_value": 1,\n  "gap": 0,\n'
+        '  "histories_compared": 1,\n  "action_disagreements": 0,\n  "tolerance": 1e-10,\n  "pass": true\n}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("command, payout", sorted(_INTEGER_GAME_STDOUT))
+def test_an_integer_optimum_prints_as_an_integer(capsys, tmp_path, command, payout):
+    # every probability is the JSON integer 1, so the document reads back as ints
+    path = tmp_path / "integers.json"
+    save_model([path_bandit((2, 5), (ONE,)), path_bandit((1, 3), (ONE,))], path)
+    assert '"p": 1,' in path.read_text() and '"p": "' not in path.read_text()
+    argv = (command, "--model", str(path), "--rational", "--payout", payout)
+    assert run(capsys, *argv) == (0, _INTEGER_GAME_STDOUT[command, payout])
+
+
 def _long_path() -> TreeBandit:
     # 1,600 live levels; each halts with 1/1000 onto the reward 7d mod 11
     levels = 1600
