@@ -38,7 +38,7 @@ _PUBLIC = {
         "load_model", "loads_model", "save_model", "to_float", "unroll_markov", "validate",
     ),
     "oracle": (
-        "Atom", "GreedyDominanceReport", "IndexOptimalityReport", "OptimalSolution", "atoms",
+        "GreedyDominanceReport", "IndexOptimalityReport", "OptimalSolution",
         "certify_greedy_dominance", "certify_index_optimality", "dp_optimal", "random_game",
         "random_profit_bandit", "random_tree_bandit",
     ),

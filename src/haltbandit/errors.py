@@ -17,7 +17,7 @@ class ModelFormatError(HaltBanditError):
 
 
 class ResourceCapError(HaltBanditError):
-    """An enumeration or search would exceed its configured cap."""
+    """An enumeration, a search or a sampled episode would exceed its cap."""
 
 
 class PreconditionError(HaltBanditError):
@@ -31,5 +31,5 @@ class InvalidRuleError(PreconditionError):
 class SolverError(HaltBanditError):
     """A solve gave no trustworthy answer: a singular linear system, an
     exact solution that fails its own equations, a float solution whose
-    backward error exceeds ``linear``'s tolerance, a chain state with no
-    halting mass, or a sampled episode past the round cap."""
+    backward error exceeds ``linear``'s tolerance, or a chain state with no
+    halting mass."""

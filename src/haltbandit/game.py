@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from .errors import PreconditionError, ResourceCapError, SolverError
+from .errors import PreconditionError, ResourceCapError
 from .indices import ZERO_TOL, IndexDecomposition, _decompose, _index_table
 from .jsonio import Number, Record
 from .linear import solve_linear
@@ -544,7 +544,8 @@ def run_policy_sampled(
     of it (payment, cumulative outcome probabilities, terminal payouts)
     by state number.  So ``policy.choose`` is called once per distinct
     reachable (positions, round mod period), and a policy on a chain must
-    honour its declared period.
+    honour its declared period.  An episode that has not halted after
+    ``_EPISODE_ROUND_CAP`` activations raises ``ResourceCapError``.
     """
     if n_samples < 1:
         raise PreconditionError("need at least one sample")
@@ -574,7 +575,7 @@ def run_policy_sampled(
                 continue
             rounds += 1
             if rounds == _EPISODE_ROUND_CAP:
-                raise SolverError("an episode exceeded the round cap; is the model valid?")
+                raise ResourceCapError(f"an episode needs more than {_EPISODE_ROUND_CAP} activations, the episode round cap")
             k = succ
     totals = np.array(out)
     try:

@@ -395,7 +395,7 @@ def _index_table(
             w *= p
             num += w * b
             den += w
-        idx[nid] = BlockValue(num, den).ratio
+        idx[nid] = num / den
         if not _finite(idx[nid]):
             raise PreconditionError(f"the index of node {nid} lies beyond float range ({idx[nid]!r})")
         merged.append((idx[nid], den, nid))

@@ -128,12 +128,17 @@ def exact_text(value: int | Fraction) -> str:
 
 def long_repr(value: Any) -> str:
     """``repr(value)``, for messages; an int or a Fraction that the digit
-    limit stops ``repr`` from writing gets the same form by ``exact_text``."""
+    limit stops ``repr`` from writing gets the same form by ``exact_text``,
+    and a list or a dict holding one is written element by element."""
     try:
         return repr(value)
     except ValueError:
         if isinstance(value, Fraction):
             return f"Fraction({exact_text(value.numerator)}, {exact_text(value.denominator)})"
+        if isinstance(value, list):
+            return "[" + ", ".join(map(long_repr, value)) + "]"
+        if isinstance(value, dict):
+            return "{" + ", ".join(f"{long_repr(k)}: {long_repr(v)}" for k, v in value.items()) + "}"
         return exact_text(value)
 
 

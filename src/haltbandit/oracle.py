@@ -1,4 +1,4 @@
-"""Brute-force ground truth: global optima, joint outcomes, certification.
+"""Brute-force ground truth: global optima, policy counts, certification.
 
 ``dp_optimal`` computes the best achievable value of a tree game by
 backward induction over every reachable history, each a tuple of node
@@ -12,14 +12,14 @@ before the loop, and builds each value, a ``Fraction``, when it is read
 (the index certificate compares a history's actions on the integers
 themselves, building none); a game with any float runs the same induction
 in the input's own arithmetic, whose operation order fixes every float bit
-for bit.  ``atoms`` expands the full joint sample space so pathwise (not
-just in-expectation) claims can be checked outcome by outcome.
+for bit.
 
 The two certifiers package the headline checks: the index policy attains
 the optimum, and the greedy policy is pathwise dominant under the
 penultimate scheme once rewards never increase before the halt.  Both
-play their policy through the play graph; the greedy certificate walks
-each atom through its compiled states.
+play their policy through the play graph; the greedy certificate reads
+the least slack over every joint outcome off greedy's states, without
+walking the outcomes.
 
 The random generators at the bottom produce small valid instances for
 property sweeps; they draw from a counter-based generator so a seed pins
@@ -44,7 +44,6 @@ from .game import (
     IndexPolicy,
     _philox,
     _play_graph,
-    _State,
     _tree_value,
     current_reward,
 )
@@ -331,71 +330,6 @@ def _policy_count(game: GameInstance, *, history_cap: int = DEFAULT_HISTORY_CAP)
 
 
 # ---------------------------------------------------------------------------
-# Joint outcome atoms
-
-
-@dataclass(frozen=True)
-class Atom:
-    """One complete joint outcome: a full root-to-halt path per bandit."""
-
-    paths: tuple[tuple[int, ...], ...]
-    probability: Number
-
-
-def _bandit_paths(tree: TreeBandit) -> list[tuple[tuple[int, ...], Number]]:
-    out: list[tuple[tuple[int, ...], Number]] = []
-    stack: list[tuple[tuple[int, ...], Number]] = [((tree.root,), 1)]
-    while stack:
-        path, p = stack.pop()
-        node = tree.nodes[path[-1]]
-        if node.halted:
-            out.append((path, p))
-            continue
-        stack.extend((path + (e.to,), p * e.p) for e in reversed(node.edges))
-    return out
-
-
-def _path_lists(game: GameInstance, cap: int) -> list[list[tuple[tuple[int, ...], Number]]]:
-    """Each bandit's root-to-halt paths and their probabilities; more than
-    ``cap`` atoms, the paths' product, raise ``ResourceCapError``."""
-    if game.backend != "tree":
-        raise PreconditionError("atom enumeration needs a tree backend")
-    per = []
-    count = 1
-    for i in range(game.n):
-        dyn = game.dynamics(i)
-        assert isinstance(dyn, TreeBandit)
-        paths = _bandit_paths(dyn)
-        count *= len(paths)
-        if count > cap:
-            raise ResourceCapError(f"more than {cap} joint outcome atoms")
-        per.append(paths)
-    return per
-
-
-def atoms(game: GameInstance, *, cap: int = DEFAULT_HISTORY_CAP) -> list[Atom]:
-    """The full product sample space of a tree game."""
-    return [
-        Atom(paths=tuple(path for path, _ in combo), probability=math.prod(p for _, p in combo))
-        for combo in product(*_path_lists(game, cap))
-    ]
-
-
-def _atom_payout(game: GameInstance, states: list[_State], paths: Sequence[tuple[int, ...]]) -> Number:
-    """The payout of the policy compiled in ``states`` (a play graph's) on
-    the atom of these paths, one per bandit: walk them from the start,
-    taking the row that lands the activated bandit on its path's next node."""
-    pos, k, total = [0] * game.n, 0, 0
-    while k is not None:
-        i, pay, rows = states[k]
-        pos[i] += 1
-        nid = paths[i][pos[i]]
-        _, _, k, term = next(row for row in rows if row[1] == nid)
-        total = total + pay
-    return total + term
-
-
-# ---------------------------------------------------------------------------
 # Certification
 
 
@@ -484,10 +418,13 @@ def certify_greedy_dominance(game: GameInstance, *, atom_cap: int = DEFAULT_HIST
     outcome, not merely on average.  On one atom, whichever bandit i a
     policy drives to the halt, the penultimate scheme pays r(pathᵢ[−2]),
     i's reward just before its last activation; ``always:i`` attains
-    exactly that.  So the best any policy earns on the atom is
-    maxᵢ r(pathᵢ[−2]), and ``min_slack`` is the least, over atoms, of
-    greedy's payout minus that bound.  ``n_policies`` is the exact number
-    of deterministic policies this covers, counted without building one.
+    exactly that.  So ``min_slack`` is the least, over atoms, of greedy's
+    payout minus maxᵢ r(pathᵢ[−2]), read off greedy's play graph: at a
+    halting row of state x every atom has each frozen bandit j at or below
+    xⱼ, where rewards are no larger, and the atom halting each next attains
+    maxⱼ r(xⱼ).  ``n_atoms`` counts each bandit's halting edges, one per
+    root-to-halt path; ``n_policies`` is the exact number of deterministic
+    policies covered, counted without building one.
 
     ``atom_cap`` also bounds the count's histories and the play graph; as
     every live node has a halted child, neither outnumbers the atoms.
@@ -506,18 +443,29 @@ def certify_greedy_dominance(game: GameInstance, *, atom_cap: int = DEFAULT_HIST
                         f"bandit {i} rewards increase on edge {nid}->{e.to}; "
                         "greedy dominance needs non-increasing rewards"
                     )
-    per = [[path for path, _ in paths] for paths in _path_lists(game, atom_cap)]
+    n_atoms = 1
+    for i in range(game.n):
+        tree = game.dynamics(i)
+        halts, stack = 0, [tree.root]  # type: ignore[union-attr]
+        while stack:
+            edges = tree.nodes[stack.pop()].edges  # type: ignore[union-attr]
+            halts += sum(e.halting for e in edges)
+            stack.extend(e.to for e in edges if not e.halting)
+        n_atoms *= halts
+        if n_atoms > atom_cap:
+            raise ResourceCapError(f"more than {atom_cap} joint outcome atoms")
     n_policies = _policy_count(game, history_cap=atom_cap)
-    # at most one state per atom: every state has a halting row, every atom one halt
-    states = _play_graph(game, GreedyRewardPolicy(), atom_cap).states
+    play = _play_graph(game, GreedyRewardPolicy(), atom_cap)
+    # the payout as play sums it from 0, nothing paid before the halt: a −0.0 reward pays 0.0
     min_slack = min(
-        _atom_payout(game, states, paths)
-        - max(current_reward(game, i, path[-2]) for i, path in enumerate(paths))
-        for paths in product(*per)
+        0 + term - max(current_reward(game, j, x) for j, x in enumerate(nodes))
+        for nodes, (_, _, rows) in zip(play.nodes, play.states)
+        for _, _, succ, term in rows
+        if succ is None
     )
     return GreedyDominanceReport(
         n_policies=n_policies,
-        n_atoms=math.prod(map(len, per)),
+        n_atoms=n_atoms,
         min_slack=min_slack,
         tolerance=_GREEDY_TOL,
         passed=min_slack >= -_GREEDY_TOL,

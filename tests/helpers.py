@@ -8,7 +8,8 @@ route that shares none of their code.  ``reference_block_value`` and
 as the reference for ``pi_values``' passes over the play graph.
 ``enumerate_policies`` lists every deterministic controller of a small
 game, and ``reference_greedy_dominance`` replays each one on every joint
-outcome atom, as the reference for ``certify_greedy_dominance``.
+outcome atom (``joint_atoms``), as the reference for
+``certify_greedy_dominance``.
 ``reference_dp_optimal`` and ``reference_policy_count`` walk the histories
 by stepping the game, as the reference for the oracle's tabulated backward
 induction, and ``longhand_play_graph`` steps every product state, as the
@@ -63,7 +64,6 @@ from haltbandit import (
     TreeBandit,
     TreeEdge,
     TreeNode,
-    atoms,
     enumerate_stopping_rules,
     immediate_payment,
     random_profit_bandit,
@@ -604,15 +604,23 @@ def _replay_payout(game: GameInstance, policy: Policy, paths) -> Fraction:
     raise AssertionError(model)
 
 
-def oracle_value(game: GameInstance, policy: Policy) -> Fraction:
-    """Expected payout by brute enumeration of the joint outcome space."""
-    per = [tree_paths(_dyn(b)) for b in game.bandits]
-    total = Fraction(0)
-    for combo in product(*per):
+def joint_atoms(game: GameInstance) -> list[tuple[list[tuple[int, ...]], Fraction]]:
+    """Every joint outcome atom of a tree game: one ``tree_paths`` path per
+    bandit, and the product of their probabilities."""
+    out = []
+    for combo in product(*(tree_paths(_dyn(b)) for b in game.bandits)):
         prob = Fraction(1)
         for _, p in combo:
             prob *= p
-        total += prob * _replay_payout(game, policy, [ids for ids, _ in combo])
+        out.append(([ids for ids, _ in combo], prob))
+    return out
+
+
+def oracle_value(game: GameInstance, policy: Policy) -> Fraction:
+    """Expected payout by brute enumeration of the joint outcome space."""
+    total = Fraction(0)
+    for paths, prob in joint_atoms(game):
+        total += prob * _replay_payout(game, policy, paths)
     return total
 
 
@@ -654,14 +662,14 @@ def reference_greedy_dominance(
     game: GameInstance, *, tol: float = 0.0, policy_cap: int = POLICY_CAP
 ) -> GreedyDominanceReport:
     """Greedy dominance by replaying every enumerated policy on every atom."""
-    all_atoms = atoms(game)
-    greedy_pay = [_replay_payout(game, GreedyRewardPolicy(), a.paths) for a in all_atoms]
+    all_atoms = [paths for paths, _ in joint_atoms(game)]
+    greedy_pay = [_replay_payout(game, GreedyRewardPolicy(), paths) for paths in all_atoms]
     policies = enumerate_policies(game, cap=policy_cap)
     min_slack = None
     ok = True
     for pol in policies:
-        for k, a in enumerate(all_atoms):
-            slack = greedy_pay[k] - _replay_payout(game, pol, a.paths)
+        for k, paths in enumerate(all_atoms):
+            slack = greedy_pay[k] - _replay_payout(game, pol, paths)
             if min_slack is None or slack < min_slack:
                 min_slack = slack
             if slack < -tol:

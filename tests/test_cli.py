@@ -433,6 +433,19 @@ def test_simulate_command_is_reproducible(capsys, pair_path):
     assert first == again
 
 
+def test_an_episode_past_the_round_cap_exits_three(capsys, tmp_path):
+    # a valid chain that halts with probability 1e-7 per activation: its
+    # first episode outlasts the sampler's 10⁶-activation round cap
+    path = tmp_path / "slow.json"
+    path.write_text(dumps_model([geometric_markov(1, 1 - Fraction(1, 10**7))]))
+    assert run(capsys, "validate", "--model", str(path))[0] == 0
+    assert run(capsys, "evaluate", "--model", str(path), "--policy", "always:0")[0] == 0
+    code = main(["simulate", "--model", str(path), "--policy", "always:0", "--samples", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "error: an episode needs more than 1000000 activations, the episode round cap\n"
+
+
 @pytest.mark.parametrize("command", [("simulate", "--samples", "10"), ("evaluate",)])
 @pytest.mark.parametrize("policy", ["always:-1", "always:2"])
 def test_a_bandit_outside_the_model_exits_four(capsys, pair_path, command, policy):
@@ -748,6 +761,32 @@ def test_a_number_past_the_int_digit_limit_is_reported_in_full(capsys, tmp_path,
     assert want in (out if command[0] == "validate" and code == 1 else err)
     with unlimited_int_digits():  # where repr can write the number: the same text
         assert call() == (code, out, err)
+
+
+_LONG_LISTS = {
+    "schema": (("schema",), "unsupported schema version [1000"),
+    "kind": (("bandits", 0, "kind"), "bandit 0: unknown kind [1000"),
+    "node-id": (("bandits", 0, "nodes", 3, "id"), "bandit 0: node id [1000"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LONG_LISTS))
+def test_a_list_holding_a_number_past_the_int_digit_limit_is_reported_in_full(capsys, tmp_path, case):
+    keys, want = _LONG_LISTS[case]
+    doc = json.loads(dumps_model([ramp_bandit()]))
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = [_LONG]
+    path = tmp_path / "long_list.json"
+    with unlimited_int_digits():
+        path.write_text(json.dumps(doc))
+    code = main(["validate", "--model", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: {want}") and "Traceback" not in captured.err
+    with unlimited_int_digits():  # where repr can write the list: the same text
+        assert (main(["validate", "--model", str(path)]), capsys.readouterr().err) == (code, captured.err)
 
 
 # Stdout of an all-integer game, whose optimum the DP once returned as an

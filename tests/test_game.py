@@ -574,14 +574,14 @@ def test_sampled_exact_chain_values_are_pinned(model, mean, stderr):
 def test_the_episode_round_cap_counts_each_episode_afresh(monkeypatch):
     monkeypatch.setattr(game_module, "_EPISODE_ROUND_CAP", 3)
     stuck = MarkovBandit(states=(MarkovState(1, 0, 0),), transitions=((1,),))  # never halts; not validated
-    with pytest.raises(SolverError, match="round cap"):
+    with pytest.raises(ResourceCapError, match="more than 3 activations, the episode round cap"):
         run_policy_sampled(GameInstance(bandits=(stuck,)), always(0), seed=0, n_samples=1)
     # every episode takes exactly 3 activations: 300 rounds in all, each episode within the cap
     game = GameInstance(bandits=(path_bandit((1, 2, 3, 5), (0, 0, ONE)),))
     res = run_policy_sampled(game, always(0), seed=0, n_samples=100)
     assert (res.mean, res.stderr) == (float(evaluate_exact(game, always(0))), 0.0)
     monkeypatch.setattr(game_module, "_EPISODE_ROUND_CAP", 2)
-    with pytest.raises(SolverError, match="round cap"):
+    with pytest.raises(ResourceCapError, match="more than 2 activations, the episode round cap"):
         run_policy_sampled(game, always(0), seed=0, n_samples=100)
 
 

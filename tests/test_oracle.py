@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from haltbandit import (
     GameInstance,
     GlobalHistory,
+    GreedyRewardPolicy,
     IndexPolicy,
     MarkovBandit,
     PayoutModel,
@@ -22,9 +23,9 @@ from haltbandit import (
     TreeBandit,
     TreeEdge,
     TreeNode,
-    atoms,
     certify_greedy_dominance,
     certify_index_optimality,
+    current_reward,
     dp_optimal,
     evaluate_exact,
     geometric_markov,
@@ -36,7 +37,7 @@ from haltbandit import (
 from haltbandit import game as game_module
 from haltbandit import indices, reductions
 from haltbandit import oracle as oracle_module
-from haltbandit.oracle import _atom_payout, _policy_count
+from haltbandit.oracle import _policy_count
 
 from helpers import (
     HALF,
@@ -44,6 +45,7 @@ from helpers import (
     _replay_payout,
     always,
     enumerate_policies,
+    joint_atoms,
     make_nonincreasing,
     oracle_value,
     pair_game,
@@ -273,35 +275,45 @@ def test_enumerated_policies_are_distinct_and_complete():
 
 def test_atoms_partition_the_outcome_space():
     game = pair_game()
-    space = atoms(game)
+    space = joint_atoms(game)
     assert len(space) == 2
-    assert sum(a.probability for a in space) == 1
-    runs = [_replay_payout(game, always(0), a.paths) for a in space]
+    assert sum(p for _, p in space) == 1
+    runs = [_replay_payout(game, always(0), paths) for paths, _ in space]
     assert sorted(runs) == [4, 10]
-    assert sum(a.probability * r for a, r in zip(space, runs)) == 7
+    assert sum(p * r for (_, p), r in zip(space, runs)) == 7
 
 
 def test_atom_replay_matches_exact_evaluation_in_expectation():
     for seed in range(6):
         game = random_game(seed, max_depth=2)
-        space = atoms(game)
+        space = joint_atoms(game)
         for policy in enumerate_policies(game)[:10]:
-            expectation = sum(
-                a.probability * _replay_payout(game, policy, a.paths) for a in space
-            )
+            expectation = sum(p * _replay_payout(game, policy, paths) for paths, p in space)
             assert expectation == evaluate_exact(game, policy)
             assert expectation == oracle_value(game, policy)
 
 
+def _walk(states, paths):
+    """The payout of the policy compiled in a play graph's ``states`` on the
+    atom of these paths: from the start, take the row that lands the
+    activated bandit on its path's next node."""
+    pos, k, total = [0] * len(paths), 0, 0
+    while k is not None:
+        i, pay, rows = states[k]
+        pos[i] += 1
+        _, _, k, term = next(row for row in rows if row[1] == paths[i][pos[i]])
+        total = total + pay
+    return total + term
+
+
 @pytest.mark.parametrize("model", list(PayoutModel))
 def test_atom_walks_over_the_play_graph_match_the_longhand_replay(model):
-    # the greedy certificate walks each atom through the compiled states
+    # each compiled state pays, on every outcome, what the scheme's definition does
     game = random_game(3, model=model, max_depth=3)
-    space = atoms(game)
+    space = [paths for paths, _ in joint_atoms(game)]
     for policy in enumerate_policies(game)[:10]:
         states = game_module._play_graph(game, policy, 10**4).states
-        walked = [_atom_payout(game, states, a.paths) for a in space]
-        assert walked == [_replay_payout(game, policy, a.paths) for a in space]
+        assert [_walk(states, paths) for paths in space] == [_replay_payout(game, policy, paths) for paths in space]
 
 
 def test_index_certificate_on_the_pair_game():
@@ -471,18 +483,42 @@ def test_greedy_dominance_checks_the_atom_cap_first():
         certify_greedy_dominance(game, atom_cap=1)
 
 
-def test_greedy_dominance_builds_no_atom(monkeypatch):
-    # the certificate walks the product of the bandits' path lists; only the
-    # public ``atoms`` pays for the atoms' probabilities
-    game = greedy_game()
+def test_greedy_dominance_reads_rewards_once_per_halting_row(monkeypatch):
+    # the certificate reads greedy's play graph, not the atoms: every bandit's
+    # reward once per halting row, far fewer reads than atoms here
+    game = GameInstance(
+        bandits=tuple(make_nonincreasing(random_tree_bandit(k, max_depth=4)) for k in range(2)),
+        model=PayoutModel.PSP,
+    )
     report = certify_greedy_dominance(game)
-    assert report.n_atoms == len(atoms(game))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("an Atom was built")
-
-    monkeypatch.setattr(oracle_module, "Atom", refuse)
+    assert report.n_atoms == len(joint_atoms(game))
+    states = game_module._play_graph(game, GreedyRewardPolicy(), 10**4).states
+    halting_rows = sum(succ is None for _, _, rows in states for _, _, succ, _ in rows)
+    reads = []
+    reward = oracle_module.current_reward
+    monkeypatch.setattr(oracle_module, "current_reward", lambda g, i, x: reads.append(i) or reward(g, i, x))
     assert certify_greedy_dominance(game) == report
+    assert len(reads) == game.n * halting_rows < report.n_atoms
+
+
+def test_a_faulty_greedy_fails_its_certificate(monkeypatch):
+    # every other game in the suite has slack 0: here greedy plays the
+    # smallest reward, and the certificate must find the reference's slack
+    monkeypatch.setattr(
+        GreedyRewardPolicy,
+        "choose",
+        lambda self, game, h, round_: min(range(game.n), key=lambda i: current_reward(game, i, h.nodes[i])),
+    )
+    for seed in range(40):
+        game = GameInstance(
+            bandits=tuple(make_nonincreasing(random_tree_bandit(seed * 2 + k, max_depth=2)) for k in range(2)),
+            model=PayoutModel.PSP,
+        )
+        got = certify_greedy_dominance(game)
+        want = reference_greedy_dominance(game)
+        assert got == want
+        assert type(got.min_slack) is type(want.min_slack)
+        assert not got.passed and got.min_slack < 0
 
 
 def test_the_oracles_finish_on_a_deep_tree():
@@ -492,10 +528,11 @@ def test_the_oracles_finish_on_a_deep_tree():
     sol = dp_optimal(game)
     assert len(sol.values) == 2292
     assert sol.value == evaluate_exact(game, always(0))
-    space = atoms(game)
-    assert len(space) == sum(node.halted for node in tree.nodes)
-    assert max(len(a.paths[0]) for a in space) == 2293
-    assert sum(a.probability for a in space) == 1
+    # and the greedy certificate on a flat chain unrolled as deep
+    flat = unroll_markov(geometric_markov(2, Fraction(99, 100)))
+    report = certify_greedy_dominance(GameInstance(bandits=(flat,), model=PayoutModel.PSP))
+    assert (report.passed, report.n_policies, report.min_slack) == (True, 1, 0)
+    assert report.n_atoms == sum(node.halted for node in flat.nodes) == 2292
 
 
 def test_dp_history_cap_boundary():
@@ -510,8 +547,6 @@ def test_resource_caps_bite():
     game = pair_game()
     with pytest.raises(ResourceCapError):
         enumerate_policies(game, cap=2)
-    with pytest.raises(ResourceCapError):
-        atoms(game, cap=1)
     with pytest.raises(ResourceCapError):
         dp_optimal(game, history_cap=1)
     with pytest.raises(ResourceCapError):

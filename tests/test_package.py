@@ -8,13 +8,13 @@ import pytest
 import haltbandit
 
 PUBLIC = [
-    "Atom", "BlockCommitmentIndexPolicy", "BlockValue", "CyclicPolicy", "GameInstance",
+    "BlockCommitmentIndexPolicy", "BlockValue", "CyclicPolicy", "GameInstance",
     "GittinsComparison", "GlobalHistory", "GreedyDominanceReport", "GreedyRewardPolicy",
     "HaltBanditError", "IndexBlock", "IndexDecomposition", "IndexOptimalityReport", "IndexPolicy",
     "IndexResult", "InvalidRuleError", "MarkovBandit", "MarkovState", "ModelFormatError",
     "OptimalSolution", "PayoutModel", "Policy", "PreconditionError", "ProfitBandit",
     "ResourceCapError", "SimulationResult", "SolverError", "StoppingRule", "TablePolicy", "Trace",
-    "TraceRow", "TreeBandit", "TreeEdge", "TreeNode", "ValidationReport", "Violation", "atoms",
+    "TraceRow", "TreeBandit", "TreeEdge", "TreeNode", "ValidationReport", "Violation",
     "block_value", "certify_greedy_dominance", "certify_index_optimality", "check_rule",
     "current_reward", "dp_optimal", "dumps_model", "dynamics_of", "enumerate_stopping_rules",
     "evaluate_exact", "geometric_markov", "gittins_compare", "gittins_index", "immediate_payment",
